@@ -26,16 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PlannerConfig
-from .geometry import (
-    CapsuleShape,
-    ee_element_collision,
-    ee_self_collision,
-    pose_from_direction,
-    sample_directions,
-)
+from .geometry import CapsuleShape, pose_from_direction, sample_directions
 from .kinematics import CapsuleSet, RobotModel, config_collides_batch, ik_sweep
-from .sequence import SequenceResult, rotation_sequence, route_start_node
-from .truss import TrussModel, discretize_element
+from .sequence import SequenceResult, SweepTable, rotation_sequence
+from .truss import TrussModel
 
 _INF = float("inf")
 
@@ -73,41 +67,16 @@ def prepare_tasks(
     config: PlannerConfig,
 ) -> list[TaskSpec]:
     """Recreate per-task scenes and feasible direction sets from a sequence."""
-    directions = sequence.directions
+    sweeps = SweepTable(model, robot.ee, sequence.directions, config)
     placed: list[int] = []
     scene_caps: list[CapsuleShape] = list(robot.static_capsules)
     tasks: list[TaskSpec] = []
     for t in sequence.tasks:
-        pts = discretize_element(
-            model, t.element, config.path_spacing, start_node=t.start_node
-        ).points
-        feasible = []
-        for a in range(len(directions)):
-            if ee_self_collision(
-                pts,
-                directions[a],
-                0.0,
-                model.section.radius,
-                robot.ee,
-                clearance=config.clearance,
-            ):
-                continue
-            ok = True
-            for pid in placed:
-                seg = model.element_segment(pid)
-                if ee_element_collision(
-                    pts,
-                    directions[a],
-                    0.0,
-                    seg,
-                    model.section.radius,
-                    robot.ee,
-                    clearance=config.clearance,
-                ):
-                    ok = False
-                    break
-            if ok:
-                feasible.append(a)
+        pts = sweeps.waypoints(t.element, t.start_node)
+        row = sweeps.self_mask(t.element, t.start_node).copy()
+        for pid in placed:
+            row &= ~sweeps.pair_block(t.element, pid)
+        feasible = np.flatnonzero(row).tolist()
         if t.direction_index not in feasible:
             # the sequence stage applies identical gates, so its witness
             # direction must survive; anything else is an internal bug

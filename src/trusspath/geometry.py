@@ -333,6 +333,29 @@ def ee_self_collision(
     return False
 
 
+def ee_sweep_collision_batch(
+    path_points: np.ndarray,
+    rotations: np.ndarray,
+    q0: np.ndarray,
+    q1: np.ndarray,
+    segment_radius: float,
+    ee: EEGeometry,
+    clearance: float,
+) -> np.ndarray:
+    """`ee_element_collision` for m (3, 3) tool rotations at once: (m,) bool,
+    True where the sweep along the (n, 3) path hits the capsule q0-q1.
+    `q0`/`q1` broadcast against the path, so the call with path `pts[1:]`,
+    `q0 = pts[0]` and `q1 = pts[1:]` is `ee_self_collision`.
+    """
+    hit = np.zeros(len(rotations), dtype=bool)
+    for cap in ee.capsules:
+        a = path_points + (rotations @ cap.a)[:, None, :]  # (m, n, 3)
+        b = path_points + (rotations @ cap.b)[:, None, :]
+        dist = segment_distance_batch(a, b, q0, q1)
+        hit |= np.any(dist < cap.radius + segment_radius + clearance, axis=1)
+    return hit
+
+
 # ---------------------------------------------------------------------------
 # planar convex hull (stability support polygon)
 

@@ -602,12 +602,9 @@ def _robot_capsule_table(robot: RobotModel):
     local_b = np.array([e[1].p1 for e in entries], dtype=float)
     radii = np.array([e[1].radius for e in entries], dtype=float)
     # self-collision pairs: links at least two frames apart
-    pairs = [
-        (i, j)
-        for i in range(len(entries))
-        for j in range(i + 1, len(entries))
-        if abs(int(frames_idx[i]) - int(frames_idx[j])) >= 2
-    ]
+    i, j = np.triu_indices(len(entries), k=1)
+    far = np.abs(frames_idx[i] - frames_idx[j]) >= 2
+    pairs = np.column_stack([i[far], j[far]])  # (P, 2)
     return frames_idx, local_a, local_b, radii, pairs
 
 
@@ -647,11 +644,11 @@ def config_collides_batch(
         )  # (n, c, m)
         limit = radii[None, :, None] + scene.radii[None, None, :] + margin
         hit |= np.any(dist < limit, axis=(1, 2))
-    for i, j in pairs:
-        dist = segment_distance_batch(
-            world_a[:, i], world_b[:, i], world_a[:, j], world_b[:, j]
-        )
-        hit |= dist < radii[i] + radii[j] + margin
+    i, j = pairs[:, 0], pairs[:, 1]
+    dist = segment_distance_batch(
+        world_a[:, i], world_b[:, i], world_a[:, j], world_b[:, j]
+    )  # (n, P)
+    hit |= np.any(dist < radii[i] + radii[j] + margin, axis=1)
     return hit
 
 

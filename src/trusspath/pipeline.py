@@ -103,6 +103,8 @@ class PipelineReport:
     transition_via_home: int = 0
     transition_cost: float = 0.0
     subprocess_count: int = 0
+    # retraction slides replaced by a one-row segment at the pass end
+    retraction_fallbacks: int = 0
 
     def table(self) -> str:
         s = self.sequence_stats
@@ -116,7 +118,8 @@ class PipelineReport:
                 "cartesian",
                 self.cartesian_time,
                 f"{self.capsules_built}/{self.capsules_attempted} capsules, "
-                f"joint cost {self.cartesian_cost:.3f}",
+                f"joint cost {self.cartesian_cost:.3f}, "
+                f"{self.retraction_fallbacks} retraction fallbacks",
             ),
             (
                 "transitions",
@@ -174,6 +177,7 @@ def run_pipeline(
     sub_id = 0
     trans_cost = 0.0
     via_home = 0
+    fallbacks = 0
     for k, (task, (cap, ei, xi), traj) in enumerate(
         zip(tasks, sparse.picks, trajectories)
     ):
@@ -183,11 +187,13 @@ def run_pipeline(
             task.scene, config, directions, cap.direction_index,
         )
         approach = out[::-1].copy() if out is not None else traj[:1].copy()
+        fallbacks += int(out is None)
         out = plan_retraction(
             robot, task.waypoints[-1], v, cap.rotation, traj[-1],
             task.scene_after, config, directions, cap.direction_index,
         )
         depart = out if out is not None else traj[-1:].copy()
+        fallbacks += int(out is None)
 
         move = plan_transition(
             robot, prev, approach[0], task.scene, config,
@@ -250,6 +256,7 @@ def run_pipeline(
         transition_via_home=via_home,
         transition_cost=trans_cost,
         subprocess_count=sub_id,
+        retraction_fallbacks=fallbacks,
     )
     return plan, report
 

@@ -28,8 +28,8 @@ from .config import PlannerConfig
 from .geometry import (
     CapsuleShape,
     DirectionSet,
-    ee_element_collision,
-    ee_self_collision,
+    EEGeometry,
+    ee_sweep_collision_batch,
     pose_from_direction,
     sample_directions,
 )
@@ -83,6 +83,8 @@ class SearchStats:
     ee_update_pair_checks: int = 0
     collision_cost_time: float = 0.0
     collision_cost_checks: int = 0
+    # placements undone at once because they emptied a peer's direction set
+    refused_placements: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -98,6 +100,7 @@ class SearchStats:
             "ee_update_pair_checks": self.ee_update_pair_checks,
             "collision_cost_time": self.collision_cost_time,
             "collision_cost_checks": self.collision_cost_checks,
+            "refused_placements": self.refused_placements,
         }
 
 
@@ -214,6 +217,66 @@ def route_start_node(model: TrussModel, element_id: int, placed: list[int]) -> i
     return min(a, b)
 
 
+class SweepTable:
+    """Which lattice directions let the extruder sweep an element, cached.
+
+    This is the one answer to "can the extruder print element e along
+    direction a" that sequencing and Cartesian task preparation share.  A
+    placed element's block does not depend on the travel direction, so pair
+    blocks use the element's route from its lower-id node; the self mask
+    does depend on it and is cached per route.  Entries are computed on
+    first use, one (element, placed element) pair at a time.
+    """
+
+    def __init__(
+        self,
+        model: TrussModel,
+        ee: EEGeometry,
+        directions: DirectionSet,
+        config: PlannerConfig,
+    ):
+        self.model = model
+        self.ee = ee
+        self.config = config
+        # roll-0 tool rotation per direction, as ee_element_collision poses it
+        self._rotations = np.array(
+            [pose_from_direction(np.zeros(3), d, 0.0)[:3, :3] for d in directions.directions]
+        )
+        self._paths: dict[tuple[int, int], np.ndarray] = {}
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
+        self._self: dict[tuple[int, int], np.ndarray] = {}
+
+    def waypoints(self, element_id: int, start_node: int) -> np.ndarray:
+        key = (element_id, start_node)
+        if key not in self._paths:
+            self._paths[key] = discretize_element(
+                self.model, element_id, self.config.path_spacing, start_node=start_node
+            ).points
+        return self._paths[key]
+
+    def pair_block(self, element_id: int, placed_id: int) -> np.ndarray:
+        """Directions of `element_id` whose sweep hits placed `placed_id`."""
+        key = (element_id, placed_id)
+        if key not in self._blocks:
+            e = self.model.element(element_id)
+            pts = self.waypoints(element_id, min(e.start, e.end))
+            self._blocks[key] = self._hits(pts, *self.model.element_segment(placed_id))
+        return self._blocks[key]
+
+    def self_mask(self, element_id: int, start_node: int) -> np.ndarray:
+        """Directions whose extruder body clears the element's own fresh bead
+        when printing from `start_node`."""
+        key = (element_id, start_node)
+        if key not in self._self:
+            pts = self.waypoints(element_id, start_node)
+            self._self[key] = ~self._hits(pts[1:], pts[0], pts[1:])
+        return self._self[key]
+
+    def _hits(self, pts: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+        radius, clearance = self.model.section.radius, self.config.clearance
+        return ee_sweep_collision_batch(pts, self._rotations, q0, q1, radius, self.ee, clearance)
+
+
 class SequencePlanner:
     def __init__(self, model: TrussModel, robot: RobotModel, config: PlannerConfig):
         self.model = model
@@ -223,18 +286,13 @@ class SequencePlanner:
         self.stats = SearchStats()
         self._ids = [e.id for e in model.elements]
         self._index = {eid: k for k, eid in enumerate(self._ids)}
-        self._segments = {eid: model.element_segment(eid) for eid in self._ids}
-        self._capsules = {
-            eid: CapsuleShape(
-                tuple(self._segments[eid][0]),
-                tuple(self._segments[eid][1]),
-                model.section.radius,
-            )
-            for eid in self._ids
-        }
-        self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._path_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._self_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._capsules = {}
+        for eid in self._ids:
+            p0, p1 = model.element_segment(eid)
+            self._capsules[eid] = CapsuleShape(tuple(p0), tuple(p1), model.section.radius)
+        self.sweeps = SweepTable(model, robot.ee, self.directions, config)
+        # the reference route's waypoints, read by criterion 4's oracle
+        self._waypoints = self.sweeps.waypoints
         self._rotations = rotation_sequence(config.rotation_samples)
         m = len(self.directions)
         self._domain = np.ones((len(self._ids), m), dtype=bool)
@@ -243,63 +301,6 @@ class SequencePlanner:
         self._scene = CapsuleSet(robot.static_capsules)
         self._tasks: list[SequenceTask] = []
         self._deadline = 0.0
-
-    # -- caches ------------------------------------------------------------
-
-    def _waypoints(self, element_id: int, start_node: int) -> np.ndarray:
-        key = (element_id, start_node)
-        if key not in self._path_cache:
-            path = discretize_element(
-                self.model, element_id, self.config.path_spacing, start_node=start_node
-            )
-            self._path_cache[key] = path.points
-        return self._path_cache[key]
-
-    def _pair_block(self, element_id: int, placed_id: int) -> np.ndarray:
-        """Directions of `element_id` whose sweep hits placed `placed_id`."""
-        key = (element_id, placed_id)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        pts = self._waypoints(element_id, min(*self._element_nodes(element_id)))
-        seg = self._segments[placed_id]
-        block = np.zeros(len(self.directions), dtype=bool)
-        for a in range(len(self.directions)):
-            block[a] = ee_element_collision(
-                pts,
-                self.directions[a],
-                0.0,
-                seg,
-                self.model.section.radius,
-                self.robot.ee,
-                clearance=self.config.clearance,
-            )
-        self._pair_cache[key] = block
-        return block
-
-    def _self_mask(self, element_id: int, start_node: int) -> np.ndarray:
-        """Directions whose extruder body clears the element's own fresh bead.
-
-        Unlike sweeps against other elements this depends on the travel
-        direction, so the mask is cached per route.
-        """
-        key = (element_id, start_node)
-        cached = self._self_cache.get(key)
-        if cached is not None:
-            return cached
-        pts = self._waypoints(element_id, start_node)
-        mask = np.zeros(len(self.directions), dtype=bool)
-        for a in range(len(self.directions)):
-            mask[a] = not ee_self_collision(
-                pts,
-                self.directions[a],
-                0.0,
-                self.model.section.radius,
-                self.robot.ee,
-                clearance=self.config.clearance,
-            )
-        self._self_cache[key] = mask
-        return mask
 
     def _element_nodes(self, element_id: int) -> tuple[int, int]:
         e = self.model.element(element_id)
@@ -333,8 +334,8 @@ class SequencePlanner:
         t0 = time.monotonic()
         self.stats.kinematics_checks += 1
         start = route_start_node(self.model, element_id, self._placed)
-        row = self._domain[self._index[element_id]] & self._self_mask(element_id, start)
-        pts = self._waypoints(element_id, start)
+        row = self._domain[self._index[element_id]] & self.sweeps.self_mask(element_id, start)
+        pts = self.sweeps.waypoints(element_id, start)
         found = None
         for a in np.flatnonzero(row):
             for rot in self._rotations:
@@ -373,7 +374,7 @@ class SequencePlanner:
         undo = []
         for eid in element_ids:
             row = self._domain[self._index[eid]]
-            block = self._pair_block(eid, placed_id)
+            block = self.sweeps.pair_block(eid, placed_id)
             self.stats.ee_update_pair_checks += 1
             cleared = np.flatnonzero(row & block)
             if cleared.size:
@@ -399,7 +400,7 @@ class SequencePlanner:
             survive = 0
             for oid in others:
                 row = self._domain[self._index[oid]]
-                block = self._pair_block(oid, eid)
+                block = self.sweeps.pair_block(oid, eid)
                 survive += int(np.count_nonzero(row & ~block))
             scored.append((-survive, eid))
         scored.sort()
@@ -417,7 +418,7 @@ class SequencePlanner:
         # two routes' self-clear sets, so start the bitsets there
         for eid in self._ids:
             a, b = self._element_nodes(eid)
-            union = self._self_mask(eid, a) | self._self_mask(eid, b)
+            union = self.sweeps.self_mask(eid, a) | self.sweeps.self_mask(eid, b)
             self._domain[self._index[eid]] &= union
             if not union.any():
                 self.stats.total_time = time.monotonic() - t_start
@@ -498,11 +499,12 @@ class SequencePlanner:
             start_node=start,
         )
         self._tasks.append(task)
-        self.stats.partial_states += 1
         for oid in remaining:
             if not self._domain[self._index[oid]].any():
                 self._unplace(eid, undo, remaining, nodes_added=added_nodes)
+                self.stats.refused_placements += 1
                 return None
+        self.stats.partial_states += 1
         return (undo, added_nodes)
 
     def _unplace(self, eid, undo, remaining, nodes_added=None):

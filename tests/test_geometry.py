@@ -15,6 +15,7 @@ from trusspath.geometry import (
     direction_rotation_from_frame,
     ee_element_collision,
     ee_self_collision,
+    ee_sweep_collision_batch,
     point_in_hull,
     point_segment_distance,
     pose_from_direction,
@@ -244,6 +245,46 @@ def test_ee_self_collision_vertical_is_clear():
     assert not ee_self_collision(pts, up, 0.0, 2.0, ee)
     # single point paths have no grown bead yet
     assert not ee_self_collision(pts[:1], up, 0.0, 2.0, ee)
+
+
+def test_sweep_batch_matches_per_direction_checks():
+    # the all-directions kernel must decide exactly what the one-direction
+    # reference checks decide, for element sweeps and for the grown bead
+    rng = np.random.default_rng(1810)
+    leaning = EEGeometry(
+        (CapsuleShape((10.0, 5.0, -30.0), (-20.0, 15.0, -120.0), 8.0),)
+    )
+    directions = sample_directions(40)
+    rotations = np.array(
+        [pose_from_direction(np.zeros(3), d, 0.0)[:3, :3] for d in directions.directions]
+    )
+    outcomes = set()
+    for ee in (default_ee_geometry(), leaning):
+        for trial in range(10):
+            n = 1 if trial == 0 else int(rng.integers(2, 25))
+            pts = np.linspace(
+                rng.uniform(-60.0, 60.0, 3), rng.uniform(-60.0, 60.0, 3), n
+            )
+            seg = rng.uniform(-150.0, 150.0, (2, 3))
+            for clearance in (0.0, 2.0, 25.0):
+                got = ee_sweep_collision_batch(
+                    pts, rotations, seg[0], seg[1], 2.0, ee, clearance=clearance
+                )
+                want = [
+                    ee_element_collision(pts, d, 0.0, seg, 2.0, ee, clearance=clearance)
+                    for d in directions.directions
+                ]
+                assert got.tolist() == want
+                got_self = ee_sweep_collision_batch(
+                    pts[1:], rotations, pts[0], pts[1:], 2.0, ee, clearance=clearance
+                )
+                want_self = [
+                    ee_self_collision(pts, d, 0.0, 2.0, ee, clearance=clearance)
+                    for d in directions.directions
+                ]
+                assert got_self.tolist() == want_self
+                outcomes.update(want + want_self)
+    assert outcomes == {True, False}
 
 
 def test_convex_hull_square_and_interior():

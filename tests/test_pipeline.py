@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from trusspath import pipeline
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import load_bundled_model, load_bundled_robot
 from trusspath.pipeline import (
@@ -40,8 +41,13 @@ def model():
 
 
 @pytest.fixture(scope="module")
-def planned(model, robot):
-    plan, report = run_pipeline(model, robot, CFG)
+def sequence(model, robot):
+    return plan_sequence(model, robot, CFG)
+
+
+@pytest.fixture(scope="module")
+def planned(model, robot, sequence):
+    plan, report = run_pipeline(model, robot, CFG, sequence=sequence)
     return plan, report, plan_to_dict(plan)
 
 
@@ -98,9 +104,20 @@ def test_report_accounting(planned):
     assert 0 < report.capsules_built <= report.capsules_attempted
     assert report.cartesian_cost > 0.0
     assert report.transition_cost >= 0.0
+    assert report.retraction_fallbacks == 0
     table = report.table()
     for word in ("sequence", "cartesian", "transitions", "total"):
         assert word in table
+
+
+def test_retraction_fallbacks_are_counted(model, robot, sequence, monkeypatch):
+    # every retraction fails, so each pass gets a one-row approach and depart
+    monkeypatch.setattr(pipeline, "plan_retraction", lambda *args, **kwargs: None)
+    plan, report = run_pipeline(model, robot, CFG, sequence=sequence)
+    assert report.retraction_fallbacks == 2 * len(plan.tasks)
+    assert f"{report.retraction_fallbacks} retraction fallbacks" in report.table()
+    verdict = validate_plan(plan, model, robot, CFG)
+    assert verdict.passed, verdict.table()
 
 
 def test_rerun_is_byte_identical(model, robot, planned):

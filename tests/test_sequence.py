@@ -10,6 +10,7 @@ from trusspath.fixtures import (
     DEFAULT_MATERIAL,
     DEFAULT_SECTION,
     bracing_tower,
+    load_bundled_model,
     load_bundled_robot,
     random_truss,
 )
@@ -132,7 +133,7 @@ def test_domain_propagation_matches_recompute(robot):
         planner = SequencePlanner(model, robot, FAST)
         for eid in planner._ids:
             a, b = planner._element_nodes(eid)
-            union = planner._self_mask(eid, a) | planner._self_mask(eid, b)
+            union = planner.sweeps.self_mask(eid, a) | planner.sweeps.self_mask(eid, b)
             planner._domain[planner._index[eid]] &= union
 
         rng = np.random.default_rng(seed + 100)
@@ -262,6 +263,16 @@ def test_search_timeout_raises_with_stats(robot):
         plan_sequence(model, robot, FAST.replace(search_timeout=1e-6))
     assert info.value.stats is not None
     assert info.value.stats.partial_states == 0
+
+
+def test_partial_states_count_accepted_placements(robot):
+    # on the cube, some placements empty a peer's direction set and are
+    # undone at once; those count as refused, not as partial states
+    model = load_bundled_model("cube")
+    cfg = PlannerConfig(direction_count=32, rotation_samples=2)
+    stats = plan_sequence(model, robot, cfg).stats
+    assert stats.refused_placements > 0
+    assert stats.partial_states == len(model.elements) + stats.backtracks
 
 
 def test_sequence_dict_round_trip(tower_result):
