@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import PlannerConfig
 from .geometry import CapsuleShape, pose_from_direction, sample_directions
-from .kinematics import CapsuleSet, RobotModel, config_collides_batch, ik_sweep
+from .kinematics import CapsuleSet, RobotModel, collision_free_families, ik_sweep
 from .sequence import SequenceResult, SweepTable, rotation_sequence
 from .truss import TrussModel
 
@@ -56,7 +56,7 @@ class TaskSpec:
     direction_indices: list[int]  # sweep-feasible against the placed prefix
     preferred_direction: int
     preferred_rotation: float
-    scene: CapsuleSet  # placed prefix plus workcell statics
+    scene: CapsuleSet  # placed prefix (collision tests add the workcell statics)
     scene_after: CapsuleSet  # same plus this task's own element
 
 
@@ -69,7 +69,7 @@ def prepare_tasks(
     """Recreate per-task scenes and feasible direction sets from a sequence."""
     sweeps = SweepTable(model, robot.ee, sequence.directions, config)
     placed: list[int] = []
-    scene_caps: list[CapsuleShape] = list(robot.static_capsules)
+    scene_caps: list[CapsuleShape] = []
     tasks: list[TaskSpec] = []
     for t in sequence.tasks:
         pts = sweeps.waypoints(t.element, t.start_node)
@@ -156,16 +156,7 @@ def build_rungs(
     """Collision-free IK configs per waypoint, or None if any rung is empty."""
     frame = pose_from_direction(waypoints[0], direction, rotation)
     families = ik_sweep(robot, frame[:3, :3], waypoints)
-    rungs = []
-    for fam in families:
-        if not fam:
-            return None
-        qs = np.array(fam)
-        free = ~config_collides_batch(robot, qs, scene, clearance=clearance)
-        if not free.any():
-            return None
-        rungs.append(qs[free])
-    return rungs
+    return collision_free_families(robot, families, scene, clearance=clearance)
 
 
 def _inner_cost_matrix(
@@ -594,24 +585,17 @@ def plan_retraction(
     for a in order:
         pts = node[None, :] + directions[a][None, :] * offsets[:, None]
         families = ik_sweep(robot, rot, pts)
+        rungs = collision_free_families(robot, families, scene, clearance=config.clearance)
+        if rungs is None:
+            continue
         path = [anchor]
-        ok = True
-        for fam in families:
-            if not fam:
-                ok = False
-                break
-            qs = np.array(fam)
-            qs = qs[~config_collides_batch(robot, qs, scene, clearance=config.clearance)]
-            if qs.shape[0] == 0:
-                ok = False
-                break
+        for qs in rungs:
             step = np.abs(qs - path[-1][None, :])
             qs = qs[(step <= limits[None, :]).all(axis=1)]
             if qs.shape[0] == 0:
-                ok = False
                 break
             costs = (np.abs(qs - path[-1][None, :]) * weights).sum(axis=1)
             path.append(qs[int(np.argmin(costs))])
-        if ok:
+        else:
             return np.array(path)
     return None

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -157,6 +158,16 @@ class RobotModel:
     def within_limits(self, q: np.ndarray, tol: float = 1e-9) -> bool:
         q = np.asarray(q, dtype=float)
         return bool(np.all(q >= self.lower - tol) and np.all(q <= self.upper + tol))
+
+    @cached_property
+    def capsule_table(self):
+        """Link and extruder capsules packed for `config_collides_batch`,
+        built once per model (see `_robot_capsule_table`)."""
+        return _robot_capsule_table(self)
+
+    @cached_property
+    def static_scene(self) -> "CapsuleSet":
+        return CapsuleSet(self.static_capsules)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +605,8 @@ class CapsuleSet:
 
 
 def _robot_capsule_table(robot: RobotModel):
+    """(frame index, local end a, local end b, radius) per robot capsule,
+    plus the (P, 2) self-collision pairs; `RobotModel.capsule_table` caches it."""
     entries = [(lc.frame, lc.shape) for lc in robot.link_capsules]
     tool_frame = len(robot.joints) + 1
     entries.extend((tool_frame, cap) for cap in robot.ee.capsules)
@@ -618,31 +631,33 @@ def config_collides_batch(
 
     Checks every robot/EE capsule against the scene plus non-adjacent
     self-collision pairs.  The robot's own static workcell capsules are
-    always part of the scene.
+    always part of the scene, so callers pass only what they add to them.
+    Rows are independent: testing configs in one call or in several gives
+    the same booleans.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     margin = robot.ee.clearance if clearance is None else clearance
     if not isinstance(scene, CapsuleSet):
-        scene = CapsuleSet(tuple(scene or ()) + robot.static_capsules)
-    elif robot.static_capsules:
-        scene = CapsuleSet(scene.capsules + robot.static_capsules)
+        scene = CapsuleSet(scene or ())
 
-    frames_idx, local_a, local_b, radii, pairs = _robot_capsule_table(robot)
+    frames_idx, local_a, local_b, radii, pairs = robot.capsule_table
     frames = fk_frames_batch(robot, qs)  # (n, F, 4, 4)
-    n, c = qs.shape[0], len(radii)
+    n = qs.shape[0]
     sel = frames[:, frames_idx]  # (n, c, 4, 4)
     world_a = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_a) + sel[:, :, :3, 3]
     world_b = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_b) + sel[:, :, :3, 3]
 
     hit = np.zeros(n, dtype=bool)
-    if len(scene):
+    for obstacles in (scene, robot.static_scene):
+        if not len(obstacles):
+            continue
         dist = segment_distance_batch(
             world_a[:, :, None, :],
             world_b[:, :, None, :],
-            scene.a[None, None, :, :],
-            scene.b[None, None, :, :],
+            obstacles.a[None, None, :, :],
+            obstacles.b[None, None, :, :],
         )  # (n, c, m)
-        limit = radii[None, :, None] + scene.radii[None, None, :] + margin
+        limit = radii[None, :, None] + obstacles.radii[None, None, :] + margin
         hit |= np.any(dist < limit, axis=(1, 2))
     i, j = pairs[:, 0], pairs[:, 1]
     dist = segment_distance_batch(
@@ -650,6 +665,27 @@ def config_collides_batch(
     )  # (n, P)
     hit |= np.any(dist < radii[i] + radii[j] + margin, axis=1)
     return hit
+
+
+def collision_free_families(
+    robot: RobotModel,
+    families: Sequence[Sequence[np.ndarray]],
+    scene: CapsuleSet | Sequence[CapsuleShape] | None,
+    clearance: float | None = None,
+) -> list[np.ndarray] | None:
+    """Collision-free configs of each IK family of one sweep, or None.
+
+    None means some family is empty (then nothing is collision-tested) or
+    has no collision-free config.  All families are tested in one
+    `config_collides_batch` call and split back per family.
+    """
+    if not all(families):
+        return None
+    qs = np.array([q for fam in families for q in fam])
+    free = ~config_collides_batch(robot, qs, scene, clearance=clearance)
+    bounds = np.cumsum([len(fam) for fam in families])[:-1]
+    rungs = [q[f] for q, f in zip(np.split(qs, bounds), np.split(free, bounds))]
+    return rungs if all(r.shape[0] for r in rungs) else None
 
 
 def config_collides(

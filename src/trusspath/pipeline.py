@@ -424,7 +424,7 @@ def validate_plan(
     collision_errors = []
     ratio = config.prismatic_jump_limit / config.jump_limit
     fine_step = 0.5 * config.transition.step * robot.jump_limits(1.0, ratio)
-    scene_caps: list[CapsuleShape] = list(robot.static_capsules)
+    scene_caps: list[CapsuleShape] = []  # placed elements; statics are implicit
     for t in tasks:
         elem = model.element(t["element_id"])
         seg = model.element_segment(elem.id)
@@ -460,7 +460,7 @@ def validate_plan(
                     collision_errors.append(
                         f"subprocess {s['id']}: extruder body crosses its own bead"
                     )
-                for prior in scene_caps[len(robot.static_capsules):]:
+                for prior in scene_caps:
                     if ee_element_collision(
                         origins,
                         v,

@@ -33,12 +33,7 @@ from .geometry import (
     pose_from_direction,
     sample_directions,
 )
-from .kinematics import (
-    CapsuleSet,
-    RobotModel,
-    config_collides_batch,
-    ik_sweep,
-)
+from .kinematics import CapsuleSet, RobotModel, collision_free_families, ik_sweep
 from .structural import PartialStructure, analyze, check_stability, check_stiffness
 from .truss import TrussModel, discretize_element
 
@@ -298,7 +293,7 @@ class SequencePlanner:
         self._domain = np.ones((len(self._ids), m), dtype=bool)
         self._placed: list[int] = []
         self._placed_nodes: set[int] = {n.id for n in model.nodes if n.grounded}
-        self._scene = CapsuleSet(robot.static_capsules)
+        self._scene = CapsuleSet(())  # placed elements; statics are implicit
         self._tasks: list[SequenceTask] = []
         self._deadline = 0.0
 
@@ -344,20 +339,10 @@ class SequencePlanner:
                     return None
                 frame = pose_from_direction(pts[0], self.directions[a], float(rot))
                 families = ik_sweep(self.robot, frame[:3, :3], pts)
-                if any(len(f) == 0 for f in families):
-                    continue
-                ok = True
-                for fam in families:
-                    hits = config_collides_batch(
-                        self.robot,
-                        np.array(fam),
-                        self._scene,
-                        clearance=self.config.clearance,
-                    )
-                    if hits.all():
-                        ok = False
-                        break
-                if ok:
+                free = collision_free_families(
+                    self.robot, families, self._scene, clearance=self.config.clearance
+                )
+                if free is not None:
                     found = (int(a), float(rot))
                     break
             if found:

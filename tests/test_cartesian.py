@@ -26,9 +26,14 @@ from trusspath.cartesian import (
 )
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import load_bundled_model, load_bundled_robot
-from trusspath.kinematics import CapsuleSet, config_collides_batch, fk
-from trusspath.geometry import CapsuleShape
-from trusspath.sequence import plan_sequence
+from trusspath.kinematics import CapsuleSet, config_collides_batch, fk, ik_sweep
+from trusspath.geometry import CapsuleShape, pose_from_direction
+from trusspath.sequence import (
+    SequencePlanner,
+    plan_sequence,
+    rotation_sequence,
+    route_start_node,
+)
 
 CART_CFG = PlannerConfig(direction_count=24, rotation_samples=2)
 COST_TOL = 1e-9
@@ -372,3 +377,146 @@ def test_plan_retraction_boxed_in_returns_none(robot, cube_tasks):
         task.preferred_direction,
     )
     assert path is None
+
+
+# ---------------------------------------------------------------------------
+# one collision query per sweep against the per-waypoint loop it replaced
+
+
+def oracle_build_rungs(robot, waypoints, direction, rotation, scene, clearance):
+    """`build_rungs` with one collision query per waypoint.  Also says why a
+    block fails: ("empty", rung) or ("collision", rung)."""
+    frame = pose_from_direction(waypoints[0], direction, rotation)
+    families = ik_sweep(robot, frame[:3, :3], waypoints)
+    rungs = []
+    for r, fam in enumerate(families):
+        if not fam:
+            return None, ("empty", r)
+        qs = np.array(fam)
+        free = ~config_collides_batch(robot, qs, scene, clearance=clearance)
+        if not free.any():
+            return None, ("collision", r)
+        rungs.append(qs[free])
+    return rungs, None
+
+
+def oracle_plan_retraction(
+    robot, node, orientation_direction, rotation, anchor, scene, config, directions, preferred
+):
+    """`plan_retraction` with one collision query per waypoint."""
+    length = config.retraction_length
+    k = max(1, math.ceil(length / config.path_spacing))
+    rot = pose_from_direction(node, orientation_direction, rotation)[:3, :3]
+    weights = robot.weights
+    limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
+    order = [preferred] + [i for i in range(len(directions)) if i != preferred]
+    offsets = np.linspace(length / k, length, k)
+    for a in order:
+        pts = node[None, :] + directions[a][None, :] * offsets[:, None]
+        path = [anchor]
+        ok = True
+        for fam in ik_sweep(robot, rot, pts):
+            if not fam:
+                ok = False
+                break
+            qs = np.array(fam)
+            qs = qs[~config_collides_batch(robot, qs, scene, clearance=config.clearance)]
+            if qs.shape[0] == 0:
+                ok = False
+                break
+            qs = qs[(np.abs(qs - path[-1][None, :]) <= limits[None, :]).all(axis=1)]
+            if qs.shape[0] == 0:
+                ok = False
+                break
+            costs = (np.abs(qs - path[-1][None, :]) * weights).sum(axis=1)
+            path.append(qs[int(np.argmin(costs))])
+        if ok:
+            return np.array(path)
+    return None
+
+
+def oracle_pose_exists(planner, element_id):
+    """`SequencePlanner._ee_pose_exists` with one collision query per
+    waypoint and no time limit."""
+    start = route_start_node(planner.model, element_id, planner._placed)
+    row = planner._domain[planner._index[element_id]] & planner.sweeps.self_mask(
+        element_id, start
+    )
+    pts = planner.sweeps.waypoints(element_id, start)
+    for a in np.flatnonzero(row):
+        for rot in planner._rotations:
+            rungs, _ = oracle_build_rungs(
+                planner.robot, pts, planner.directions[a], float(rot),
+                planner._scene, planner.config.clearance,
+            )
+            if rungs is not None:
+                return int(a), float(rot)
+    return None
+
+
+def same_rungs(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_build_rungs_matches_per_waypoint_loop(robot, cube_tasks):
+    model, sequence, tasks = cube_tasks
+    directions = sequence.directions
+    pairs = [(a, float(r)) for a in range(0, len(directions), 3)
+             for r in rotation_sequence(CART_CFG.rotation_samples)]
+    reasons = set()
+    for task in tasks:
+        for a, rot in pairs:
+            got = build_rungs(
+                robot, task.waypoints, directions[a], rot, task.scene,
+                clearance=CART_CFG.clearance,
+            )
+            want, why = oracle_build_rungs(
+                robot, task.waypoints, directions[a], rot, task.scene, CART_CFG.clearance
+            )
+            assert same_rungs(got, want), (task.index, a, rot)
+            if why is not None:
+                last = len(task.waypoints) - 1
+                reasons.add((why[0], "interior" if 0 < why[1] < last else "end"))
+    assert any(kind == "empty" for kind, _ in reasons)
+    assert ("collision", "interior") in reasons
+
+
+def test_plan_retraction_matches_per_waypoint_loop(robot, cube_tasks):
+    model, sequence, tasks = cube_tasks
+    directions = sequence.directions
+    for task in tasks:
+        rungs = build_rungs(
+            robot, task.waypoints, directions[task.preferred_direction],
+            task.preferred_rotation, task.scene, clearance=CART_CFG.clearance,
+        )
+        anchor, node = rungs[-1][0], task.waypoints[-1]
+        scenes = [task.scene_after]
+        if task.index == 0:  # boxed in: every candidate direction fails
+            scenes.append(
+                CapsuleSet((CapsuleShape(tuple(node - 1.0), tuple(node + 1.0), 400.0),))
+            )
+        for preferred in range(0, len(directions), 6):
+            for scene in scenes:
+                args = (
+                    robot, node, directions[task.preferred_direction],
+                    task.preferred_rotation, anchor, scene, CART_CFG, directions, preferred,
+                )
+                want = oracle_plan_retraction(*args)
+                assert (want is None) == (scene is not task.scene_after)
+                assert same_rungs(plan_retraction(*args), want), (task.index, preferred)
+
+
+def test_pose_probe_matches_per_waypoint_loop(robot, cube_tasks):
+    model, sequence, tasks = cube_tasks
+    cfg = CART_CFG.replace(kinematics_timeout=600.0)
+    planner = SequencePlanner(model, robot, cfg)
+    remaining = {e.id for e in model.elements}
+    for t in sequence.tasks[: len(sequence.tasks) // 2]:
+        assert planner._place(t.element, (t.direction_index, t.rotation), remaining)
+    witnesses = []
+    for eid in sorted(remaining):
+        witnesses.append(planner._ee_pose_exists(eid))
+        assert witnesses[-1] == oracle_pose_exists(planner, eid), eid
+    assert any(w is not None for w in witnesses)

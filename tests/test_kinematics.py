@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from trusspath.fixtures import fixture_path, load_bundled_robot
+from trusspath.fixtures import fixture_path, load_bundled_model, load_bundled_robot
 from trusspath.geometry import CapsuleShape
 from trusspath.kinematics import (
+    CapsuleSet,
     EEPose,
     KinematicsError,
     RobotConfigError,
@@ -243,6 +244,33 @@ def test_config_collides_batch_matches_single():
     for row, q in zip(batch, qs):
         assert row == config_collides(robot, q, scene)
     assert batch.any() or not batch.all()  # vector is well formed
+
+
+def test_config_collides_batch_rows_are_independent():
+    robot = load_bundled_robot("arm")
+    model = load_bundled_model("cube")
+    scene = CapsuleSet(
+        [
+            CapsuleShape(*map(tuple, model.element_segment(e.id)), model.section.radius)
+            for e in model.elements[:12]
+        ]
+    )
+    rng = np.random.default_rng(44)
+    qs = np.concatenate(
+        [
+            rng.uniform(robot.lower, robot.upper, size=(150, robot.dof)),
+            robot.home + rng.normal(0.0, 0.4, size=(150, robot.dof)),
+        ]
+    )
+    stacked = config_collides_batch(robot, qs, scene, clearance=2.0)
+    assert stacked.any() and not stacked.all()
+    for _ in range(5):
+        cuts = np.sort(rng.choice(np.arange(1, len(qs)), size=40, replace=False))
+        chunks = [
+            config_collides_batch(robot, part, scene, clearance=2.0)
+            for part in np.split(qs, cuts)
+        ]
+        assert np.array_equal(np.concatenate(chunks), stacked)
 
 
 def test_clearance_widens_collisions():

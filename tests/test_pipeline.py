@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from trusspath import pipeline
+from trusspath import kinematics, pipeline
 from trusspath.config import PlannerConfig
-from trusspath.fixtures import load_bundled_model, load_bundled_robot
+from trusspath.fixtures import fixture_path, load_bundled_model, load_bundled_robot
+from trusspath.kinematics import config_collides_batch, load_robot
 from trusspath.pipeline import (
     PipelineError,
     input_fingerprints,
@@ -16,7 +17,7 @@ from trusspath.pipeline import (
     validate_plan,
 )
 from trusspath.postprocess import plan_to_dict
-from trusspath.sequence import plan_sequence
+from trusspath.sequence import SequencePlanner, plan_sequence
 
 CFG = PlannerConfig(direction_count=24, rotation_samples=2)
 CHECK_NAMES = [
@@ -118,6 +119,46 @@ def test_retraction_fallbacks_are_counted(model, robot, sequence, monkeypatch):
     assert f"{report.retraction_fallbacks} retraction fallbacks" in report.table()
     verdict = validate_plan(plan, model, robot, CFG)
     assert verdict.passed, verdict.table()
+
+
+def test_static_capsule_is_an_obstacle_everywhere(model, robot, planned, monkeypatch):
+    # a workcell static that wraps the first printed element: every pass
+    # over it now touches the workcell
+    _, _, doc = planned
+    first = doc["tasks"][0]
+    eid = first["element_id"]
+    p0, p1 = model.element_segment(eid)
+    robot_doc = json.loads(fixture_path("kr6_like.json").read_text())
+    robot_doc["static_capsules"] = [{"p0": list(p0), "p1": list(p1), "radius": 50.0}]
+    walled = load_robot(robot_doc)
+    assert len(walled.static_capsules) == 1
+
+    rows = next(
+        np.array(s["joints"]) for s in first["subprocesses"] if s["kind"] == "extrusion"
+    )
+    assert not config_collides_batch(robot, rows, [], clearance=CFG.clearance).any()
+    assert config_collides_batch(walled, rows, [], clearance=CFG.clearance).all()
+
+    assert SequencePlanner(model, robot, CFG)._ee_pose_exists(eid) is not None
+    # the probe tests the static exactly once per config: with nothing
+    # placed yet, every robot-against-scene distance call has one obstacle
+    widths = []
+    original = kinematics.segment_distance_batch
+
+    def counting(p0, p1, q0, q1):
+        out = original(p0, p1, q0, q1)
+        widths.append(out.shape)
+        return out
+
+    monkeypatch.setattr(kinematics, "segment_distance_batch", counting)
+    assert SequencePlanner(model, walled, CFG)._ee_pose_exists(eid) is None
+    monkeypatch.undo()
+    obstacles = {shape[2] for shape in widths if len(shape) == 3}
+    assert obstacles == {1}
+
+    verdict = check_map(validate_plan(doc, model, walled, CFG))
+    assert not verdict["clearance"].passed
+    assert "colliding configs" in verdict["clearance"].detail
 
 
 def test_rerun_is_byte_identical(model, robot, planned):
