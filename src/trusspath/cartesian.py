@@ -16,6 +16,13 @@ then discarded).  A chain search over capsules with boundary joint-distance
 edges then finds the same optimum the full ladder would, at a tiny fraction
 of the memory, and an incremental sampler (`expand_and_search`) makes the
 capsule set anytime: more samples never make the answer worse.
+
+Every shortest path here is one kernel: `_minplus` relaxes costs over one
+rung of edges and keeps back-pointers, `_ladder` applies it rung by rung and
+`_walk_back` follows the pointers.  The capsule matrix (from an identity
+start), block path extraction (from a one-hot start), the chain search and
+the full-graph baseline all run on it, so ties always go to the lowest index
+and an earlier capsule.
 """
 
 from __future__ import annotations
@@ -159,18 +166,60 @@ def build_rungs(
     return collision_free_families(robot, families, scene, clearance=clearance)
 
 
+def _minplus(cost: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One min-plus relaxation: out[..., j] = min over m of cost[..., m] + step[m, j].
+
+    Returns the relaxed costs and, per target j, the minimising row m.  Ties
+    go to the lowest row, which is how every ladder in this module breaks
+    them.
+    """
+    total = cost[..., :, None] + step
+    back = np.argmin(total, axis=-2)
+    return np.take_along_axis(total, back[..., None, :], axis=-2)[..., 0, :], back
+
+
+def _ladder(
+    cost: np.ndarray, rungs: list[np.ndarray], weights: np.ndarray, limits: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Relax `cost`, shaped (..., len(rungs[0])), through jump-limited moves
+    rung by rung.  Returns the last-rung costs and the back-pointers of each
+    step (`backs[r - 1]` maps rung r to rung r - 1)."""
+    backs = []
+    for a, b in zip(rungs, rungs[1:]):
+        step = _pair_costs(a, b, weights)
+        step[~_pair_allowed(a, b, limits)] = _INF
+        cost, back = _minplus(cost, step)
+        backs.append(back)
+    return cost, backs
+
+
+def _walk_back(
+    rungs: list[np.ndarray], backs: list[np.ndarray], idx: int
+) -> tuple[np.ndarray, int]:
+    """The joint path of a 1-D `_ladder` run that ends at config `idx` of the
+    last rung, plus the index of its first-rung config."""
+    path = [rungs[-1][idx]]
+    for rung, back in zip(rungs[-2::-1], backs[::-1]):
+        idx = int(back[idx])
+        path.append(rung[idx])
+    return np.array(path[::-1]), idx
+
+
+def _unflatten(sizes: list[int], flat: int) -> tuple[int, int]:
+    """(block, index within the block) of row `flat` of blocks stacked in order."""
+    block = 0
+    while flat >= sizes[block]:
+        flat -= sizes[block]
+        block += 1
+    return block, flat
+
+
 def _inner_cost_matrix(
     rungs: list[np.ndarray], weights: np.ndarray, limits: np.ndarray
 ) -> np.ndarray:
-    k0 = rungs[0].shape[0]
-    cost = np.full((k0, k0), _INF)
-    np.fill_diagonal(cost, 0.0)
-    for r in range(1, len(rungs)):
-        step = _pair_costs(rungs[r - 1], rungs[r], weights)
-        step[~_pair_allowed(rungs[r - 1], rungs[r], limits)] = _INF
-        # cost[i, m] + step[m, j], minimised over m
-        cost = np.min(cost[:, :, None] + step[None, :, :], axis=1)
-    return cost
+    start = np.full((rungs[0].shape[0],) * 2, _INF)
+    np.fill_diagonal(start, 0.0)
+    return _ladder(start, rungs, weights, limits)[0]
 
 
 def build_capsule(
@@ -231,27 +280,14 @@ def extract_block_path(
     weights = robot.weights
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
 
-    n = len(rungs)
-    best = [np.full(r.shape[0], _INF) for r in rungs]
-    back = [np.full(r.shape[0], -1, dtype=int) for r in rungs]
-    best[0][entry_index] = 0.0
-    for r in range(1, n):
-        step = _pair_costs(rungs[r - 1], rungs[r], weights)
-        step[~_pair_allowed(rungs[r - 1], rungs[r], limits)] = _INF
-        total = best[r - 1][:, None] + step
-        back[r] = np.argmin(total, axis=0)
-        best[r] = total[back[r], np.arange(total.shape[1])]
-    if not np.isfinite(best[-1][exit_index]):
+    start = np.full(rungs[0].shape[0], _INF)
+    start[entry_index] = 0.0
+    cost, backs = _ladder(start, rungs, weights, limits)
+    if not np.isfinite(cost[exit_index]):
         raise CartesianPlanningError(
             f"task {task.index}: interior path unreachable on rebuild"
         )
-    idx = exit_index
-    path = [rungs[-1][idx]]
-    for r in range(n - 1, 0, -1):
-        idx = int(back[r][idx])
-        path.append(rungs[r - 1][idx])
-    path.reverse()
-    return np.array(path)
+    return _walk_back(rungs, backs, exit_index)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,62 +309,35 @@ def chain_search(
     if any(len(col) == 0 for col in columns):
         raise CartesianPlanningError("a task has no feasible orientation block")
 
-    arrive: list[dict] = []  # per capsule: costs (k1,), backpointers
-    prev_exits: list[tuple[np.ndarray, tuple[int, int]]] = [(home[None, :], (-1, -1))]
-    # prev_exits holds (configs, (capsule index in previous column, exit idx))
-    per_column: list[list[dict]] = []
-
-    prev_cost = [np.zeros(1)]
+    # per column, per capsule: (entry back-pointers into the previous
+    # column's stacked exits, exit back-pointers into the capsule's entries)
+    trail: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    exits, cost = home[None, :], np.zeros(1)
     for col in columns:
-        col_states = []
-        for ci, cap in enumerate(col):
-            best_entry_cost = np.full(cap.entry.shape[0], _INF)
-            best_entry_from = np.full((cap.entry.shape[0], 2), -1, dtype=int)
-            for pi, (configs, _) in enumerate(prev_exits):
-                bound = _pair_costs(configs, cap.entry, weights)
-                total = prev_cost[pi][:, None] + bound
-                src = np.argmin(total, axis=0)
-                val = total[src, np.arange(total.shape[1])]
-                better = val < best_entry_cost
-                best_entry_cost[better] = val[better]
-                best_entry_from[better] = np.stack(
-                    [np.full(better.sum(), pi), src[better]], axis=1
-                )
-            through = best_entry_cost[:, None] + cap.inner_cost
-            entry_pick = np.argmin(through, axis=0)
-            exit_cost = through[entry_pick, np.arange(through.shape[1])]
-            col_states.append(
-                {
-                    "capsule": cap,
-                    "exit_cost": exit_cost,
-                    "entry_pick": entry_pick,
-                    "entry_from": best_entry_from,
-                }
-            )
-        per_column.append(col_states)
-        prev_exits = [(st["capsule"].exit, (i, -1)) for i, st in enumerate(col_states)]
-        prev_cost = [st["exit_cost"] for st in col_states]
+        costs, links = [], []
+        for cap in col:
+            entry_cost, entry_from = _minplus(cost, _pair_costs(exits, cap.entry, weights))
+            exit_cost, entry_pick = _minplus(entry_cost, cap.inner_cost)
+            costs.append(exit_cost)
+            links.append((entry_from, entry_pick))
+        trail.append(links)
+        exits = np.concatenate([cap.exit for cap in col])
+        cost = np.concatenate(costs)
 
-    # best terminal state
-    best = (_INF, -1, -1)
-    for ci, st in enumerate(per_column[-1]):
-        j = int(np.argmin(st["exit_cost"]))
-        v = float(st["exit_cost"][j])
-        if v < best[0]:
-            best = (v, ci, j)
-    if not math.isfinite(best[0]):
+    flat = int(np.argmin(cost))
+    total = float(cost[flat])
+    if not math.isfinite(total):
         raise CartesianPlanningError("no jump-feasible path through the task chain")
 
     picks: list[tuple[Capsule, int, int]] = []
-    ci, exit_idx = best[1], best[2]
-    for col_states in reversed(per_column):
-        st = col_states[ci]
-        entry_idx = int(st["entry_pick"][exit_idx])
-        picks.append((st["capsule"], entry_idx, exit_idx))
-        pi, src = st["entry_from"][entry_idx]
-        ci, exit_idx = int(pi), int(src)
+    for col, links in zip(reversed(columns), reversed(trail)):
+        ci, exit_idx = _unflatten([cap.exit.shape[0] for cap in col], flat)
+        entry_from, entry_pick = links[ci]
+        entry_idx = int(entry_pick[exit_idx])
+        picks.append((col[ci], entry_idx, exit_idx))
+        flat = int(entry_from[entry_idx])
     picks.reverse()
-    return best[0], picks
+    return total, picks
 
 
 @dataclass
@@ -495,57 +504,35 @@ def full_ladder_graph(
             )
         ladders.append(blocks)
 
-    # DP: per task, per block, per rung
-    prev_exit_configs = robot.home[None, :]
-    prev_exit_cost = np.zeros(1)
-    chosen: list[list[tuple]] = []  # backpointers per task
+    # per task, per block: (entry back-pointers into the previous task's
+    # stacked exits, the block ladder's back-pointers)
+    trail: list[list[tuple[np.ndarray, list[np.ndarray]]]] = []
+    exits, cost = robot.home[None, :], np.zeros(1)
     for blocks in ladders:
-        task_states = []
+        costs, links = [], []
         for rungs in blocks:
-            entry_cost = (
-                prev_exit_cost[:, None] + _pair_costs(prev_exit_configs, rungs[0], weights)
-            )
-            src = np.argmin(entry_cost, axis=0)
-            cost = entry_cost[src, np.arange(entry_cost.shape[1])]
-            backs = [src]
-            costs = [cost]
-            for r in range(1, len(rungs)):
-                step = _pair_costs(rungs[r - 1], rungs[r], weights)
-                step[~_pair_allowed(rungs[r - 1], rungs[r], limits)] = _INF
-                total = costs[-1][:, None] + step
-                back = np.argmin(total, axis=0)
-                costs.append(total[back, np.arange(total.shape[1])])
-                backs.append(back)
-            task_states.append((rungs, costs, backs))
-        chosen.append(task_states)
-        prev_exit_configs = np.concatenate([st[0][-1] for st in task_states], axis=0)
-        prev_exit_cost = np.concatenate([st[1][-1] for st in task_states])
+            entry_cost, entry_from = _minplus(cost, _pair_costs(exits, rungs[0], weights))
+            exit_cost, backs = _ladder(entry_cost, rungs, weights, limits)
+            costs.append(exit_cost)
+            links.append((entry_from, backs))
+        trail.append(links)
+        exits = np.concatenate([rungs[-1] for rungs in blocks])
+        cost = np.concatenate(costs)
 
-    total_cost = float(prev_exit_cost.min())
-    if not math.isfinite(total_cost):
+    flat = int(np.argmin(cost))
+    total = float(cost[flat])
+    if not math.isfinite(total):
         raise CartesianPlanningError("full ladder graph has no jump-feasible path")
 
-    # walk backpointers to recover per-task joint paths
-    flat_idx = int(np.argmin(prev_exit_cost))
     paths: list[np.ndarray] = []
-    for task_states in reversed(chosen):
-        sizes = [st[0][-1].shape[0] for st in task_states]
-        bi = 0
-        while flat_idx >= sizes[bi]:
-            flat_idx -= sizes[bi]
-            bi += 1
-        rungs, _, backs = task_states[bi]
-        idx = flat_idx
-        path = [rungs[-1][idx]]
-        for r in range(len(rungs) - 1, 0, -1):
-            idx = int(backs[r][idx])
-            path.append(rungs[r - 1][idx])
-        path.reverse()
-        paths.append(np.array(path))
-        # entry backpointer: index into the previous task's stacked exits
-        flat_idx = int(backs[0][idx])
+    for blocks, links in zip(reversed(ladders), reversed(trail)):
+        bi, idx = _unflatten([rungs[-1].shape[0] for rungs in blocks], flat)
+        entry_from, backs = links[bi]
+        path, first = _walk_back(blocks[bi], backs, idx)
+        paths.append(path)
+        flat = int(entry_from[first])
     paths.reverse()
-    return total_cost, paths
+    return total, paths
 
 
 # ---------------------------------------------------------------------------

@@ -220,21 +220,6 @@ def invert_transform(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dh_matrix(joint: Joint, value: float) -> np.ndarray:
-    theta = joint.theta + (value if joint.kind == "revolute" else 0.0)
-    d = joint.d + (value if joint.kind == "prismatic" else 0.0)
-    ct, st = math.cos(theta), math.sin(theta)
-    ca, sa = math.cos(joint.alpha), math.sin(joint.alpha)
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, joint.a * ct],
-            [st, ct * ca, -ct * sa, joint.a * st],
-            [0.0, sa, ca, d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
 def _dh_matrix_batch(joint: Joint, values: np.ndarray) -> np.ndarray:
     n = values.shape[0]
     theta = joint.theta + (values if joint.kind == "revolute" else 0.0)
@@ -497,26 +482,7 @@ def ik(
     if not robot.analytic_ik:
         raise KinematicsError("robot was loaded without analytic IK support")
     frame = target.frame() if isinstance(target, EEPose) else np.asarray(target, float)
-    rot, pos = _flange_targets(robot, frame[None, :, :])
-
-    if robot.track is None:
-        sols, valid = _ik_arm(robot, rot, pos)
-        grouped = _verify_and_filter(robot, sols, valid, rot, pos, None)
-        return grouped[0]
-
-    grid = (
-        np.asarray(list(track_positions), dtype=float)
-        if track_positions is not None
-        else robot.track.positions()
-    )
-    axis = np.asarray(robot.track.direction, dtype=float)
-    pos_grid = pos[0][None, :] - grid[:, None] * axis[None, :]
-    rot_grid = np.broadcast_to(rot[0], (grid.shape[0], 3, 3))
-    sols, valid = _ik_arm(robot, rot_grid, pos_grid)
-    grouped = _verify_and_filter(robot, sols, valid, rot_grid, pos_grid, grid)
-    merged = [q for rows in grouped for q in rows]
-    merged.sort(key=lambda r: tuple(r))
-    return merged
+    return ik_sweep(robot, frame[:3, :3], frame[:3, 3], track_positions)[0]
 
 
 def ik_sweep(
@@ -567,23 +533,6 @@ def ik_sweep(
 
 # ---------------------------------------------------------------------------
 # distances and collision
-
-
-def joint_distance(
-    robot: RobotModel,
-    q1: np.ndarray,
-    q2: np.ndarray,
-    norm: str = "l1",
-    weights: np.ndarray | None = None,
-) -> float:
-    """Weighted joint-space distance; 'l1' drives all path costs."""
-    w = robot.weights if weights is None else np.asarray(weights, dtype=float)
-    delta = w * np.abs(np.asarray(q1, float) - np.asarray(q2, float))
-    if norm == "l1":
-        return float(delta.sum())
-    if norm == "l2":
-        return float(np.sqrt((delta * delta).sum()))
-    raise KinematicsError(f"unknown norm {norm!r}")
 
 
 class CapsuleSet:

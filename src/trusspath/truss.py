@@ -284,41 +284,6 @@ def _ground_reachable_elements(model: TrussModel) -> set[int]:
 # derived structure
 
 
-def adjacency(model: TrussModel) -> np.ndarray:
-    """Element adjacency matrix: A[i, j] is True iff elements share a node.
-
-    Rows/columns are positional (element order in the model), which matches
-    element ids once ids are dense -- the loader does not require density, so
-    use `model._element_index` ordering via `element_order` when in doubt.
-    """
-    n = model.n_elements
-    ends = np.array([[e.start, e.end] for e in model.elements])
-    a = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        shared = (
-            (ends[:, 0] == ends[i, 0])
-            | (ends[:, 0] == ends[i, 1])
-            | (ends[:, 1] == ends[i, 0])
-            | (ends[:, 1] == ends[i, 1])
-        )
-        a[i] = shared
-    np.fill_diagonal(a, False)
-    return a
-
-
-def grounded_vector(model: TrussModel) -> np.ndarray:
-    """G[i] is True iff element i touches at least one grounded node."""
-    grounded = {n.id for n in model.nodes if n.grounded}
-    return np.array(
-        [e.start in grounded or e.end in grounded for e in model.elements], dtype=bool
-    )
-
-
-def element_order(model: TrussModel) -> list[int]:
-    """Element ids in model (row) order."""
-    return [e.id for e in model.elements]
-
-
 def discretize_element(
     model: TrussModel,
     element_id: int,

@@ -2,15 +2,18 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from trusspath import cartesian
 from trusspath.cartesian import (
     Capsule,
     CartesianPlanningError,
     MemoryBudgetError,
     _inner_cost_matrix,
+    _minplus,
     _pair_allowed,
     _pair_costs,
     build_capsule,
@@ -168,6 +171,185 @@ def test_chain_search_matches_enumeration():
         assert total == pytest.approx(cost, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# tie-breaking of the shared min-plus kernel against the loops it replaced
+
+
+def oracle_chain_search(columns, weights, home):
+    """`chain_search` as a per-source loop with a strict-`<` merge, so an
+    earlier capsule keeps a tie.  Returns (cost, picks)."""
+    prev_exits = [home[None, :]]
+    prev_cost = [np.zeros(1)]
+    per_column = []
+    for col in columns:
+        col_states = []
+        for cap in col:
+            best_entry_cost = np.full(cap.entry.shape[0], math.inf)
+            best_entry_from = np.full((cap.entry.shape[0], 2), -1, dtype=int)
+            for pi, configs in enumerate(prev_exits):
+                total = prev_cost[pi][:, None] + _pair_costs(configs, cap.entry, weights)
+                src = np.argmin(total, axis=0)
+                val = total[src, np.arange(total.shape[1])]
+                better = val < best_entry_cost
+                best_entry_cost[better] = val[better]
+                best_entry_from[better] = np.stack(
+                    [np.full(better.sum(), pi), src[better]], axis=1
+                )
+            through = best_entry_cost[:, None] + cap.inner_cost
+            entry_pick = np.argmin(through, axis=0)
+            exit_cost = through[entry_pick, np.arange(through.shape[1])]
+            col_states.append((cap, exit_cost, entry_pick, best_entry_from))
+        per_column.append(col_states)
+        prev_exits = [st[0].exit for st in col_states]
+        prev_cost = [st[1] for st in col_states]
+
+    best = (math.inf, -1, -1)
+    for ci, st in enumerate(per_column[-1]):
+        j = int(np.argmin(st[1]))
+        if float(st[1][j]) < best[0]:
+            best = (float(st[1][j]), ci, j)
+    if not math.isfinite(best[0]):
+        return best[0], None
+    picks = []
+    ci, exit_idx = best[1], best[2]
+    for col_states in reversed(per_column):
+        cap, _, entry_pick, entry_from = col_states[ci]
+        entry_idx = int(entry_pick[exit_idx])
+        picks.append((cap, entry_idx, exit_idx))
+        ci, exit_idx = (int(v) for v in entry_from[entry_idx])
+    picks.reverse()
+    return best[0], picks
+
+
+def oracle_block_path(rungs, weights, limits, entry_index, exit_index):
+    """The interior DP of `extract_block_path` with per-rung best/back lists."""
+    best = [np.full(r.shape[0], math.inf) for r in rungs]
+    back = [np.full(r.shape[0], -1, dtype=int) for r in rungs]
+    best[0][entry_index] = 0.0
+    for r in range(1, len(rungs)):
+        step = _pair_costs(rungs[r - 1], rungs[r], weights)
+        step[~_pair_allowed(rungs[r - 1], rungs[r], limits)] = math.inf
+        total = best[r - 1][:, None] + step
+        back[r] = np.argmin(total, axis=0)
+        best[r] = total[back[r], np.arange(total.shape[1])]
+    if not np.isfinite(best[-1][exit_index]):
+        return None
+    idx = exit_index
+    path = [rungs[-1][idx]]
+    for r in range(len(rungs) - 1, 0, -1):
+        idx = int(back[r][idx])
+        path.append(rungs[r - 1][idx])
+    path.reverse()
+    return np.array(path)
+
+
+def integer_capsule(rng, task):
+    """Integer configs and interior costs, so equal-cost choices are common."""
+    k0, k1 = (int(v) for v in rng.integers(1, 4, size=2))
+    inner = rng.integers(0, 4, size=(k0, k1)).astype(float)
+    inner[rng.uniform(size=(k0, k1)) < 0.2] = math.inf
+    return Capsule(
+        task=task,
+        direction_index=0,
+        rotation=0.0,
+        entry=rng.integers(-2, 3, size=(k0, 2)).astype(float),
+        exit=rng.integers(-2, 3, size=(k1, 2)).astype(float),
+        inner_cost=inner,
+        waypoints=2,
+    )
+
+
+def count_optimal_chains(columns, weights, home):
+    """How many (capsule, entry, exit) choice sequences reach the optimum."""
+    totals = []
+    options = [
+        [(cap, ei, xi) for cap in col for ei in range(len(cap.entry)) for xi in range(len(cap.exit))]
+        for col in columns
+    ]
+    for combo in itertools.product(*options):
+        cost, prev = 0.0, home
+        for cap, ei, xi in combo:
+            cost += float((np.abs(prev - cap.entry[ei]) * weights).sum()) + cap.inner_cost[ei, xi]
+            prev = cap.exit[xi]
+        totals.append(cost)
+    best = min(totals)
+    return sum(t == best for t in totals) if math.isfinite(best) else 0
+
+
+def test_chain_search_breaks_ties_like_the_per_source_loop():
+    rng = np.random.default_rng(61)
+    weights = np.array([1.0, 2.0])
+    home = np.zeros(2)
+    tied = 0
+    for _ in range(150):
+        columns = [
+            [integer_capsule(rng, t) for _ in range(int(rng.integers(1, 4)))]
+            for t in range(int(rng.integers(1, 4)))
+        ]
+        want_cost, want_picks = oracle_chain_search(columns, weights, home)
+        if want_picks is None:
+            with pytest.raises(CartesianPlanningError):
+                chain_search(columns, weights, home)
+            continue
+        tied += count_optimal_chains(columns, weights, home) > 1
+        cost, picks = chain_search(columns, weights, home)
+        assert cost == want_cost
+        assert [(id(c), e, x) for c, e, x in picks] == [
+            (id(c), e, x) for c, e, x in want_picks
+        ]
+    assert tied >= 30
+
+
+def test_extract_block_path_breaks_ties_like_the_rung_loop(monkeypatch):
+    rng = np.random.default_rng(67)
+    weights = np.array([1.0, 2.0])
+    limits = np.array([2.0, 2.0])
+    robot = SimpleNamespace(weights=weights, jump_limits=lambda *_: limits)
+    task = SimpleNamespace(index=0, waypoints=None, scene=None)
+    rungs = []
+    monkeypatch.setattr(cartesian, "build_rungs", lambda *_, **__: rungs)
+    tied = checked = 0
+    for _ in range(150):
+        rungs[:] = [
+            rng.integers(-2, 3, size=(int(rng.integers(1, 5)), 2)).astype(float)
+            for _ in range(int(rng.integers(2, 6)))
+        ]
+        inner = _inner_cost_matrix(rungs, weights, limits)
+        cap = Capsule(0, 0, 0.0, rungs[0], rungs[-1], inner, len(rungs))
+        for i, j in itertools.product(range(len(rungs[0])), range(len(rungs[-1]))):
+            want = oracle_block_path(rungs, weights, limits, i, j)
+            if want is None:
+                with pytest.raises(CartesianPlanningError, match="unreachable"):
+                    extract_block_path(robot, task, cap, [None], i, j, CART_CFG)
+                continue
+            got = extract_block_path(robot, task, cap, [None], i, j, CART_CFG)
+            assert np.array_equal(got, want)
+            checked += 1
+            paths = itertools.product(*[range(len(r)) for r in rungs[1:-1]])
+            optimal = 0
+            for mids in paths:
+                qs = [rungs[0][i], *(r[m] for r, m in zip(rungs[1:-1], mids)), rungs[-1][j]]
+                steps = np.abs(np.diff(qs, axis=0))
+                if np.all(steps <= limits):
+                    optimal += float((steps * weights).sum()) == inner[i, j]
+            tied += optimal > 1
+    assert checked >= 200 and tied >= 30
+
+
+def test_minplus_rows_equal_one_dimensional_calls():
+    rng = np.random.default_rng(71)
+    cost = rng.integers(0, 3, size=(4, 5)).astype(float)
+    cost[0, 1] = math.inf
+    step = rng.integers(0, 3, size=(5, 6)).astype(float)
+    step[:, 2] = math.inf
+    got, back = _minplus(cost, step)
+    assert got.shape == back.shape == (4, 6)
+    for row in range(4):
+        want, want_back = _minplus(cost[row], step)
+        assert np.array_equal(got[row], want)
+        assert np.array_equal(back[row], want_back)
+
+
 def test_chain_search_rejects_empty_column():
     rng = np.random.default_rng(55)
     col = [synthetic_capsule(rng, 0)]
@@ -232,23 +414,30 @@ def test_build_rungs_and_extract_block_path(robot, cube_tasks):
 
 def test_sparse_chain_equals_full_ladder(robot, cube_tasks):
     model, sequence, tasks = cube_tasks
-    prefix = tasks[:2]
-    columns = exhaustive_sparse_graph(robot, prefix, CART_CFG)
-    sparse_cost, picks = chain_search(columns, robot.weights, robot.home)
-    full_cost, paths = full_ladder_graph(robot, prefix, CART_CFG)
-    assert sparse_cost == pytest.approx(full_cost, abs=COST_TOL)
-
-    # the full-graph paths recompute to exactly the reported optimum
     limits = robot.jump_limits(CART_CFG.jump_limit, CART_CFG.prismatic_jump_limit)
-    total = 0.0
-    prev = robot.home
-    for path in paths:
-        total += float((np.abs(prev - path[0]) * robot.weights).sum())
-        steps = np.abs(np.diff(path, axis=0))
-        assert np.all(steps <= limits[None, :] + 1e-12)
-        total += float((steps * robot.weights[None, :]).sum())
-        prev = path[-1]
-    assert total == pytest.approx(full_cost, abs=COST_TOL)
+    for prefix in (tasks[:2], tasks[:3]):
+        columns = exhaustive_sparse_graph(robot, prefix, CART_CFG)
+        sparse_cost, picks = chain_search(columns, robot.weights, robot.home)
+        full_cost, paths = full_ladder_graph(robot, prefix, CART_CFG)
+        assert sparse_cost == pytest.approx(full_cost, abs=COST_TOL)
+
+        # the full-graph paths recompute to exactly the reported optimum
+        total = 0.0
+        prev = robot.home
+        for path in paths:
+            total += float((np.abs(prev - path[0]) * robot.weights).sum())
+            steps = np.abs(np.diff(path, axis=0))
+            assert np.all(steps <= limits[None, :] + 1e-12)
+            total += float((steps * robot.weights[None, :]).sum())
+            prev = path[-1]
+        assert total == pytest.approx(full_cost, abs=COST_TOL)
+
+        # each back-pointer walk lands on its own task's waypoints, one row each
+        assert len(paths) == len(prefix)
+        for path, task in zip(paths, prefix):
+            assert path.shape == (task.waypoints.shape[0], robot.dof)
+            for q, target in zip(path, task.waypoints):
+                assert np.linalg.norm(fk(robot, q).position - target) < 1e-6
 
 
 def test_expand_budget_monotone_and_witness_first(robot, cube_tasks):

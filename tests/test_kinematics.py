@@ -11,7 +11,6 @@ from trusspath.geometry import CapsuleShape
 from trusspath.kinematics import (
     CapsuleSet,
     EEPose,
-    KinematicsError,
     RobotConfigError,
     TrackSpec,
     config_collides,
@@ -22,7 +21,6 @@ from trusspath.kinematics import (
     ik_sweep,
     invert_transform,
     jacobian,
-    joint_distance,
     load_robot,
     make_transform,
 )
@@ -134,23 +132,6 @@ def test_jacobian_matches_finite_differences():
         numeric = fd_jacobian(robot, q)
         assert analytic.shape == (6, robot.dof)
         assert np.allclose(analytic, numeric, rtol=1e-6, atol=JAC_TOL)
-
-
-def test_joint_distance_norms():
-    robot = load_bundled_robot("arm")
-    q1 = np.zeros(robot.dof)
-    q2 = np.full(robot.dof, 0.5)
-    w = robot.weights
-    assert joint_distance(robot, q1, q2) == pytest.approx(0.5 * w.sum())
-    assert joint_distance(robot, q1, q2, norm="l2") == pytest.approx(
-        0.5 * math.sqrt(float((w * w).sum()))
-    )
-    custom = np.arange(1.0, robot.dof + 1.0)
-    assert joint_distance(robot, q1, q2, weights=custom) == pytest.approx(
-        0.5 * custom.sum()
-    )
-    with pytest.raises(KinematicsError):
-        joint_distance(robot, q1, q2, norm="linf")
 
 
 def test_limits_and_jump_limits():

@@ -9,10 +9,7 @@ import pytest
 from trusspath.fixtures import DEFAULT_MATERIAL, DEFAULT_SECTION, load_bundled_model
 from trusspath.truss import (
     ModelError,
-    adjacency,
     discretize_element,
-    element_order,
-    grounded_vector,
     load_model,
     serialize_model,
     validate_decomposition,
@@ -159,21 +156,6 @@ def test_discretize_start_node_flips_direction():
         discretize_element(model, 2, 0.0)
 
 
-def test_adjacency_and_grounded_vector():
-    model = load_model(toy_doc())
-    a = adjacency(model)
-    assert a.shape == (4, 4)
-    assert not a.diagonal().any()
-    assert np.array_equal(a, a.T)
-    # element 0 (0-2) shares node 2 with element 2 (2-3) and node 0 with 3 (0-3)
-    assert a[0, 2] and a[0, 3]
-    # element 0 and 1 share nothing
-    assert not a[0, 1]
-    g = grounded_vector(model)
-    assert g.tolist() == [True, True, False, True]
-    assert element_order(model) == [0, 1, 2, 3]
-
-
 def test_validate_decomposition_layers():
     model = load_model(toy_doc())
     layers = validate_decomposition(model)
@@ -211,4 +193,4 @@ def test_bundled_cube_loads():
     assert len(model.grounded_node_ids()) >= 3
     assert len(model.layers()) > 1
     # all elements reachable, ids dense from 0
-    assert element_order(model) == list(range(23))
+    assert [e.id for e in model.elements] == list(range(23))
