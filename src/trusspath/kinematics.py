@@ -118,7 +118,6 @@ class RobotModel:
     ee: EEGeometry
     track: TrackSpec | None = None
     static_capsules: tuple[CapsuleShape, ...] = ()
-    analytic_ik: bool = True
     source: dict | None = None  # parsed document this model was loaded from
 
     @property
@@ -479,8 +478,6 @@ def ik(
     explicitly).
     Each returned configuration satisfies fk(q) == target within 1e-6.
     """
-    if not robot.analytic_ik:
-        raise KinematicsError("robot was loaded without analytic IK support")
     frame = target.frame() if isinstance(target, EEPose) else np.asarray(target, float)
     return ik_sweep(robot, frame[:3, :3], frame[:3, 3], track_positions)[0]
 

@@ -307,7 +307,7 @@ def validate_plan(
     doc = plan if isinstance(plan, dict) else plan_to_dict(plan)
     try:
         validate_plan_document(doc)
-        _check(report, "format", True, f"{len(doc['tasks'])} tasks, schema ok")
+        _check(report, "format", True, f"{len(doc['tasks'])} tasks, well-formed")
     except PlanFormatError as exc:
         _check(report, "format", False, str(exc))
         return report  # nothing else is trustworthy
@@ -369,6 +369,12 @@ def validate_plan(
         bad_limit == 0 and bad_jump == 0,
         f"{bad_limit} rows out of limits, {bad_jump} oversized steps",
     )
+
+    # the remaining checks look each task's element up in the model
+    unknown = sorted({t["element_id"] for t in tasks} - {e.id for e in model.elements})
+    if unknown:
+        _check(report, "structure", False, f"elements {unknown} are not in the model")
+        return report
 
     # tool consistency: forward kinematics must reproduce the tcp data and
     # each extrusion must span exactly its element

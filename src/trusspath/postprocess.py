@@ -13,16 +13,24 @@ they were planned from, letting the validator refuse a plan replayed against
 different inputs.  Serialization is canonical: sorted keys, no timestamps,
 full float precision.  Planning twice from the same inputs and seed yields
 byte-identical files.
+
+`validate_plan_document` is the format check that saving, loading and the
+validator's "format" check share.  It is one plain-Python pass over the
+document (JSON-Schema draft 2020-12 typing: an integral float is an integer,
+a bool is not a number) and raises `PlanFormatError`, never another
+exception, on any malformed document.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
+from numbers import Number
 from pathlib import Path
+from typing import NoReturn
 
-import jsonschema
 import numpy as np
 
 from .kinematics import RobotModel, fk_frames_batch
@@ -94,151 +102,123 @@ def tcp_entries(robot: RobotModel, joints: np.ndarray) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# schema
+# format check
 
-_VEC3 = {
-    "type": "array",
-    "minItems": 3,
-    "maxItems": 3,
-    "items": {"type": "number"},
-}
+_FINGERPRINT = re.compile(r"^[0-9a-f]{64}$")
 
-_SUBPROCESS_SCHEMA = {
-    "type": "object",
-    "required": ["id", "kind", "data_kind", "joints"],
-    "additionalProperties": False,
-    "properties": {
-        "id": {"type": "integer", "minimum": 0},
-        "kind": {"enum": list(SUBPROCESS_TYPES)},
-        "data_kind": {"enum": ["joint", "tcp"]},
-        "joints": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-        },
-        "tcp": {
-            "type": ["array", "null"],
-            "items": {
-                "type": "object",
-                "required": ["origin", "zaxis", "rotation"],
-                "additionalProperties": False,
-                "properties": {
-                    "origin": _VEC3,
-                    "zaxis": _VEC3,
-                    "rotation": {
-                        "type": "array",
-                        "minItems": 3,
-                        "maxItems": 3,
-                        "items": _VEC3,
-                    },
-                },
-            },
-        },
-        "io_anchors": {
-            "type": ["object", "null"],
-            "required": ["extruder_on", "extruder_off"],
-            "additionalProperties": False,
-            "properties": {
-                "extruder_on": {"type": "integer", "minimum": 0},
-                "extruder_off": {"type": "integer", "minimum": 0},
-            },
-        },
-    },
-    "allOf": [
-        {
-            "if": {"properties": {"data_kind": {"const": "tcp"}}},
-            "then": {"required": ["tcp"]},
-        },
-        {
-            "if": {"properties": {"kind": {"const": "extrusion"}}},
-            "then": {"required": ["io_anchors"]},
-        },
-    ],
-}
 
-PLAN_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["version", "fingerprints", "dof", "tasks"],
-    "additionalProperties": False,
-    "properties": {
-        "version": {"const": PLAN_VERSION},
-        "fingerprints": {
-            "type": "object",
-            "required": ["model", "robot", "config"],
-            "additionalProperties": False,
-            "properties": {
-                key: {"type": "string", "pattern": "^[0-9a-f]{64}$"}
-                for key in ("model", "robot", "config")
-            },
-        },
-        "dof": {"type": "integer", "minimum": 1},
-        "tasks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["task_id", "element_id", "subprocesses"],
-                "additionalProperties": False,
-                "properties": {
-                    "task_id": {"type": "integer", "minimum": 0},
-                    "element_id": {"type": "integer", "minimum": 0},
-                    "subprocesses": {
-                        "type": "array",
-                        "minItems": 4,
-                        "maxItems": 4,
-                        "items": _SUBPROCESS_SCHEMA,
-                    },
-                },
-            },
-        },
-    },
-}
+def _reject(message: str) -> NoReturn:
+    raise PlanFormatError(f"plan document rejected: {message}")
+
+
+def _is_number(v) -> bool:
+    return type(v) is float or (isinstance(v, Number) and not isinstance(v, bool))
+
+
+def _is_count(v, least: int = 0) -> bool:
+    """A JSON integer of at least `least`; an integral float counts as one."""
+    if isinstance(v, float):
+        return v.is_integer() and v >= least
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _is_numbers(v, n: int) -> bool:
+    return isinstance(v, list) and len(v) == n and all(map(_is_number, v))
+
+
+def _check_keys(obj, where: str, required: set, optional: tuple = ()) -> None:
+    if not isinstance(obj, dict):
+        _reject(f"{where} is not an object")
+    missing = required - obj.keys()
+    extra = obj.keys() - required - set(optional)
+    if missing or extra:
+        _reject(
+            f"{where} lacks {sorted(missing)} or has unexpected "
+            f"{sorted(map(str, extra))}"
+        )
+
+
+def _check_subprocess(sub, kind: str, dof, where: str) -> None:
+    _check_keys(
+        sub, f"{where} subprocess", {"id", "kind", "data_kind", "joints"},
+        optional=("tcp", "io_anchors"),
+    )
+    if not _is_count(sub["id"]):
+        _reject(f"{where}: subprocess id {sub['id']!r} is not a count")
+    where = f"subprocess {sub['id']}"
+    if sub["kind"] != kind:
+        _reject(
+            f"{where}: kind {sub['kind']!r} breaks the canonical order "
+            f"{list(SUBPROCESS_TYPES)}"
+        )
+    data_kind = "joint" if kind == "transition" else "tcp"
+    if sub["data_kind"] != data_kind:
+        _reject(f"{where}: kind {kind} must carry {data_kind} data")
+    rows = sub["joints"]
+    if not (isinstance(rows, list) and rows and all(_is_numbers(r, dof) for r in rows)):
+        _reject(f"{where}: joint rows are not all {dof} wide number lists")
+    tcp = sub.get("tcp")
+    if data_kind == "tcp" or tcp is not None:
+        if not isinstance(tcp, list):
+            _reject(f"{where}: tcp is not a list of tool poses")
+        for pose in tcp:
+            _check_keys(pose, f"{where} tool pose", {"origin", "zaxis", "rotation"})
+            rotation = pose["rotation"]
+            if not (
+                _is_numbers(pose["origin"], 3)
+                and _is_numbers(pose["zaxis"], 3)
+                and isinstance(rotation, list)
+                and len(rotation) == 3
+                and all(_is_numbers(r, 3) for r in rotation)
+            ):
+                _reject(f"{where}: a tool pose is not two 3-vectors and a 3x3 rotation")
+        if data_kind == "tcp" and len(tcp) != len(rows):
+            _reject(f"{where}: {len(tcp)} tool poses for {len(rows)} joint rows")
+    anchors = sub.get("io_anchors")
+    if anchors is not None:
+        _check_keys(anchors, f"{where} io_anchors", {"extruder_on", "extruder_off"})
+        if not all(map(_is_count, anchors.values())):
+            _reject(f"{where}: io anchors are not counts")
+    if kind == "extrusion":
+        if anchors is None:
+            _reject(f"{where}: extrusion requires io anchors")
+        last = len(rows) - 1
+        if anchors["extruder_on"] != 0 or anchors["extruder_off"] != last:
+            _reject(f"{where}: extruder anchors must span the whole pass (0 .. {last})")
 
 
 def validate_plan_document(doc: dict) -> None:
-    """Schema check plus the structural rules jsonschema cannot express."""
-    try:
-        jsonschema.validate(doc, PLAN_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise PlanFormatError(f"plan document rejected: {exc.message}") from exc
-    for task in doc["tasks"]:
-        kinds = [s["kind"] for s in task["subprocesses"]]
-        if kinds != list(SUBPROCESS_TYPES):
-            raise PlanFormatError(
-                f"task {task['task_id']}: subprocess kinds {kinds} are not "
-                f"the canonical order {list(SUBPROCESS_TYPES)}"
-            )
-        for sub in task["subprocesses"]:
-            widths = {len(row) for row in sub["joints"]}
-            if widths != {doc["dof"]}:
-                raise PlanFormatError(
-                    f"subprocess {sub['id']}: joint rows are not all "
-                    f"{doc['dof']} wide"
-                )
-            expect_kind = "joint" if sub["kind"] == "transition" else "tcp"
-            if sub["data_kind"] != expect_kind:
-                raise PlanFormatError(
-                    f"subprocess {sub['id']}: kind {sub['kind']} must carry "
-                    f"{expect_kind} data"
-                )
-            if sub["data_kind"] == "tcp" and len(sub["tcp"]) != len(sub["joints"]):
-                raise PlanFormatError(
-                    f"subprocess {sub['id']}: {len(sub['tcp'])} tool poses for "
-                    f"{len(sub['joints'])} joint rows"
-                )
-            if sub["kind"] == "extrusion":
-                anchors = sub["io_anchors"]
-                if anchors is None:
-                    raise PlanFormatError(
-                        f"subprocess {sub['id']}: extrusion requires io anchors"
-                    )
-                last = len(sub["joints"]) - 1
-                if anchors["extruder_on"] != 0 or anchors["extruder_off"] != last:
-                    raise PlanFormatError(
-                        f"subprocess {sub['id']}: extruder anchors must span "
-                        f"the whole pass (0 .. {last})"
-                    )
+    """Raise PlanFormatError unless `doc` is a well-formed plan document.
+
+    One pass checks exact key sets, value types (an integral float counts as
+    an integer, a bool is not a number, NaN is), the version, 64-hex-digit
+    fingerprints, four subprocesses per task in the canonical kind order,
+    joint rows `dof` wide, one tool pose per joint row wherever tcp data is
+    due, and extruder anchors spanning each extrusion pass.
+    """
+    _check_keys(doc, "document", {"version", "fingerprints", "dof", "tasks"})
+    if doc["version"] != PLAN_VERSION:
+        _reject(f"version {doc['version']!r} is not {PLAN_VERSION!r}")
+    fingerprints = doc["fingerprints"]
+    _check_keys(fingerprints, "fingerprints", {"model", "robot", "config"})
+    for key, value in fingerprints.items():
+        if not (isinstance(value, str) and _FINGERPRINT.search(value)):
+            _reject(f"fingerprint {key} {value!r} is not 64 hex digits")
+    dof = doc["dof"]
+    if not _is_count(dof, least=1):
+        _reject(f"dof {dof!r} is not a positive integer")
+    tasks = doc["tasks"]
+    if not (isinstance(tasks, list) and tasks):
+        _reject("tasks is not a non-empty list")
+    for index, task in enumerate(tasks):
+        _check_keys(task, f"task #{index}", {"task_id", "element_id", "subprocesses"})
+        if not (_is_count(task["task_id"]) and _is_count(task["element_id"])):
+            _reject(f"task #{index}: task_id and element_id are not both counts")
+        subs = task["subprocesses"]
+        if not (isinstance(subs, list) and len(subs) == len(SUBPROCESS_TYPES)):
+            _reject(f"task {task['task_id']}: it needs exactly four subprocesses")
+        for kind, sub in zip(SUBPROCESS_TYPES, subs):
+            _check_subprocess(sub, kind, dof, f"task {task['task_id']}")
 
 
 # ---------------------------------------------------------------------------

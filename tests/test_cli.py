@@ -61,6 +61,23 @@ def test_validate_rejects_malformed_file(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_validate_reports_malformed_plans(plan_file, cfg_file, tmp_path, capsys):
+    doc = json.loads(plan_file.read_text())
+    doc["tasks"][0]["subprocesses"][1]["tcp"] = None
+    null_tcp = tmp_path / "null_tcp.json"
+    null_tcp.write_text(json.dumps(doc))
+    assert main(["validate", *common(cfg_file), "--plan", str(null_tcp)]) == 3
+    assert "tcp is not a list" in capsys.readouterr().err
+
+    doc = json.loads(plan_file.read_text())
+    doc["tasks"][5]["element_id"] = 999
+    unknown = tmp_path / "unknown_element.json"
+    unknown.write_text(json.dumps(doc))
+    assert main(["validate", *common(cfg_file), "--plan", str(unknown)]) == 3
+    out = capsys.readouterr().out
+    assert "structure" in out and "elements [999] are not in the model" in out
+
+
 def test_bad_inputs_exit_code(cfg_file, tmp_path, capsys):
     rc = main(["sequence", "--model", "no-such-model", "--robot", "arm"])
     assert rc == 4

@@ -233,9 +233,24 @@ def test_validator_catches_fingerprint_edit(model, robot, planned):
 
 def test_format_failure_short_circuits(model, robot, planned):
     _, _, doc = planned
+    old_version = copy.deepcopy(doc)
+    old_version["version"] = "999"
+    null_tcp = copy.deepcopy(doc)
+    null_tcp["tasks"][0]["subprocesses"][1]["tcp"] = None
+    for bad, detail in ((old_version, "version"), (null_tcp, "tcp is not a list")):
+        report = validate_plan(bad, model, robot, CFG)
+        assert len(report.checks) == 1
+        assert report.checks[0].name == "format"
+        assert detail in report.checks[0].detail
+        assert not report.passed
+
+
+def test_unknown_element_fails_the_structure_check(model, robot, planned):
+    _, _, doc = planned
     bad = copy.deepcopy(doc)
-    bad["version"] = "999"
+    bad["tasks"][3]["element_id"] = 999
     report = validate_plan(bad, model, robot, CFG)
-    assert len(report.checks) == 1
-    assert report.checks[0].name == "format"
+    assert [c.name for c in report.checks] == CHECK_NAMES[:4] + ["structure"]
+    assert all(c.passed for c in report.checks[:4])
+    assert "elements [999] are not in the model" in report.checks[-1].detail
     assert not report.passed
