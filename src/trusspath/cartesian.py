@@ -73,8 +73,13 @@ def prepare_tasks(
     sequence: SequenceResult,
     config: PlannerConfig,
 ) -> list[TaskSpec]:
-    """Recreate per-task scenes and feasible direction sets from a sequence."""
-    sweeps = SweepTable(model, robot.ee, sequence.directions, config)
+    """Recreate per-task scenes and feasible direction sets from a sequence.
+
+    Reuses the sequence search's sweep table when it was built for the same
+    model, extruder, lattice, path spacing and clearance."""
+    sweeps = sequence.sweeps
+    if sweeps is None or not sweeps.serves(model, robot.ee, sequence.directions, config):
+        sweeps = SweepTable(model, robot.ee, sequence.directions, config)
     placed: list[int] = []
     scene_caps: list[CapsuleShape] = []
     tasks: list[TaskSpec] = []

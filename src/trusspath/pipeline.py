@@ -322,6 +322,11 @@ def validate_plan(
         else "mismatch: " + ", ".join(mismatched),
     )
 
+    # every later check reads joint rows as robot configurations
+    if doc["dof"] != robot.dof:
+        _check(report, "dof", False, f"plan has {doc['dof']} joints, robot has {robot.dof}")
+        return report
+
     # reconstruct numeric views once
     tasks = doc["tasks"]
     joints = {

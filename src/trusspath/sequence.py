@@ -14,6 +14,13 @@ ordering.  With layer decomposition enabled, the search runs layer by layer
 and never backtracks across a finished layer; a layer that cannot be
 completed aborts the whole search, which keeps worst-case behaviour bounded
 at the cost of completeness across layers.
+
+The kinematic feasibility probe is a function of the placed set alone: the
+element's bitset is its self-clear union minus the blocks of the placed
+elements (undo restores it exactly), the route's start node follows from
+degree counts, and the collision verdicts against the placed scene do not
+depend on its order.  Backtracking revisits the same sets, so probe answers
+are memoised by (element, placed set).
 """
 
 from __future__ import annotations
@@ -80,6 +87,8 @@ class SearchStats:
     collision_cost_checks: int = 0
     # placements undone at once because they emptied a peer's direction set
     refused_placements: int = 0
+    # kinematics checks answered from the memo of earlier probes
+    probe_reuses: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -96,6 +105,7 @@ class SearchStats:
             "collision_cost_time": self.collision_cost_time,
             "collision_cost_checks": self.collision_cost_checks,
             "refused_placements": self.refused_placements,
+            "probe_reuses": self.probe_reuses,
         }
 
 
@@ -133,6 +143,8 @@ class SequenceResult:
     tasks: list[SequenceTask]
     stats: SearchStats
     directions: DirectionSet
+    # the search's sweep table, for task preparation to reuse; never saved
+    sweeps: SweepTable | None = field(default=None, compare=False, repr=False)
 
 
 def sequence_to_dict(result: SequenceResult) -> dict:
@@ -241,6 +253,18 @@ class SweepTable:
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._self: dict[tuple[int, int], np.ndarray] = {}
 
+    def serves(
+        self, model: TrussModel, ee: EEGeometry, directions: DirectionSet, config: PlannerConfig
+    ) -> bool:
+        """Whether this table answers for the given inputs as a fresh one would."""
+        return (
+            self.model is model
+            and self.ee == ee
+            and len(self._rotations) == directions.count
+            and self.config.path_spacing == config.path_spacing
+            and self.config.clearance == config.clearance
+        )
+
     def waypoints(self, element_id: int, start_node: int) -> np.ndarray:
         key = (element_id, start_node)
         if key not in self._paths:
@@ -292,6 +316,9 @@ class SequencePlanner:
         m = len(self.directions)
         self._domain = np.ones((len(self._ids), m), dtype=bool)
         self._placed: list[int] = []
+        self._placed_mask = 0  # bit self._index[eid] set while eid is placed
+        # probe answers by (element, placed mask); see _ee_pose_exists
+        self._probes: dict[tuple[int, int], tuple[int, float] | None] = {}
         self._placed_nodes: set[int] = {n.id for n in model.nodes if n.grounded}
         self._scene = CapsuleSet(())  # placed elements; statics are implicit
         self._tasks: list[SequenceTask] = []
@@ -324,10 +351,16 @@ class SequencePlanner:
         Directions come from the element's maintained bitset, which already
         encodes sweep collisions against everything placed.  Rolls follow the
         low-discrepancy sequence; the probe gives up at the kinematics
-        timeout so one impossible element cannot stall the search.
+        timeout so one impossible element cannot stall the search.  Every
+        input of the probe is a function of the placed set, so answers are
+        memoised by it; an answer cut short by the timeout is not.
         """
-        t0 = time.monotonic()
         self.stats.kinematics_checks += 1
+        key = (element_id, self._placed_mask)
+        if key in self._probes:
+            self.stats.probe_reuses += 1
+            return self._probes[key]
+        t0 = time.monotonic()
         start = route_start_node(self.model, element_id, self._placed)
         row = self._domain[self._index[element_id]] & self.sweeps.self_mask(element_id, start)
         pts = self.sweeps.waypoints(element_id, start)
@@ -348,6 +381,7 @@ class SequencePlanner:
             if found:
                 break
         self.stats.kinematics_time += time.monotonic() - t0
+        self._probes[key] = found
         return found
 
     # -- domain maintenance ---------------------------------------------------
@@ -432,7 +466,7 @@ class SequencePlanner:
                     stats=self.stats,
                 )
         self.stats.total_time = time.monotonic() - t_start
-        return SequenceResult(list(self._tasks), self.stats, self.directions)
+        return SequenceResult(list(self._tasks), self.stats, self.directions, self.sweeps)
 
     def _solve_group(self, group: list[int]) -> bool:
         remaining = set(group)
@@ -469,6 +503,7 @@ class SequencePlanner:
         direction_index, rotation = witness
         start = route_start_node(self.model, eid, self._placed)
         self._placed.append(eid)
+        self._placed_mask |= 1 << self._index[eid]
         remaining.discard(eid)
         a, b = self._element_nodes(eid)
         added_nodes = [n for n in (a, b) if n not in self._placed_nodes]
@@ -497,6 +532,7 @@ class SequencePlanner:
             undo, nodes_added = undo
         self._undo(undo)
         self._placed.pop()
+        self._placed_mask &= ~(1 << self._index[eid])
         remaining.add(eid)
         self._tasks.pop()
         self._scene = CapsuleSet(self._scene.capsules[:-1])

@@ -123,6 +123,36 @@ def element_rotation(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     return np.vstack([x, y, z])
 
 
+@dataclass(frozen=True)
+class FrameTable:
+    """What `analyze` needs of each element that depends on the model alone,
+    keyed by element id; `TrussModel.frame_table` builds it once per model."""
+
+    stiffness: dict[int, np.ndarray]  # (12, 12) stiffness in global axes
+    mass: dict[int, float]  # kg
+    midpoint: dict[int, np.ndarray]  # (3,)
+
+
+def frame_table(model: TrussModel) -> FrameTable:
+    mat, sec = model.material, model.section
+    stiffness, mass, midpoint = {}, {}, {}
+    for e in model.elements:
+        p0 = model.node_position(e.start)
+        p1 = model.node_position(e.end)
+        length = float(np.linalg.norm(p1 - p0))
+        k_local = local_stiffness(
+            mat.elastic_modulus, mat.shear_modulus, sec.area, sec.iy, sec.iz, sec.j, length
+        )
+        rot = element_rotation(p0, p1)
+        T = np.zeros((12, 12))
+        for b in range(4):
+            T[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = rot
+        stiffness[e.id] = T.T @ k_local @ T
+        mass[e.id] = element_mass(model, e.id)
+        midpoint[e.id] = model.element_midpoint(e.id)
+    return FrameTable(stiffness, mass, midpoint)
+
+
 def analyze(
     partial: PartialStructure,
     gravity: Sequence[float] = DEFAULT_GRAVITY,
@@ -143,27 +173,15 @@ def analyze(
     K = np.zeros((ndof, ndof))
     f = np.zeros(ndof)
 
-    mat, sec = model.material, model.section
+    table = model.frame_table
     for eid in partial.element_ids:
         e = model.element(eid)
-        p0 = model.node_position(e.start)
-        p1 = model.node_position(e.end)
-        length = float(np.linalg.norm(p1 - p0))
-        k_local = local_stiffness(
-            mat.elastic_modulus, mat.shear_modulus, sec.area, sec.iy, sec.iz, sec.j, length
-        )
-        rot = element_rotation(p0, p1)
-        T = np.zeros((12, 12))
-        for b in range(4):
-            T[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = rot
-        k_global = T.T @ k_local @ T
-
         dofs = np.r_[
             6 * index[e.start] + np.arange(6), 6 * index[e.end] + np.arange(6)
         ]
-        K[np.ix_(dofs, dofs)] += k_global
+        K[np.ix_(dofs, dofs)] += table.stiffness[eid]
 
-        half_weight = 0.5 * element_mass(model, eid) * g * _MILLI  # N vector
+        half_weight = 0.5 * table.mass[eid] * g * _MILLI  # N vector
         f[6 * index[e.start] : 6 * index[e.start] + 3] += half_weight
         f[6 * index[e.end] : 6 * index[e.end] + 3] += half_weight
 
@@ -231,12 +249,12 @@ def check_stiffness(
 
 
 def center_of_gravity(partial: PartialStructure) -> np.ndarray:
-    model = partial.model
+    table = partial.model.frame_table
     total = 0.0
     acc = np.zeros(3)
     for eid in partial.element_ids:
-        m = element_mass(model, eid)
-        acc += m * model.element_midpoint(eid)
+        m = table.mass[eid]
+        acc += m * table.midpoint[eid]
         total += m
     return acc / total
 
@@ -281,7 +299,8 @@ def check_stability(
         return False
     # reaction z < 0 would mean the support pulls the structure down, i.e.
     # the joint is in tension; unanchored printing cannot transmit that.
-    total_weight = sum(element_mass(partial.model, eid) for eid in partial.element_ids)
+    mass = partial.model.frame_table.mass
+    total_weight = sum(mass[eid] for eid in partial.element_ids)
     force_tol = max(1e-12, 1e-9 * total_weight * 9810.0 * _MILLI)
     for reaction in res.reactions.values():
         if reaction[2] < -force_tol:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,14 @@ class TrussModel:
     def element_midpoint(self, element_id: int) -> np.ndarray:
         seg = self.element_segment(element_id)
         return 0.5 * (seg[0] + seg[1])
+
+    @cached_property
+    def frame_table(self):
+        """Per-element frame stiffness, mass and midpoint, built once per
+        model (see `structural.frame_table`)."""
+        from .structural import frame_table  # structural imports this module
+
+        return frame_table(self)
 
     def grounded_node_ids(self) -> list[int]:
         return [n.id for n in self.nodes if n.grounded]

@@ -36,6 +36,8 @@ from trusspath.sequence import (
     plan_sequence,
     rotation_sequence,
     route_start_node,
+    sequence_from_dict,
+    sequence_to_dict,
 )
 
 CART_CFG = PlannerConfig(direction_count=24, rotation_samples=2)
@@ -543,6 +545,34 @@ def test_prepare_tasks_rejects_tampered_witness(robot, cube_tasks):
     )
     with pytest.raises(CartesianPlanningError, match="not sweep-feasible"):
         prepare_tasks(model, robot, bad, CART_CFG)
+
+
+def test_prepare_tasks_reuses_a_matching_sweep_table(robot, cube_tasks, monkeypatch):
+    model, sequence, tasks = cube_tasks
+    assert sequence.sweeps is not None
+    built = []
+
+    class CountingTable(cartesian.SweepTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cartesian, "SweepTable", CountingTable)
+    again = prepare_tasks(model, robot, sequence, CART_CFG)
+    assert not built
+    fresh = [
+        prepare_tasks(model, robot, sequence, CART_CFG.replace(clearance=CART_CFG.clearance)),
+        prepare_tasks(model, robot, sequence_from_dict(sequence_to_dict(sequence)), CART_CFG),
+        prepare_tasks(load_bundled_model("cube"), robot, sequence, CART_CFG),
+    ]
+    assert len(built) == 2  # the equal config still matches
+    for other in (again, *fresh):
+        assert [t.direction_indices for t in other] == [t.direction_indices for t in tasks]
+        assert all(np.array_equal(a.waypoints, b.waypoints) for a, b in zip(other, tasks))
+    with pytest.raises(CartesianPlanningError, match="not sweep-feasible"):
+        # a larger clearance blocks more: the sequence's table must not answer
+        prepare_tasks(model, robot, sequence, CART_CFG.replace(clearance=40.0))
+    assert len(built) == 3
 
 
 def test_plan_retraction_boxed_in_returns_none(robot, cube_tasks):

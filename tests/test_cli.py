@@ -77,6 +77,17 @@ def test_validate_reports_malformed_plans(plan_file, cfg_file, tmp_path, capsys)
     out = capsys.readouterr().out
     assert "structure" in out and "elements [999] are not in the model" in out
 
+    doc = json.loads(plan_file.read_text())
+    doc["dof"] -= 1
+    for t in doc["tasks"]:
+        for s in t["subprocesses"]:
+            s["joints"] = [row[:-1] for row in s["joints"]]
+    short = tmp_path / "short_rows.json"
+    short.write_text(json.dumps(doc))
+    assert main(["validate", *common(cfg_file), "--plan", str(short)]) == 3
+    out = capsys.readouterr().out
+    assert "dof" in out and "plan has 5 joints, robot has 6" in out
+
 
 def test_bad_inputs_exit_code(cfg_file, tmp_path, capsys):
     rc = main(["sequence", "--model", "no-such-model", "--robot", "arm"])

@@ -254,3 +254,22 @@ def test_unknown_element_fails_the_structure_check(model, robot, planned):
     assert all(c.passed for c in report.checks[:4])
     assert "elements [999] are not in the model" in report.checks[-1].detail
     assert not report.passed
+
+
+def drop_last_joint(doc):
+    """A well-formed copy of `doc` whose rows have one joint fewer."""
+    bad = copy.deepcopy(doc)
+    bad["dof"] -= 1
+    for t in bad["tasks"]:
+        for s in t["subprocesses"]:
+            s["joints"] = [row[:-1] for row in s["joints"]]
+    return bad
+
+
+def test_dof_mismatch_fails_the_dof_check(model, robot, planned):
+    _, _, doc = planned
+    report = validate_plan(drop_last_joint(doc), model, robot, CFG)
+    assert [c.name for c in report.checks] == CHECK_NAMES[:2] + ["dof"]
+    assert all(c.passed for c in report.checks[:2])
+    assert report.checks[-1].detail == f"plan has {robot.dof - 1} joints, robot has {robot.dof}"
+    assert not report.passed

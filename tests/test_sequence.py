@@ -14,7 +14,8 @@ from trusspath.fixtures import (
     load_bundled_robot,
     random_truss,
 )
-from trusspath.geometry import ee_element_collision, ee_self_collision
+from trusspath.geometry import ee_element_collision, ee_self_collision, pose_from_direction
+from trusspath.kinematics import collision_free_families, ik_sweep
 from trusspath.sequence import (
     SequencePlanner,
     SequencePlanningError,
@@ -29,6 +30,8 @@ from trusspath.structural import PartialStructure, analyze, check_stability, che
 from trusspath.truss import discretize_element, load_model
 
 FAST = PlannerConfig(direction_count=16, rotation_samples=2)
+# the starved lattice on which the cube search backtracks 78 times
+SPARSE = PlannerConfig(direction_count=24, rotation_samples=2)
 TOWER_CFG = PlannerConfig(direction_count=24, rotation_samples=4)
 
 
@@ -298,3 +301,114 @@ def test_render_stats_table_layout(tower_result):
     assert "coll-cost [s|n]" in lines[0]
     assert lines[2].startswith("layered")
     assert lines[3].startswith("flat")
+
+
+def oracle_probe(planner, element_id):
+    """`SequencePlanner._ee_pose_exists` without its memo or time limit."""
+    start = route_start_node(planner.model, element_id, planner._placed)
+    row = planner._domain[planner._index[element_id]] & planner.sweeps.self_mask(
+        element_id, start
+    )
+    pts = planner.sweeps.waypoints(element_id, start)
+    for a in np.flatnonzero(row):
+        for rot in planner._rotations:
+            frame = pose_from_direction(pts[0], planner.directions[a], float(rot))
+            families = ik_sweep(planner.robot, frame[:3, :3], pts)
+            free = collision_free_families(
+                planner.robot, families, planner._scene, clearance=planner.config.clearance
+            )
+            if free is not None:
+                return int(a), float(rot)
+    return None
+
+
+def test_probe_memo_answers_as_a_fresh_probe(robot):
+    model = load_bundled_model("cube")
+    planner = SequencePlanner(model, robot, SPARSE)
+    probe = planner._ee_pose_exists
+    reused = []
+
+    def checked(element_id):
+        hit = (element_id, planner._placed_mask) in planner._probes
+        got = probe(element_id)
+        if hit:
+            reused.append(element_id)
+            assert got == oracle_probe(planner, element_id), (element_id, planner._placed)
+        return got
+
+    planner._ee_pose_exists = checked
+    stats = planner.plan().stats
+    assert stats.backtracks == 78
+    assert stats.kinematics_checks == 292
+    assert len(reused) == stats.probe_reuses == 179
+    assert len(planner._probes) == 292 - 179
+    assert any(w is None for w in planner._probes.values())
+
+
+def test_timed_out_probes_are_not_memoised(robot):
+    model = load_bundled_model("cube")
+    starved = SPARSE.replace(kinematics_timeout=1e-9)
+    with pytest.raises(SequencePlanningError) as info:
+        plan_sequence(model, robot, starved)
+    assert info.value.stats.kinematics_checks > 0
+    assert info.value.stats.probe_reuses == 0
+
+    planner = SequencePlanner(model, robot, starved)
+    eid = next(e for e in planner._ids if planner._connect_ok(e))
+    assert planner._ee_pose_exists(eid) is None
+    assert planner._ee_pose_exists(eid) is None
+    assert planner.stats.probe_reuses == 0
+    planner.config = SPARSE
+    witness = planner._ee_pose_exists(eid)
+    assert witness is not None
+    assert planner._ee_pose_exists(eid) == witness
+    assert (planner.stats.kinematics_checks, planner.stats.probe_reuses) == (4, 1)
+
+
+def test_probe_inputs_are_a_function_of_the_placed_set(robot):
+    # random place / refused placement / unplace interleavings; after every
+    # step, what a probe reads must equal its recomputation from the set
+    model = load_bundled_model("cube")
+    planner = SequencePlanner(model, robot, SPARSE)
+    union = {}
+    for eid in planner._ids:
+        a, b = planner._element_nodes(eid)
+        union[eid] = planner.sweeps.self_mask(eid, a) | planner.sweeps.self_mask(eid, b)
+        planner._domain[planner._index[eid]] &= union[eid]
+    grounded = {n.id for n in model.nodes if n.grounded}
+
+    rng = np.random.default_rng(11)
+    remaining = set(planner._ids)
+    stack = []
+    refused = unplaced = 0
+    for _ in range(400):
+        options = [e for e in sorted(remaining) if planner._connect_ok(e)]
+        if stack and (not options or rng.random() < 0.35):
+            eid, undo = stack.pop()
+            planner._unplace(eid, undo, remaining)
+            unplaced += 1
+        else:
+            eid = int(rng.choice(options))
+            undo = planner._place(eid, (0, 0.0), remaining)
+            if undo is None:
+                refused += 1
+            else:
+                stack.append((eid, undo))
+
+        placed = {e for e, _ in stack}
+        assert set(planner._placed) == placed
+        assert planner._placed_mask == sum(1 << planner._index[p] for p in placed)
+        for oid in sorted(remaining):
+            want = union[oid].copy()
+            for pid in placed:
+                want &= ~planner.sweeps.pair_block(oid, pid)
+            assert np.array_equal(planner._domain[planner._index[oid]], want), oid
+            assert route_start_node(model, oid, planner._placed) == route_start_node(
+                model, oid, sorted(placed)
+            )
+        assert len(planner._scene) == len(placed)
+        assert set(planner._scene.capsules) == {planner._capsules[p] for p in placed}
+        assert planner._placed_nodes == grounded | {
+            n for p in placed for n in planner._element_nodes(p)
+        }
+    assert refused > 0 and unplaced > 0

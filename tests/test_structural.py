@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from trusspath.fixtures import DEFAULT_MATERIAL, DEFAULT_SECTION, load_bundled_model
+from trusspath import sequence
+from trusspath.config import PlannerConfig
+from trusspath.fixtures import (
+    DEFAULT_MATERIAL,
+    DEFAULT_SECTION,
+    load_bundled_model,
+    load_bundled_robot,
+)
 from trusspath.structural import (
+    _MILLI,
+    DEFAULT_GRAVITY,
     PartialStructure,
     StiffnessResult,
     StructuralError,
@@ -225,3 +234,127 @@ def test_stability_rejects_uplift():
         singular=False,
     )
     assert not check_stability(partial, result=forged)
+
+
+def oracle_analyze(partial, gravity=DEFAULT_GRAVITY):
+    """`analyze` as it was before the per-model frame table: every element's
+    stiffness, rotation and mass rebuilt on each call."""
+    model = partial.model
+    g = np.asarray(gravity, dtype=float)
+    node_ids = sorted(
+        {model.element(eid).start for eid in partial.element_ids}
+        | {model.element(eid).end for eid in partial.element_ids}
+    )
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    ndof = 6 * len(node_ids)
+    K = np.zeros((ndof, ndof))
+    f = np.zeros(ndof)
+    mat, sec = model.material, model.section
+    for eid in partial.element_ids:
+        e = model.element(eid)
+        p0 = model.node_position(e.start)
+        p1 = model.node_position(e.end)
+        length = float(np.linalg.norm(p1 - p0))
+        k_local = local_stiffness(
+            mat.elastic_modulus, mat.shear_modulus, sec.area, sec.iy, sec.iz, sec.j, length
+        )
+        rot = element_rotation(p0, p1)
+        T = np.zeros((12, 12))
+        for b in range(4):
+            T[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = rot
+        k_global = T.T @ k_local @ T
+        dofs = np.r_[6 * index[e.start] + np.arange(6), 6 * index[e.end] + np.arange(6)]
+        K[np.ix_(dofs, dofs)] += k_global
+        half_weight = 0.5 * element_mass(model, eid) * g * _MILLI
+        f[6 * index[e.start] : 6 * index[e.start] + 3] += half_weight
+        f[6 * index[e.end] : 6 * index[e.end] + 3] += half_weight
+    fixed = np.zeros(ndof, dtype=bool)
+    for nid in node_ids:
+        if model.node(nid).grounded:
+            fixed[6 * index[nid] : 6 * index[nid] + 6] = True
+    free = ~fixed
+    u = np.zeros(ndof)
+    singular = False
+    residual = 0.0
+    if free.any():
+        Kff = K[np.ix_(free, free)]
+        ff = f[free]
+        try:
+            c = np.linalg.cholesky(Kff)
+            uf = np.linalg.solve(c.T, np.linalg.solve(c, ff))
+        except np.linalg.LinAlgError:
+            singular = True
+            uf = np.zeros(free.sum())
+        if not singular:
+            norm_f = np.linalg.norm(ff)
+            residual = float(np.linalg.norm(Kff @ uf - ff) / (norm_f if norm_f > 0 else 1.0))
+            if not np.all(np.isfinite(uf)) or residual > 1e-6:
+                singular = True
+                uf = np.zeros(free.sum())
+        u[free] = uf
+    reaction_vec = K @ u - f
+    displacements = {nid: u[6 * index[nid] : 6 * index[nid] + 6].copy() for nid in node_ids}
+    reactions = {
+        nid: reaction_vec[6 * index[nid] : 6 * index[nid] + 6].copy()
+        for nid in node_ids
+        if model.node(nid).grounded
+    }
+    translations = np.array([np.linalg.norm(d[:3]) for d in displacements.values()])
+    return StiffnessResult(
+        displacements=displacements,
+        reactions=reactions,
+        max_translation=float(translations.max()) if translations.size else 0.0,
+        residual=residual,
+        singular=singular,
+    )
+
+
+def oracle_center_of_gravity(partial):
+    model = partial.model
+    total = 0.0
+    acc = np.zeros(3)
+    for eid in partial.element_ids:
+        m = element_mass(model, eid)
+        acc += m * model.element_midpoint(eid)
+        total += m
+    return acc / total
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_frame_table_analysis_is_bit_identical_to_per_call_assembly(monkeypatch):
+    # every prefix the search analyses on the cube at 24 directions x 2 rolls
+    # (78 backtracks), plus random prefixes, many of them floating
+    model = load_bundled_model("cube")
+    prefixes = []
+
+    def recording(partial, *args, **kwargs):
+        prefixes.append(partial.element_ids)
+        return analyze(partial, *args, **kwargs)
+
+    monkeypatch.setattr(sequence, "analyze", recording)
+    cfg = PlannerConfig(direction_count=24, rotation_samples=2)
+    stats = sequence.plan_sequence(model, load_bundled_robot("arm"), cfg).stats
+    assert len(prefixes) == stats.stiffness_checks == 292
+    rng = np.random.default_rng(7)
+    ids = [e.id for e in model.elements]
+    for _ in range(150):
+        size = int(rng.integers(1, len(ids) + 1))
+        prefixes.append(tuple(int(e) for e in rng.permutation(ids)[:size]))
+
+    singular = 0
+    for prefix in prefixes:
+        partial = PartialStructure(model, prefix)
+        got, want = analyze(partial), oracle_analyze(partial)
+        assert got.singular == want.singular, prefix
+        assert got.residual.hex() == want.residual.hex(), prefix
+        assert got.max_translation.hex() == want.max_translation.hex(), prefix
+        assert list(got.displacements) == list(want.displacements)
+        assert all(same_bits(got.displacements[n], want.displacements[n]) for n in want.displacements)
+        assert list(got.reactions) == list(want.reactions)
+        assert all(same_bits(got.reactions[n], want.reactions[n]) for n in want.reactions)
+        assert same_bits(center_of_gravity(partial), oracle_center_of_gravity(partial)), prefix
+        singular += got.singular
+    assert singular >= 5  # the floating random prefixes
