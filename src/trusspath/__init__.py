@@ -16,218 +16,40 @@ Typical use:
     plan, report = run_pipeline(model, robot)
 """
 
-from .cartesian import (
-    Capsule,
-    CartesianPlanningError,
-    MemoryBudgetError,
-    SparseSearchResult,
-    TaskSpec,
-    build_capsule,
-    build_rungs,
-    chain_search,
-    estimate_full_graph_size,
-    exhaustive_sparse_graph,
-    expand_and_search,
-    extract_block_path,
-    full_ladder_graph,
-    plan_retraction,
-    prepare_tasks,
-)
-from .config import (
-    PlannerConfig,
-    PlannerConfigError,
-    TransitionSettings,
-    load_config,
-)
-from .fixtures import (
-    DEFAULT_MATERIAL,
-    DEFAULT_SECTION,
-    bracing_tower,
-    circular_section,
-    load_bundled_model,
-    load_bundled_robot,
-    random_truss,
-    resolve_model,
-    resolve_robot,
-)
-from .geometry import (
-    CapsuleShape,
-    DirectionSet,
-    EEGeometry,
-    GeometryError,
-    default_ee_geometry,
-    ee_element_collision,
-    ee_self_collision,
-    pose_from_direction,
-    sample_directions,
-    segment_segment_distance,
-)
-from .kinematics import (
-    EEPose,
-    KinematicsError,
-    RobotConfigError,
-    RobotModel,
-    config_collides,
-    config_collides_batch,
-    fk,
-    fk_frames,
-    ik,
-    ik_sweep,
-    jacobian,
-    load_robot,
-)
-from .pipeline import (
-    CheckResult,
-    PipelineError,
-    PipelineReport,
-    ValidationReport,
-    input_fingerprints,
-    run_pipeline,
-    validate_plan,
-)
-from .postprocess import (
-    PlanFormatError,
-    Subprocess,
-    TaggedPlan,
-    TaskPlan,
-    load_plan,
-    plan_from_dict,
-    plan_to_dict,
-    save_plan,
-    seam_gaps,
-    validate_plan_document,
-)
-from .sequence import (
-    SearchStats,
-    SequencePlanningError,
-    SequenceResult,
-    SequenceTask,
-    plan_sequence,
-    render_stats_table,
-    sequence_from_dict,
-    sequence_to_dict,
-)
-from .structural import (
-    PartialStructure,
-    StiffnessResult,
-    StructuralError,
-    analyze,
-    check_stability,
-    check_stiffness,
-)
-from .transition import (
-    TransitionPlanningError,
-    TransitionResult,
-    plan_transition,
-    rrt_connect,
-    shortcut,
-)
-from .truss import (
-    Element,
-    ModelError,
-    Node,
-    TrussModel,
-    discretize_element,
-    load_model,
-    serialize_model,
-    validate_decomposition,
-)
+from .cartesian import CartesianPlanningError, MemoryBudgetError
+from .config import PlannerConfig, PlannerConfigError, TransitionSettings, load_config
+from .fixtures import load_bundled_model, load_bundled_robot
+from .kinematics import RobotConfigError, fk_frames, load_robot
+from .pipeline import PipelineError, run_pipeline, validate_plan
+from .postprocess import PlanFormatError, load_plan, plan_to_dict, save_plan
+from .sequence import SequencePlanningError, plan_sequence
+from .transition import TransitionPlanningError
+from .truss import ModelError, load_model
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Capsule",
-    "CapsuleShape",
     "CartesianPlanningError",
-    "CheckResult",
-    "DEFAULT_MATERIAL",
-    "DEFAULT_SECTION",
-    "DirectionSet",
-    "EEGeometry",
-    "EEPose",
-    "Element",
-    "GeometryError",
-    "KinematicsError",
     "MemoryBudgetError",
     "ModelError",
-    "Node",
-    "PartialStructure",
     "PipelineError",
-    "PipelineReport",
     "PlanFormatError",
     "PlannerConfig",
     "PlannerConfigError",
     "RobotConfigError",
-    "RobotModel",
-    "SearchStats",
     "SequencePlanningError",
-    "SequenceResult",
-    "SequenceTask",
-    "SparseSearchResult",
-    "StiffnessResult",
-    "StructuralError",
-    "Subprocess",
-    "TaggedPlan",
-    "TaskPlan",
-    "TaskSpec",
     "TransitionPlanningError",
-    "TransitionResult",
     "TransitionSettings",
-    "TrussModel",
-    "ValidationReport",
-    "analyze",
-    "bracing_tower",
-    "build_capsule",
-    "build_rungs",
-    "chain_search",
-    "check_stability",
-    "check_stiffness",
-    "circular_section",
-    "config_collides",
-    "config_collides_batch",
-    "default_ee_geometry",
-    "discretize_element",
-    "ee_element_collision",
-    "ee_self_collision",
-    "estimate_full_graph_size",
-    "exhaustive_sparse_graph",
-    "expand_and_search",
-    "extract_block_path",
-    "fk",
     "fk_frames",
-    "full_ladder_graph",
-    "ik",
-    "ik_sweep",
-    "input_fingerprints",
-    "jacobian",
     "load_bundled_model",
     "load_bundled_robot",
     "load_config",
     "load_model",
     "load_plan",
     "load_robot",
-    "plan_from_dict",
-    "plan_retraction",
     "plan_sequence",
     "plan_to_dict",
-    "plan_transition",
-    "pose_from_direction",
-    "prepare_tasks",
-    "random_truss",
-    "render_stats_table",
-    "resolve_model",
-    "resolve_robot",
-    "rrt_connect",
     "run_pipeline",
-    "sample_directions",
     "save_plan",
-    "seam_gaps",
-    "segment_segment_distance",
-    "sequence_from_dict",
-    "sequence_to_dict",
-    "serialize_model",
-    "shortcut",
-    "validate_decomposition",
     "validate_plan",
-    "validate_plan_document",
 ]

@@ -20,9 +20,10 @@ capsule set anytime: more samples never make the answer worse.
 Every shortest path here is one kernel: `_minplus` relaxes costs over one
 rung of edges and keeps back-pointers, `_ladder` applies it rung by rung and
 `_walk_back` follows the pointers.  The capsule matrix (from an identity
-start), block path extraction (from a one-hot start), the chain search and
-the full-graph baseline all run on it, so ties always go to the lowest index
-and an earlier capsule.
+start), block path extraction (from a one-hot start), the chain search, the
+full-graph baseline and the retraction slides (from their one-config anchor
+rung) all run on it, so ties always go to the lowest index and an earlier
+capsule.  Every rung comes from `kinematics.build_rungs`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PlannerConfig
-from .geometry import CapsuleShape, pose_from_direction, sample_directions
-from .kinematics import CapsuleSet, RobotModel, collision_free_families, ik_sweep
+from .geometry import CapsuleShape, sample_directions
+from .kinematics import CapsuleSet, RobotModel, build_rungs
 from .sequence import SequenceResult, SweepTable, rotation_sequence
 from .truss import TrussModel
 
@@ -155,20 +156,6 @@ def _pair_costs(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray
 def _pair_allowed(a: np.ndarray, b: np.ndarray, limits: np.ndarray) -> np.ndarray:
     diff = np.abs(a[:, None, :] - b[None, :, :]) <= limits[None, None, :]
     return diff.all(axis=2)
-
-
-def build_rungs(
-    robot: RobotModel,
-    waypoints: np.ndarray,
-    direction: np.ndarray,
-    rotation: float,
-    scene: CapsuleSet,
-    clearance: float | None = None,
-) -> list[np.ndarray] | None:
-    """Collision-free IK configs per waypoint, or None if any rung is empty."""
-    frame = pose_from_direction(waypoints[0], direction, rotation)
-    families = ik_sweep(robot, frame[:3, :3], waypoints)
-    return collision_free_families(robot, families, scene, clearance=clearance)
 
 
 def _minplus(cost: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,23 +399,6 @@ def expand_and_search(
     return SparseSearchResult(cost, picks, columns, built, attempted)
 
 
-def exhaustive_sparse_graph(
-    robot: RobotModel, tasks: list[TaskSpec], config: PlannerConfig
-) -> list[list[Capsule]]:
-    """Every feasible capsule of every task, deterministic order."""
-    directions = sample_directions(config.direction_count)
-    rotations = rotation_sequence(config.rotation_samples)
-    columns = []
-    for t in tasks:
-        col = []
-        for a, rot in _candidate_grid(t, rotations):
-            cap = build_capsule(robot, t, directions[a], a, rot, config)
-            if cap is not None:
-                col.append(cap)
-        columns.append(col)
-    return columns
-
-
 # ---------------------------------------------------------------------------
 # full ladder graph baseline
 
@@ -559,16 +529,16 @@ def plan_retraction(
 
     The returned path starts exactly at `anchor` (the extrusion boundary
     config, so the seam is continuous by construction) and steps outward
-    along a candidate direction, greedily chaining the nearest jump-feasible
-    collision-free IK solution at each waypoint.  The pass direction is
-    tried first, then the remaining directions by index; None means no
-    candidate admits a full chain and the caller should fall back to a
-    degenerate single-config segment.
+    along a candidate direction through collision-free IK solutions.  Each
+    direction's rungs, led by `anchor` as a one-config rung, go through the
+    ladder kernel, so the path is the cheapest jump-feasible chain (ties to
+    the lowest index).  The pass direction is tried first, then the
+    remaining directions by index; None means no candidate admits a full
+    chain and the caller should fall back to a degenerate single-config
+    segment.
     """
     length = config.retraction_length
     k = max(1, math.ceil(length / config.path_spacing))
-    frame = pose_from_direction(node, orientation_direction, rotation)
-    rot = frame[:3, :3]
     weights = robot.weights
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
 
@@ -576,18 +546,14 @@ def plan_retraction(
     offsets = np.linspace(length / k, length, k)
     for a in order:
         pts = node[None, :] + directions[a][None, :] * offsets[:, None]
-        families = ik_sweep(robot, rot, pts)
-        rungs = collision_free_families(robot, families, scene, clearance=config.clearance)
+        rungs = build_rungs(
+            robot, pts, orientation_direction, rotation, scene,
+            clearance=config.clearance,
+        )
         if rungs is None:
             continue
-        path = [anchor]
-        for qs in rungs:
-            step = np.abs(qs - path[-1][None, :])
-            qs = qs[(step <= limits[None, :]).all(axis=1)]
-            if qs.shape[0] == 0:
-                break
-            costs = (np.abs(qs - path[-1][None, :]) * weights).sum(axis=1)
-            path.append(qs[int(np.argmin(costs))])
-        else:
-            return np.array(path)
+        ladder = [anchor[None, :]] + rungs
+        cost, backs = _ladder(np.zeros(1), ladder, weights, limits)
+        if np.isfinite(cost).any():
+            return _walk_back(ladder, backs, int(np.argmin(cost)))[0]
     return None

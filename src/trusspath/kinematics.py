@@ -33,6 +33,7 @@ from .geometry import (
     GeometryError,
     default_ee_geometry,
     direction_rotation_from_frame,
+    pose_from_direction,
     segment_distance_batch,
 )
 
@@ -187,8 +188,6 @@ class EEPose:
         return cls(frame[:3, 3].copy(), direction, rotation)
 
     def frame(self) -> np.ndarray:
-        from .geometry import pose_from_direction
-
         return pose_from_direction(self.position, self.direction, self.rotation)
 
 
@@ -613,18 +612,25 @@ def config_collides_batch(
     return hit
 
 
-def collision_free_families(
+def build_rungs(
     robot: RobotModel,
-    families: Sequence[Sequence[np.ndarray]],
+    waypoints: np.ndarray,
+    direction: np.ndarray,
+    rotation: float,
     scene: CapsuleSet | Sequence[CapsuleShape] | None,
     clearance: float | None = None,
 ) -> list[np.ndarray] | None:
-    """Collision-free configs of each IK family of one sweep, or None.
+    """Collision-free IK configs per waypoint under one tool orientation, or
+    None if any rung is empty.
 
-    None means some family is empty (then nothing is collision-tested) or
-    has no collision-free config.  All families are tested in one
-    `config_collides_batch` call and split back per family.
+    The tool frame is `pose_from_direction(waypoints[0], direction,
+    rotation)`.  None means some waypoint has no IK solution (then nothing is
+    collision-tested) or no collision-free one.  All solutions of the sweep
+    are tested in one `config_collides_batch` call and split back per
+    waypoint.
     """
+    frame = pose_from_direction(waypoints[0], direction, rotation)
+    families = ik_sweep(robot, frame[:3, :3], waypoints)
     if not all(families):
         return None
     qs = np.array([q for fam in families for q in fam])

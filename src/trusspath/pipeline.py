@@ -27,12 +27,7 @@ from .cartesian import (
     prepare_tasks,
 )
 from .config import PlannerConfig
-from .geometry import (
-    CapsuleShape,
-    ee_element_collision,
-    ee_self_collision,
-    sample_directions,
-)
+from .geometry import CapsuleShape, ee_sweep_collision_batch, sample_directions
 from .kinematics import (
     CapsuleSet,
     RobotModel,
@@ -453,6 +448,9 @@ def validate_plan(
                     robot, np.array(probe), scene, clearance=config.clearance
                 )
             else:
+                # the robot's capsules include the extruder's on the tool
+                # frame, so this also tests the extruder against every placed
+                # element at the pose the joints actually reach
                 check_scene = scene_after if s["kind"] == "retraction-depart" else scene
                 hits = config_collides_batch(
                     robot, rows, check_scene, clearance=config.clearance
@@ -463,29 +461,17 @@ def validate_plan(
                     f"{int(hits.sum())} colliding configs"
                 )
             if s["kind"] == "extrusion":
+                # the bead grows from the first waypoint; the tool keeps the
+                # pass's own rotation, roll included
                 origins = np.array([e["origin"] for e in s["tcp"]])
-                v = -np.array(s["tcp"][0]["zaxis"])
-                if ee_self_collision(
-                    origins, v, 0.0, radius, robot.ee, clearance=config.clearance
-                ):
+                rotation = np.array(s["tcp"][0]["rotation"])
+                if ee_sweep_collision_batch(
+                    origins[1:], rotation[None], origins[0], origins[1:],
+                    radius, robot.ee, config.clearance,
+                )[0]:
                     collision_errors.append(
                         f"subprocess {s['id']}: extruder body crosses its own bead"
                     )
-                for prior in scene_caps:
-                    if ee_element_collision(
-                        origins,
-                        v,
-                        0.0,
-                        np.array([prior.a, prior.b]),
-                        radius,
-                        robot.ee,
-                        clearance=config.clearance,
-                    ):
-                        collision_errors.append(
-                            f"subprocess {s['id']}: extruder sweep hits a "
-                            "placed element"
-                        )
-                        break
         scene_caps.append(own)
     _check(
         report,

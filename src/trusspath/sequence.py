@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .geometry import (
     pose_from_direction,
     sample_directions,
 )
-from .kinematics import CapsuleSet, RobotModel, collision_free_families, ik_sweep
+from .kinematics import CapsuleSet, RobotModel, build_rungs
 from .structural import PartialStructure, analyze, check_stability, check_stiffness
 from .truss import TrussModel, discretize_element
 
@@ -91,22 +91,7 @@ class SearchStats:
     probe_reuses: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "total_time": self.total_time,
-            "partial_states": self.partial_states,
-            "backtracks": self.backtracks,
-            "stiffness_time": self.stiffness_time,
-            "stiffness_checks": self.stiffness_checks,
-            "kinematics_time": self.kinematics_time,
-            "kinematics_checks": self.kinematics_checks,
-            "ee_update_time": self.ee_update_time,
-            "ee_update_checks": self.ee_update_checks,
-            "ee_update_pair_checks": self.ee_update_pair_checks,
-            "collision_cost_time": self.collision_cost_time,
-            "collision_cost_checks": self.collision_cost_checks,
-            "refused_placements": self.refused_placements,
-            "probe_reuses": self.probe_reuses,
-        }
+        return asdict(self)
 
 
 _TABLE_COLUMNS = (
@@ -370,12 +355,11 @@ class SequencePlanner:
                 if time.monotonic() - t0 > self.config.kinematics_timeout:
                     self.stats.kinematics_time += time.monotonic() - t0
                     return None
-                frame = pose_from_direction(pts[0], self.directions[a], float(rot))
-                families = ik_sweep(self.robot, frame[:3, :3], pts)
-                free = collision_free_families(
-                    self.robot, families, self._scene, clearance=self.config.clearance
+                rungs = build_rungs(
+                    self.robot, pts, self.directions[a], float(rot), self._scene,
+                    clearance=self.config.clearance,
                 )
-                if free is not None:
+                if rungs is not None:
                     found = (int(a), float(rot))
                     break
             if found:
@@ -490,12 +474,12 @@ class SequencePlanner:
             witness = self._ee_pose_exists(eid)
             if witness is None:
                 continue
-            undo = self._place(eid, witness, remaining)
-            if undo is None:  # a peer lost its last direction
+            record = self._place(eid, witness, remaining)
+            if record is None:  # a peer lost its last direction
                 continue
             if self._extend(group, remaining):
                 return True
-            self._unplace(eid, undo, remaining)
+            self._unplace(eid, record, remaining)
             self.stats.backtracks += 1
         return False
 
@@ -519,24 +503,24 @@ class SequencePlanner:
             start_node=start,
         )
         self._tasks.append(task)
+        record = (undo, added_nodes)
         for oid in remaining:
             if not self._domain[self._index[oid]].any():
-                self._unplace(eid, undo, remaining, nodes_added=added_nodes)
+                self._unplace(eid, record, remaining)
                 self.stats.refused_placements += 1
                 return None
         self.stats.partial_states += 1
-        return (undo, added_nodes)
+        return record
 
-    def _unplace(self, eid, undo, remaining, nodes_added=None):
-        if isinstance(undo, tuple):
-            undo, nodes_added = undo
+    def _unplace(self, eid, record, remaining):
+        undo, nodes_added = record
         self._undo(undo)
         self._placed.pop()
         self._placed_mask &= ~(1 << self._index[eid])
         remaining.add(eid)
         self._tasks.pop()
         self._scene = CapsuleSet(self._scene.capsules[:-1])
-        for n in nodes_added or []:
+        for n in nodes_added:
             self._placed_nodes.discard(n)
 
 

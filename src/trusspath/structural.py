@@ -13,8 +13,7 @@ The two fabrication checks are:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,10 +57,6 @@ class StiffnessResult:
     max_translation: float
     residual: float
     singular: bool
-    solve_time: float = field(default=0.0)
-
-    def node_translation(self, node_id: int) -> np.ndarray:
-        return self.displacements[node_id][:3]
 
 
 def element_mass(model: TrussModel, element_id: int) -> float:
@@ -158,7 +153,6 @@ def analyze(
     gravity: Sequence[float] = DEFAULT_GRAVITY,
 ) -> StiffnessResult:
     """Solve the clamped self-weight problem for a prefix of elements."""
-    t0 = time.perf_counter()
     model = partial.model
     if not partial.element_ids:
         raise StructuralError("cannot analyze an empty prefix")
@@ -229,7 +223,6 @@ def analyze(
         max_translation=float(translations.max()) if translations.size else 0.0,
         residual=residual,
         singular=singular,
-        solve_time=time.perf_counter() - t0,
     )
 
 

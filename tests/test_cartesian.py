@@ -20,7 +20,6 @@ from trusspath.cartesian import (
     build_rungs,
     chain_search,
     estimate_full_graph_size,
-    exhaustive_sparse_graph,
     expand_and_search,
     extract_block_path,
     full_ladder_graph,
@@ -418,7 +417,7 @@ def test_sparse_chain_equals_full_ladder(robot, cube_tasks):
     model, sequence, tasks = cube_tasks
     limits = robot.jump_limits(CART_CFG.jump_limit, CART_CFG.prismatic_jump_limit)
     for prefix in (tasks[:2], tasks[:3]):
-        columns = exhaustive_sparse_graph(robot, prefix, CART_CFG)
+        columns = expand_and_search(robot, prefix, CART_CFG, max_capsules=None).columns
         sparse_cost, picks = chain_search(columns, robot.weights, robot.home)
         full_cost, paths = full_ladder_graph(robot, prefix, CART_CFG)
         assert sparse_cost == pytest.approx(full_cost, abs=COST_TOL)
@@ -596,6 +595,23 @@ def test_plan_retraction_boxed_in_returns_none(robot, cube_tasks):
         task.preferred_direction,
     )
     assert path is None
+
+
+def test_plan_retraction_takes_the_farther_config_past_a_dead_end(monkeypatch):
+    # the nearest first-rung config has no jump-feasible successor, so
+    # chaining the nearest config at each waypoint fails on every direction
+    weights = np.array([1.0, 1.0])
+    limits = np.array([1.0, 1.0])
+    robot = SimpleNamespace(weights=weights, jump_limits=lambda *_: limits)
+    rungs = [np.array([[0.5, 0.0], [0.0, 0.9]]), np.array([[0.0, 1.8]])]
+    assert not np.all(np.abs(rungs[1] - rungs[0][0]) <= limits, axis=1).any()
+    monkeypatch.setattr(cartesian, "build_rungs", lambda *_, **__: rungs)
+    anchor = np.zeros(2)
+    path = plan_retraction(
+        robot, np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.0, anchor, None,
+        CART_CFG, np.eye(3), 0,
+    )
+    assert np.array_equal(path, [[0.0, 0.0], [0.0, 0.9], [0.0, 1.8]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end planning runs and the independent plan validator."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,12 @@ import pytest
 from trusspath import kinematics, pipeline
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import fixture_path, load_bundled_model, load_bundled_robot
+from trusspath.geometry import (
+    CapsuleShape,
+    EEGeometry,
+    direction_rotation_from_frame,
+    ee_self_collision,
+)
 from trusspath.kinematics import config_collides_batch, load_robot
 from trusspath.pipeline import (
     PipelineError,
@@ -18,6 +25,7 @@ from trusspath.pipeline import (
 )
 from trusspath.postprocess import plan_to_dict
 from trusspath.sequence import SequencePlanner, plan_sequence
+from trusspath.truss import load_model, serialize_model
 
 CFG = PlannerConfig(direction_count=24, rotation_samples=2)
 CHECK_NAMES = [
@@ -273,3 +281,68 @@ def test_dof_mismatch_fails_the_dof_check(model, robot, planned):
     assert all(c.passed for c in report.checks[:2])
     assert report.checks[-1].detail == f"plan has {robot.dof - 1} joints, robot has {robot.dof}"
     assert not report.passed
+
+
+def test_bead_check_poses_the_extruder_at_the_pass_roll(robot):
+    # one upright strut; the default lattice plans its pass at a roll far
+    # from 0, so a capsule off the tool axis hangs on a different side of
+    # the nozzle than it would at roll 0
+    strut = serialize_model(load_bundled_model("cube"))
+    strut["nodes"] = [
+        {"id": 0, "xyz": [480.0, -70.0, 0.0], "grounded": True},
+        {"id": 1, "xyz": [480.0, -70.0, 140.0], "grounded": False},
+    ]
+    strut["elements"] = [{"id": 0, "start": 0, "end": 1, "layer": 0}]
+    model = load_model(strut)
+    cfg = PlannerConfig()
+    doc = plan_to_dict(run_pipeline(model, robot, cfg)[0])
+    sub = doc["tasks"][0]["subprocesses"][2]
+    origins = np.array([e["origin"] for e in sub["tcp"]])
+    rotation = np.array(sub["tcp"][0]["rotation"])
+    assert 0.5 < direction_rotation_from_frame(rotation)[1] < 5.8
+
+    # hang the capsule 40 mm behind the nozzle at the pass's own rotation,
+    # where it drags through the bead laid so far
+    back = (origins[0] - origins[-1]) / np.linalg.norm(origins[-1] - origins[0])
+    up = -rotation[:, 2]
+    arm = CapsuleShape(
+        tuple(rotation.T @ (40.0 * back + 5.0 * up)),
+        tuple(rotation.T @ (40.0 * back + 30.0 * up)),
+        5.0,
+    )
+    ee = EEGeometry(robot.ee.capsules + (arm,), robot.ee.clearance)
+    radius = model.section.radius
+    assert not ee_self_collision(origins, up, 0.0, radius, ee, cfg.clearance)
+
+    report = validate_plan(doc, model, dataclasses.replace(robot, ee=ee), cfg)
+    clearance = check_map(report)["clearance"]
+    assert not clearance.passed
+    assert f"subprocess {sub['id']}: extruder body crosses its own bead" in clearance.detail
+    assert validate_plan(doc, model, robot, cfg).passed
+
+
+def test_clearance_catches_the_extruder_on_a_placed_element(model, robot, planned):
+    # move the node of the first printed element that the second does not
+    # share onto the barrel of the second task's extruder: the unchanged
+    # plan now drives that barrel through the first element
+    _, _, doc = planned
+    first, second = (model.element(t["element_id"]) for t in doc["tasks"][:2])
+    node = next(n for n in (first.start, first.end) if n not in (second.start, second.end))
+    sub = doc["tasks"][1]["subprocesses"][2]
+    assert sub["kind"] == "extrusion"
+    mid = sub["tcp"][len(sub["tcp"]) // 2]
+    barrel = robot.ee.capsules[0]
+    target = np.array(mid["origin"]) + np.array(mid["rotation"]) @ (
+        0.5 * (barrel.a + barrel.b)
+    )
+    moved = serialize_model(model)
+    for n in moved["nodes"]:
+        if n["id"] == node:
+            n["xyz"] = [float(v) for v in target]
+    report = validate_plan(doc, load_model(moved), robot, CFG)
+    clearance = check_map(report)["clearance"]
+    assert not clearance.passed
+    assert any(
+        e.startswith(f"subprocess {sub['id']} (extrusion): ") and e.endswith("colliding configs")
+        for e in clearance.detail.split("; ")
+    )

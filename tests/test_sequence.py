@@ -14,8 +14,8 @@ from trusspath.fixtures import (
     load_bundled_robot,
     random_truss,
 )
-from trusspath.geometry import ee_element_collision, ee_self_collision, pose_from_direction
-from trusspath.kinematics import collision_free_families, ik_sweep
+from trusspath.geometry import ee_element_collision, ee_self_collision
+from trusspath.kinematics import build_rungs
 from trusspath.sequence import (
     SequencePlanner,
     SequencePlanningError,
@@ -312,12 +312,11 @@ def oracle_probe(planner, element_id):
     pts = planner.sweeps.waypoints(element_id, start)
     for a in np.flatnonzero(row):
         for rot in planner._rotations:
-            frame = pose_from_direction(pts[0], planner.directions[a], float(rot))
-            families = ik_sweep(planner.robot, frame[:3, :3], pts)
-            free = collision_free_families(
-                planner.robot, families, planner._scene, clearance=planner.config.clearance
+            rungs = build_rungs(
+                planner.robot, pts, planner.directions[a], float(rot), planner._scene,
+                clearance=planner.config.clearance,
             )
-            if free is not None:
+            if rungs is not None:
                 return int(a), float(rot)
     return None
 
