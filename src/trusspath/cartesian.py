@@ -14,8 +14,8 @@ numbers on that.  The production path instead summarises each block as a
 optimal interior costs between them (computed while the rungs are in memory,
 then discarded).  A chain search over capsules with boundary joint-distance
 edges then finds the same optimum the full ladder would, at a tiny fraction
-of the memory, and an incremental sampler (`expand_and_search`) makes the
-capsule set anytime: more samples never make the answer worse.
+of the memory, and a budgeted sampler (`expand_and_search`) builds the
+capsule set: a larger budget never makes the answer worse.
 
 Every shortest path here is one kernel: `_minplus` relaxes costs over one
 rung of edges and keeps back-pointers, `_ladder` applies it rung by rung and
@@ -358,12 +358,13 @@ def expand_and_search(
     rng: np.random.Generator | None = None,
     max_capsules: int | None = None,
 ) -> SparseSearchResult:
-    """Anytime capsule exploration followed by the exact chain search.
+    """Capsule exploration followed by the exact chain search.
 
-    Candidates are visited in a seeded random interleaving across tasks until
-    the per-task budget is spent (default: everything, which makes the result
-    exact over all feasible orientation blocks).  Growing the budget can only
-    add capsules, so reported cost is monotone non-increasing in the budget.
+    Each task walks its own seeded shuffle of (direction, roll) candidates,
+    the sequence witness first, until the queue is empty or it has built its
+    budget of capsules (default: everything, which makes the result exact
+    over all feasible orientation blocks).  Growing the budget can only add
+    capsules, so reported cost is monotone non-increasing in the budget.
     """
     rng = rng or np.random.default_rng(config.seed)
     directions = sample_directions(config.direction_count)
@@ -378,24 +379,22 @@ def expand_and_search(
         q.remove(w)
         q.insert(0, w)
 
-    columns: list[list[Capsule]] = [[] for _ in tasks]
-    built = 0
+    columns: list[list[Capsule]] = []
     attempted = 0
-    budget = [max_capsules if max_capsules is not None else len(q) for q in queues]
-    active = [i for i in range(len(tasks)) if budget[i] > 0]
-    while active:
-        k = int(rng.integers(len(active)))
-        ti = active[k]
-        a, rot = queues[ti].pop(0)
-        attempted += 1
-        cap = build_capsule(robot, tasks[ti], directions[a], a, rot, config)
-        if cap is not None:
-            columns[ti].append(cap)
-            built += 1
-        if not queues[ti] or len(columns[ti]) >= budget[ti]:
-            active.pop(k)
+    for task, queue in zip(tasks, queues):
+        budget = max_capsules if max_capsules is not None else len(queue)
+        column: list[Capsule] = []
+        for a, rot in queue:
+            if len(column) >= budget:
+                break
+            attempted += 1
+            cap = build_capsule(robot, task, directions[a], a, rot, config)
+            if cap is not None:
+                column.append(cap)
+        columns.append(column)
 
     cost, picks = chain_search(columns, robot.weights, robot.home)
+    built = sum(len(column) for column in columns)
     return SparseSearchResult(cost, picks, columns, built, attempted)
 
 

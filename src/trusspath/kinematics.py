@@ -5,6 +5,9 @@ The supported robot is a six-revolute arm with a spherical wrist (joint axes
 A_i = Rotz(theta) * Transz(d) * Transx(a) * Rotx(alpha), optionally riding on
 one leading prismatic rail.  The rail translates the arm base along a fixed
 direction and is enumerated at a configurable step during inverse kinematics.
+`ik_sweep` is the one IK path: it treats a fixed arm as a rail with a single
+position, verifies every closed-form branch in one vectorised pass, and
+returns each tool position's solutions as one sorted (k, dof) array.
 
 The wrist decomposition needs a specific DH shape: alpha pattern
 (-90, 0, -90, +90, -90, 0) degrees with a4 = a5 = a6 = 0 and d2 = d3 = d5 = 0.
@@ -147,13 +150,6 @@ class RobotModel:
     ) -> np.ndarray:
         arm = [revolute if j.kind == "revolute" else prismatic for j in self.joints]
         return np.array(([prismatic] if self.track else []) + arm)
-
-    def split(self, q: np.ndarray) -> tuple[float, np.ndarray]:
-        """(track position, arm joint values); track is 0 when absent."""
-        q = np.asarray(q, dtype=float)
-        if self.track is not None:
-            return float(q[0]), q[1:]
-        return 0.0, q
 
     def within_limits(self, q: np.ndarray, tol: float = 1e-9) -> bool:
         q = np.asarray(q, dtype=float)
@@ -421,50 +417,6 @@ def _flange_targets(
     return flange[:, :3, :3].copy(), flange[:, :3, 3].copy()
 
 
-def _verify_and_filter(
-    robot: RobotModel,
-    sols: np.ndarray,
-    valid: np.ndarray,
-    rot: np.ndarray,
-    pos: np.ndarray,
-    track: np.ndarray | None,
-) -> list[list[np.ndarray]]:
-    """FK-check each branch in flange space and apply joint limits."""
-    n, branches, _ = sols.shape
-    flat = sols.reshape(n * branches, 6)
-    mask = valid.reshape(n * branches)
-
-    lows = np.array([j.lower for j in robot.joints])
-    highs = np.array([j.upper for j in robot.joints])
-    mask &= np.all((flat >= lows - 1e-9) & (flat <= highs + 1e-9), axis=1)
-
-    cur = np.eye(4)[None, :, :].repeat(n * branches, axis=0)
-    for i, joint in enumerate(robot.joints):
-        cur = cur @ _dh_matrix_batch(joint, flat[:, i])
-    pos_err = np.linalg.norm(
-        cur[:, :3, 3] - np.repeat(pos, branches, axis=0), axis=1
-    )
-    rot_err = np.linalg.norm(
-        cur[:, :3, :3] - np.repeat(rot, branches, axis=0), axis=(1, 2)
-    ) / math.sqrt(2.0)
-    mask &= (pos_err < _POSE_TOL) & (rot_err < _POSE_TOL)
-
-    out: list[list[np.ndarray]] = []
-    mask = mask.reshape(n, branches)
-    for i in range(n):
-        rows = []
-        for b in range(branches):
-            if not mask[i, b]:
-                continue
-            arm = sols[i, b]
-            full = arm if track is None else np.concatenate([[track[i]], arm])
-            rows.append(full)
-        # order-stable: lexicographic by joint values
-        rows.sort(key=lambda r: tuple(r))
-        out.append(rows)
-    return out
-
-
 def ik(
     robot: RobotModel,
     target: EEPose | np.ndarray,
@@ -472,13 +424,10 @@ def ik(
 ) -> list[np.ndarray]:
     """All analytic solutions reaching a world tool pose, sorted and verified.
 
-    With a rail, solutions are enumerated per discretized rail position (the
-    robot's configured `track.step` grid unless `track_positions` is given
-    explicitly).
-    Each returned configuration satisfies fk(q) == target within 1e-6.
+    The rows of `ik_sweep`'s family for this one pose, as a list.
     """
     frame = target.frame() if isinstance(target, EEPose) else np.asarray(target, float)
-    return ik_sweep(robot, frame[:3, :3], frame[:3, 3], track_positions)[0]
+    return list(ik_sweep(robot, frame[:3, :3], frame[:3, 3], track_positions)[0])
 
 
 def ik_sweep(
@@ -486,13 +435,18 @@ def ik_sweep(
     rotation: np.ndarray,
     origins: np.ndarray,
     track_positions: Iterable[float] | None = None,
-) -> list[list[np.ndarray]]:
+) -> list[np.ndarray]:
     """IK families for many tool positions sharing one orientation.
 
     This is the inner loop of Cartesian planning: an extrusion pass keeps the
     tool orientation fixed while the tip slides along the element, so the
-    whole sweep shares the rotation matrix.  Returns one (possibly empty)
-    solution list per origin, each verified and sorted like `ik`.
+    whole sweep shares the rotation matrix.  With a rail, every origin is
+    solved at each rail position (the robot's `track.step` grid unless
+    `track_positions` is given); a fixed arm is a rail with the one position
+    0 along a zero axis.  Every (origin, rail position, branch) candidate is
+    checked against the joint limits and, by forward kinematics, against its
+    flange target within 1e-6.  Returns one (k, dof) array per origin (k may
+    be 0), rows in lexicographic order of their joint values.
     """
     origins = np.atleast_2d(np.asarray(origins, dtype=float))
     n = origins.shape[0]
@@ -503,28 +457,40 @@ def ik_sweep(
     rot, pos = _flange_targets(robot, frames)
 
     if robot.track is None:
-        sols, valid = _ik_arm(robot, rot, pos)
-        return _verify_and_filter(robot, sols, valid, rot, pos, None)
-
-    grid = (
-        np.asarray(list(track_positions), dtype=float)
-        if track_positions is not None
-        else robot.track.positions()
-    )
-    axis = np.asarray(robot.track.direction, dtype=float)
+        grid, axis = np.zeros(1), np.zeros(3)
+    else:
+        grid = (
+            np.asarray(list(track_positions), dtype=float)
+            if track_positions is not None
+            else robot.track.positions()
+        )
+        axis = np.asarray(robot.track.direction, dtype=float)
     s = grid.shape[0]
-    pos_all = pos[:, None, :] - grid[None, :, None] * axis[None, None, :]
-    pos_all = pos_all.reshape(n * s, 3)
-    rot_all = np.repeat(rot, s, axis=0)
-    track_all = np.tile(grid, n)
-    sols, valid = _ik_arm(robot, rot_all, pos_all)
-    grouped = _verify_and_filter(robot, sols, valid, rot_all, pos_all, track_all)
-    out: list[list[np.ndarray]] = []
-    for i in range(n):
-        rows = [q for g in grouped[i * s : (i + 1) * s] for q in g]
-        rows.sort(key=lambda r: tuple(r))
-        out.append(rows)
-    return out
+    pos = (pos[:, None, :] - grid[None, :, None] * axis[None, None, :]).reshape(n * s, 3)
+    rot = np.repeat(rot, s, axis=0)
+    sols, valid = _ik_arm(robot, rot, pos)
+    branches = sols.shape[1]
+    flat = sols.reshape(n * s * branches, 6)
+
+    lows = np.array([j.lower for j in robot.joints])
+    highs = np.array([j.upper for j in robot.joints])
+    ok = valid.reshape(-1) & np.all((flat >= lows - 1e-9) & (flat <= highs + 1e-9), axis=1)
+    cur = np.eye(4)[None, :, :].repeat(flat.shape[0], axis=0)
+    for i, joint in enumerate(robot.joints):
+        cur = cur @ _dh_matrix_batch(joint, flat[:, i])
+    pos_err = np.linalg.norm(cur[:, :3, 3] - np.repeat(pos, branches, axis=0), axis=1)
+    rot_err = np.linalg.norm(
+        cur[:, :3, :3] - np.repeat(rot, branches, axis=0), axis=(1, 2)
+    ) / math.sqrt(2.0)
+    ok &= (pos_err < _POSE_TOL) & (rot_err < _POSE_TOL)
+
+    rows = flat[ok]
+    if robot.track is not None:
+        rows = np.column_stack([np.repeat(np.tile(grid, n), branches)[ok], rows])
+    owner = np.repeat(np.arange(n), s * branches)[ok]
+    # stable, so equal rows keep (rail position, branch) order
+    order = np.lexsort((*rows.T[::-1], owner))
+    return np.split(rows[order], np.cumsum(np.bincount(owner, minlength=n))[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -631,26 +597,27 @@ def build_rungs(
     """
     frame = pose_from_direction(waypoints[0], direction, rotation)
     families = ik_sweep(robot, frame[:3, :3], waypoints)
-    if not all(families):
+    if not all(len(fam) for fam in families):
         return None
-    qs = np.array([q for fam in families for q in fam])
-    free = ~config_collides_batch(robot, qs, scene, clearance=clearance)
+    free = ~config_collides_batch(
+        robot, np.concatenate(families), scene, clearance=clearance
+    )
     bounds = np.cumsum([len(fam) for fam in families])[:-1]
-    rungs = [q[f] for q, f in zip(np.split(qs, bounds), np.split(free, bounds))]
+    rungs = [fam[f] for fam, f in zip(families, np.split(free, bounds))]
     return rungs if all(r.shape[0] for r in rungs) else None
-
-
-def config_collides(
-    robot: RobotModel,
-    q: np.ndarray,
-    scene: CapsuleSet | Sequence[CapsuleShape] | None,
-    clearance: float | None = None,
-) -> bool:
-    return bool(config_collides_batch(robot, np.asarray(q)[None, :], scene, clearance)[0])
 
 
 # ---------------------------------------------------------------------------
 # loading
+
+
+def _capsule(row: dict) -> CapsuleShape:
+    """A capsule from its `{p0, p1, radius}` row."""
+    return CapsuleShape(
+        tuple(float(v) for v in row["p0"]),
+        tuple(float(v) for v in row["p1"]),
+        float(row["radius"]),
+    )
 
 
 def load_robot(source: str | Path | dict) -> RobotModel:
@@ -715,37 +682,16 @@ def load_robot(source: str | Path | dict) -> RobotModel:
             home = np.array(home_arm)
 
         link_capsules = tuple(
-            LinkCapsule(
-                frame=int(row["frame"]),
-                shape=CapsuleShape(
-                    tuple(float(v) for v in row["p0"]),
-                    tuple(float(v) for v in row["p1"]),
-                    float(row["radius"]),
-                ),
-            )
+            LinkCapsule(frame=int(row["frame"]), shape=_capsule(row))
             for row in doc.get("link_capsules", [])
         )
         clearance = float(doc.get("clearance", 2.0))
         if "ee" in doc and doc["ee"] != "default":
-            caps = tuple(
-                CapsuleShape(
-                    tuple(float(v) for v in row["p0"]),
-                    tuple(float(v) for v in row["p1"]),
-                    float(row["radius"]),
-                )
-                for row in doc["ee"]["capsules"]
-            )
+            caps = tuple(_capsule(row) for row in doc["ee"]["capsules"])
             ee = EEGeometry(caps, clearance)
         else:
             ee = default_ee_geometry(clearance)
-        static = tuple(
-            CapsuleShape(
-                tuple(float(v) for v in row["p0"]),
-                tuple(float(v) for v in row["p1"]),
-                float(row["radius"]),
-            )
-            for row in doc.get("static_capsules", [])
-        )
+        static = tuple(_capsule(row) for row in doc.get("static_capsules", []))
     except (KeyError, TypeError, ValueError, GeometryError) as exc:
         raise RobotConfigError(f"bad robot document: {exc}") from exc
 

@@ -322,24 +322,20 @@ def validate_plan(
         _check(report, "dof", False, f"plan has {doc['dof']} joints, robot has {robot.dof}")
         return report
 
-    # reconstruct numeric views once
+    # reconstruct numeric views once, in document order: (task index,
+    # subprocess, joint rows); ids are labels, not keys
     tasks = doc["tasks"]
-    joints = {
-        s["id"]: np.array(s["joints"], dtype=float)
-        for t in tasks
+    subs = [
+        (k, s, np.array(s["joints"], dtype=float))
+        for k, t in enumerate(tasks)
         for s in t["subprocesses"]
-    }
+    ]
 
     # continuity: seams and the home start
     worst_gap = 0.0
-    prev_end: np.ndarray | None = None
-    for t in tasks:
-        for s in t["subprocesses"]:
-            rows = joints[s["id"]]
-            if prev_end is not None:
-                worst_gap = max(worst_gap, float(np.abs(rows[0] - prev_end).max()))
-            prev_end = rows[-1]
-    first = joints[tasks[0]["subprocesses"][0]["id"]][0]
+    for (_, _, before), (_, _, after) in zip(subs[:-1], subs[1:]):
+        worst_gap = max(worst_gap, float(np.abs(after[0] - before[-1]).max()))
+    first = subs[0][2][0]
     home_gap = float(np.abs(first - robot.home).max())
     ok = worst_gap <= SEAM_TOLERANCE and home_gap <= SEAM_TOLERANCE
     _check(
@@ -353,16 +349,14 @@ def validate_plan(
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
     bad_limit = 0
     bad_jump = 0
-    for t in tasks:
-        for s in t["subprocesses"]:
-            rows = joints[s["id"]]
-            inside = (rows >= robot.lower - LIMIT_TOLERANCE) & (
-                rows <= robot.upper + LIMIT_TOLERANCE
-            )
-            bad_limit += int(rows.shape[0] - inside.all(axis=1).sum())
-            if s["data_kind"] == "tcp" and rows.shape[0] > 1:
-                step = np.abs(np.diff(rows, axis=0))
-                bad_jump += int((step > limits + LIMIT_TOLERANCE).any(axis=1).sum())
+    for _, s, rows in subs:
+        inside = (rows >= robot.lower - LIMIT_TOLERANCE) & (
+            rows <= robot.upper + LIMIT_TOLERANCE
+        )
+        bad_limit += int(rows.shape[0] - inside.all(axis=1).sum())
+        if s["data_kind"] == "tcp" and rows.shape[0] > 1:
+            step = np.abs(np.diff(rows, axis=0))
+            bad_jump += int((step > limits + LIMIT_TOLERANCE).any(axis=1).sum())
     _check(
         report,
         "joint validity",
@@ -380,43 +374,42 @@ def validate_plan(
     # each extrusion must span exactly its element
     worst_tcp = 0.0
     coverage_errors = []
-    for t in tasks:
-        for s in t["subprocesses"]:
-            if s["data_kind"] != "tcp":
-                continue
-            rows = joints[s["id"]]
-            frames = fk_frames_batch(robot, rows)[:, -1]
-            origins = np.array([e["origin"] for e in s["tcp"]])
-            zaxes = np.array([e["zaxis"] for e in s["tcp"]])
-            rots = np.array([e["rotation"] for e in s["tcp"]])
-            worst_tcp = max(
-                worst_tcp,
-                float(np.abs(frames[:, :3, 3] - origins).max()),
-                float(np.abs(frames[:, :3, 2] - zaxes).max()),
-                float(np.abs(frames[:, :3, :3] - rots).max()),
+    for k, s, rows in subs:
+        if s["data_kind"] != "tcp":
+            continue
+        frames = fk_frames_batch(robot, rows)[:, -1]
+        origins = np.array([e["origin"] for e in s["tcp"]])
+        zaxes = np.array([e["zaxis"] for e in s["tcp"]])
+        rots = np.array([e["rotation"] for e in s["tcp"]])
+        worst_tcp = max(
+            worst_tcp,
+            float(np.abs(frames[:, :3, 3] - origins).max()),
+            float(np.abs(frames[:, :3, 2] - zaxes).max()),
+            float(np.abs(frames[:, :3, :3] - rots).max()),
+        )
+        if s["kind"] == "extrusion":
+            t = tasks[k]
+            elem = model.element(t["element_id"])
+            a = model.node(elem.start).position
+            b = model.node(elem.end).position
+            length = float(np.linalg.norm(np.asarray(b) - np.asarray(a)))
+            expect_rows = int(np.ceil(length / config.path_spacing)) + 1
+            ends = origins[[0, -1]]
+            fwd = max(
+                float(np.abs(ends[0] - a).max()), float(np.abs(ends[1] - b).max())
             )
-            if s["kind"] == "extrusion":
-                elem = model.element(t["element_id"])
-                a = model.node(elem.start).position
-                b = model.node(elem.end).position
-                length = float(np.linalg.norm(np.asarray(b) - np.asarray(a)))
-                expect_rows = int(np.ceil(length / config.path_spacing)) + 1
-                ends = origins[[0, -1]]
-                fwd = max(
-                    float(np.abs(ends[0] - a).max()), float(np.abs(ends[1] - b).max())
+            rev = max(
+                float(np.abs(ends[0] - b).max()), float(np.abs(ends[1] - a).max())
+            )
+            if min(fwd, rev) > TCP_TOLERANCE:
+                coverage_errors.append(
+                    f"task {t['task_id']} does not span element {elem.id}"
                 )
-                rev = max(
-                    float(np.abs(ends[0] - b).max()), float(np.abs(ends[1] - a).max())
+            if origins.shape[0] != expect_rows:
+                coverage_errors.append(
+                    f"task {t['task_id']} has {origins.shape[0]} waypoints, "
+                    f"expected {expect_rows}"
                 )
-                if min(fwd, rev) > TCP_TOLERANCE:
-                    coverage_errors.append(
-                        f"task {t['task_id']} does not span element {elem.id}"
-                    )
-                if origins.shape[0] != expect_rows:
-                    coverage_errors.append(
-                        f"task {t['task_id']} has {origins.shape[0]} waypoints, "
-                        f"expected {expect_rows}"
-                    )
     _check(
         report,
         "tool consistency",
@@ -430,49 +423,46 @@ def validate_plan(
     collision_errors = []
     ratio = config.prismatic_jump_limit / config.jump_limit
     fine_step = 0.5 * config.transition.step * robot.jump_limits(1.0, ratio)
-    scene_caps: list[CapsuleShape] = []  # placed elements; statics are implicit
-    for t in tasks:
-        elem = model.element(t["element_id"])
-        seg = model.element_segment(elem.id)
-        own = CapsuleShape(tuple(seg[0]), tuple(seg[1]), radius)
-        scene = CapsuleSet(tuple(scene_caps))
-        scene_after = CapsuleSet(tuple(scene_caps) + (own,))
-        for s in t["subprocesses"]:
-            rows = joints[s["id"]]
-            if s["kind"] == "transition":
-                probe = [rows[0]]
-                for a, b in zip(rows[:-1], rows[1:]):
-                    n = max(2, int(np.ceil((np.abs(b - a) / fine_step).max())) + 1)
-                    probe.extend(np.linspace(a, b, n)[1:])
-                hits = config_collides_batch(
-                    robot, np.array(probe), scene, clearance=config.clearance
-                )
-            else:
-                # the robot's capsules include the extruder's on the tool
-                # frame, so this also tests the extruder against every placed
-                # element at the pose the joints actually reach
-                check_scene = scene_after if s["kind"] == "retraction-depart" else scene
-                hits = config_collides_batch(
-                    robot, rows, check_scene, clearance=config.clearance
-                )
-            if hits.any():
+    # scenes[k] holds the elements placed before task k; statics are implicit
+    placed_caps = [
+        CapsuleShape(*map(tuple, model.element_segment(t["element_id"])), radius)
+        for t in tasks
+    ]
+    scenes = [CapsuleSet(placed_caps[:k]) for k in range(len(tasks) + 1)]
+    for k, s, rows in subs:
+        if s["kind"] == "transition":
+            probe = [rows[0]]
+            for a, b in zip(rows[:-1], rows[1:]):
+                n = max(2, int(np.ceil((np.abs(b - a) / fine_step).max())) + 1)
+                probe.extend(np.linspace(a, b, n)[1:])
+            hits = config_collides_batch(
+                robot, np.array(probe), scenes[k], clearance=config.clearance
+            )
+        else:
+            # the robot's capsules include the extruder's on the tool frame,
+            # so this also tests the extruder against every placed element at
+            # the pose the joints actually reach
+            check_scene = scenes[k + 1] if s["kind"] == "retraction-depart" else scenes[k]
+            hits = config_collides_batch(
+                robot, rows, check_scene, clearance=config.clearance
+            )
+        if hits.any():
+            collision_errors.append(
+                f"subprocess {s['id']} ({s['kind']}): "
+                f"{int(hits.sum())} colliding configs"
+            )
+        if s["kind"] == "extrusion":
+            # the bead grows from the first waypoint; the tool keeps the
+            # pass's own rotation, roll included
+            origins = np.array([e["origin"] for e in s["tcp"]])
+            rotation = np.array(s["tcp"][0]["rotation"])
+            if ee_sweep_collision_batch(
+                origins[1:], rotation[None], origins[0], origins[1:],
+                radius, robot.ee, config.clearance,
+            )[0]:
                 collision_errors.append(
-                    f"subprocess {s['id']} ({s['kind']}): "
-                    f"{int(hits.sum())} colliding configs"
+                    f"subprocess {s['id']}: extruder body crosses its own bead"
                 )
-            if s["kind"] == "extrusion":
-                # the bead grows from the first waypoint; the tool keeps the
-                # pass's own rotation, roll included
-                origins = np.array([e["origin"] for e in s["tcp"]])
-                rotation = np.array(s["tcp"][0]["rotation"])
-                if ee_sweep_collision_batch(
-                    origins[1:], rotation[None], origins[0], origins[1:],
-                    radius, robot.ee, config.clearance,
-                )[0]:
-                    collision_errors.append(
-                        f"subprocess {s['id']}: extruder body crosses its own bead"
-                    )
-        scene_caps.append(own)
     _check(
         report,
         "clearance",

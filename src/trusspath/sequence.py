@@ -392,12 +392,14 @@ class SequencePlanner:
 
     # -- value ordering ---------------------------------------------------------
 
-    def _order_values(self, candidates: list[int], peers: list[int]) -> list[int]:
+    def _order_values(self, peers: list[int]) -> list[int]:
+        """`peers` in trial order: first the one whose placement leaves the
+        other peers the most directions."""
         if not self.config.collision_cost_ordering:
-            return sorted(candidates)
+            return sorted(peers)
         t0 = time.monotonic()
         scored = []
-        for eid in candidates:
+        for eid in peers:
             self.stats.collision_cost_checks += 1
             others = [p for p in peers if p != eid]
             survive = 0
@@ -442,7 +444,7 @@ class SequencePlanner:
         for gi, group in enumerate(groups):
             for pid in self._placed:  # committed layers are never undone
                 self._prune_against(group, pid)
-            if not self._solve_group(group):
+            if not self._extend(set(group)):
                 self.stats.total_time = time.monotonic() - t_start
                 raise SequencePlanningError(
                     f"no printable ordering for element group {gi} "
@@ -452,11 +454,7 @@ class SequencePlanner:
         self.stats.total_time = time.monotonic() - t_start
         return SequenceResult(list(self._tasks), self.stats, self.directions, self.sweeps)
 
-    def _solve_group(self, group: list[int]) -> bool:
-        remaining = set(group)
-        return self._extend(group, remaining)
-
-    def _extend(self, group: list[int], remaining: set[int]) -> bool:
+    def _extend(self, remaining: set[int]) -> bool:
         if not remaining:
             return True
         if time.monotonic() > self._deadline:
@@ -466,7 +464,7 @@ class SequencePlanner:
                 stats=self.stats,
             )
         peers = sorted(remaining)
-        for eid in self._order_values(peers, peers):
+        for eid in self._order_values(peers):
             if not self._connect_ok(eid):
                 continue
             if not self._structural_ok(eid):
@@ -477,7 +475,7 @@ class SequencePlanner:
             record = self._place(eid, witness, remaining)
             if record is None:  # a peer lost its last direction
                 continue
-            if self._extend(group, remaining):
+            if self._extend(remaining):
                 return True
             self._unplace(eid, record, remaining)
             self.stats.backtracks += 1

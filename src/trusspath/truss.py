@@ -9,7 +9,6 @@ sequence planner as a decomposition.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -323,35 +322,3 @@ def discretize_element(
     frac = np.linspace(0.0, 1.0, count)
     pts = p0[None, :] + frac[:, None] * (p1 - p0)[None, :]
     return PathPoints(element_id, s, t, pts)
-
-
-def validate_decomposition(model: TrussModel) -> list[list[int]]:
-    """Group element ids by layer and sanity-check the layer ordering.
-
-    Returns layers in ascending order.  A layer whose elements cannot all
-    anchor to ground or to some earlier layer is suspicious (the search would
-    have to fail), so it draws a warning, not an error.
-    """
-    groups: dict[int, list[int]] = {}
-    for e in model.elements:
-        groups.setdefault(e.layer, []).append(e.id)
-    layers = [sorted(groups[k]) for k in sorted(groups)]
-
-    grounded = {n.id for n in model.nodes if n.grounded}
-    nodes_so_far: set[int] = set(grounded)
-    for idx, layer in enumerate(layers):
-        touched: set[int] = set()
-        anchored = False
-        for eid in layer:
-            e = model.element(eid)
-            touched.update((e.start, e.end))
-            if e.start in nodes_so_far or e.end in nodes_so_far:
-                anchored = True
-        if not anchored:
-            warnings.warn(
-                f"decomposition layer {idx} shares no node with ground or "
-                "earlier layers; sequencing will fail",
-                stacklevel=2,
-            )
-        nodes_so_far.update(touched)
-    return layers

@@ -625,7 +625,7 @@ def oracle_build_rungs(robot, waypoints, direction, rotation, scene, clearance):
     families = ik_sweep(robot, frame[:3, :3], waypoints)
     rungs = []
     for r, fam in enumerate(families):
-        if not fam:
+        if not len(fam):
             return None, ("empty", r)
         qs = np.array(fam)
         free = ~config_collides_batch(robot, qs, scene, clearance=clearance)
@@ -651,7 +651,7 @@ def oracle_plan_retraction(
         path = [anchor]
         ok = True
         for fam in ik_sweep(robot, rot, pts):
-            if not fam:
+            if not len(fam):
                 ok = False
                 break
             qs = np.array(fam)

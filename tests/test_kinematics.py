@@ -13,7 +13,10 @@ from trusspath.kinematics import (
     EEPose,
     RobotConfigError,
     TrackSpec,
-    config_collides,
+    _POSE_TOL,
+    _dh_matrix_batch,
+    _flange_targets,
+    _ik_arm,
     config_collides_batch,
     fk,
     fk_frames,
@@ -106,6 +109,90 @@ def test_ik_sweep_matches_pointwise_ik():
             assert np.allclose(a, b, atol=1e-9)
 
 
+def oracle_ik_sweep(robot, rotation, origins, track_positions=None):
+    """`ik_sweep` as a fixed-arm branch and a rail branch: a Python loop sorts
+    each (origin, rail position)'s verified rows, and the rail branch sorts
+    each origin's concatenated rows a second time."""
+    origins = np.atleast_2d(np.asarray(origins, dtype=float))
+    n = origins.shape[0]
+    frames = np.zeros((n, 4, 4))
+    frames[:, 3, 3] = 1.0
+    frames[:, :3, :3] = rotation
+    frames[:, :3, 3] = origins
+    rot, pos = _flange_targets(robot, frames)
+
+    def verify_and_filter(rot, pos, track):
+        sols, valid = _ik_arm(robot, rot, pos)
+        n, branches, _ = sols.shape
+        flat = sols.reshape(n * branches, 6)
+        mask = valid.reshape(n * branches)
+        lows = np.array([j.lower for j in robot.joints])
+        highs = np.array([j.upper for j in robot.joints])
+        mask &= np.all((flat >= lows - 1e-9) & (flat <= highs + 1e-9), axis=1)
+        cur = np.eye(4)[None, :, :].repeat(n * branches, axis=0)
+        for i, joint in enumerate(robot.joints):
+            cur = cur @ _dh_matrix_batch(joint, flat[:, i])
+        pos_err = np.linalg.norm(cur[:, :3, 3] - np.repeat(pos, branches, axis=0), axis=1)
+        rot_err = np.linalg.norm(
+            cur[:, :3, :3] - np.repeat(rot, branches, axis=0), axis=(1, 2)
+        ) / math.sqrt(2.0)
+        mask &= (pos_err < _POSE_TOL) & (rot_err < _POSE_TOL)
+        mask = mask.reshape(n, branches)
+        out = []
+        for i in range(n):
+            rows = []
+            for b in range(branches):
+                if mask[i, b]:
+                    arm = sols[i, b]
+                    rows.append(arm if track is None else np.concatenate([[track[i]], arm]))
+            rows.sort(key=lambda r: tuple(r))
+            out.append(rows)
+        return out
+
+    if robot.track is None:
+        return verify_and_filter(rot, pos, None)
+    grid = (
+        np.asarray(list(track_positions), dtype=float)
+        if track_positions is not None
+        else robot.track.positions()
+    )
+    axis = np.asarray(robot.track.direction, dtype=float)
+    s = grid.shape[0]
+    pos_all = (pos[:, None, :] - grid[None, :, None] * axis[None, None, :]).reshape(n * s, 3)
+    grouped = verify_and_filter(np.repeat(rot, s, axis=0), pos_all, np.tile(grid, n))
+    out = []
+    for i in range(n):
+        rows = [q for g in grouped[i * s : (i + 1) * s] for q in g]
+        rows.sort(key=lambda r: tuple(r))
+        out.append(rows)
+    return out
+
+
+def test_ik_sweep_matches_two_branch_oracle_bit_for_bit():
+    rng = np.random.default_rng(47)
+    total = 0
+    for robot, track_positions in (
+        (load_bundled_robot("arm"), None),
+        (load_robot(tracked_doc()), None),
+        (load_robot(tracked_doc()), [120.0, -250.0, 120.0, 500.0]),  # unsorted, repeated
+    ):
+        for _ in range(4):
+            q = rng.uniform(robot.lower, robot.upper)
+            frame = fk(robot, q).frame()
+            origins = frame[:3, 3] + rng.uniform(-40.0, 40.0, size=(12, 3))
+            origins[5] = (1e5, 0.0, 0.0)  # unreachable: an empty family
+            for pts in (origins, origins[0]):  # a sweep and a single origin
+                got = ik_sweep(robot, frame[:3, :3], pts, track_positions)
+                want = oracle_ik_sweep(robot, frame[:3, :3], pts, track_positions)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    w = np.array(w, dtype=float).reshape(-1, robot.dof)
+                    assert g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
+                    total += len(g)
+    assert total > 1000
+
+
 def fd_jacobian(robot, q, eps=1e-6):
     """Central-difference geometric Jacobian: rows (v; omega)."""
     cols = []
@@ -141,9 +228,6 @@ def test_limits_and_jump_limits():
     steps = robot.jump_limits(0.15, 15.0)
     assert steps.shape == (robot.dof,)
     assert np.all(steps == 0.15)  # all revolute on the bundled arm
-    track, arm = robot.split(robot.home)
-    assert track == 0.0
-    assert np.array_equal(arm, robot.home)
 
 
 def test_make_and_invert_transform():
@@ -205,14 +289,19 @@ def test_track_spec_validation():
         TrackSpec((0.0, 1.0, 0.0), lower=-5.0, upper=5.0, step=0.0)
 
 
+def collides(robot, q, scene, clearance=None):
+    """One configuration through the batch query."""
+    return config_collides_batch(robot, np.asarray(q)[None], scene, clearance)[0]
+
+
 def test_config_collides_with_scene():
     robot = load_bundled_robot("arm")
-    assert not config_collides(robot, robot.home, [])
+    assert not collides(robot, robot.home, [])
     tip = fk(robot, robot.home).position
     blocker = CapsuleShape(tuple(tip - 5.0), tuple(tip + 5.0), 30.0)
-    assert config_collides(robot, robot.home, [blocker])
+    assert collides(robot, robot.home, [blocker])
     far = CapsuleShape((5000.0, 5000.0, 0.0), (5000.0, 5000.0, 100.0), 50.0)
-    assert not config_collides(robot, robot.home, [far])
+    assert not collides(robot, robot.home, [far])
 
 
 def test_config_collides_batch_matches_single():
@@ -223,7 +312,7 @@ def test_config_collides_batch_matches_single():
     batch = config_collides_batch(robot, qs, scene)
     assert batch.shape == (12,)
     for row, q in zip(batch, qs):
-        assert row == config_collides(robot, q, scene)
+        assert row == collides(robot, q, scene)
     assert batch.any() or not batch.all()  # vector is well formed
 
 
@@ -261,8 +350,8 @@ def test_clearance_widens_collisions():
     probe = CapsuleShape(
         (tip[0] + 100.0, tip[1], tip[2]), (tip[0] + 120.0, tip[1], tip[2]), 10.0
     )
-    assert not config_collides(robot, robot.home, [probe], clearance=1.0)
-    assert config_collides(robot, robot.home, [probe], clearance=95.0)
+    assert not collides(robot, robot.home, [probe], clearance=1.0)
+    assert collides(robot, robot.home, [probe], clearance=95.0)
 
 
 def test_load_robot_errors(tmp_path):

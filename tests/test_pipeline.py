@@ -216,6 +216,25 @@ def test_validator_catches_tampered_joints(model, robot, planned):
     assert not report.passed
 
 
+def test_validator_checks_each_subprocess_by_position_not_id(model, robot, planned):
+    # an out-of-limits row in a transition that carries its approach's id:
+    # keyed by id, the approach's rows would be checked twice and the
+    # transition's never
+    _, _, doc = planned
+    bad = copy.deepcopy(doc)
+    transition, approach = bad["tasks"][1]["subprocesses"][:2]
+    assert (transition["kind"], approach["kind"]) == ("transition", "retraction-approach")
+    transition["joints"].insert(1, [50.0] * robot.dof)
+    transition["id"] = approach["id"]
+    report = validate_plan(bad, model, robot, CFG)
+    checks = check_map(report)
+    assert checks["format"].passed
+    assert checks["continuity"].passed, checks["continuity"].detail
+    assert not checks["joint validity"].passed
+    assert checks["joint validity"].detail.startswith("1 rows out of limits")
+    assert not report.passed
+
+
 def test_validator_catches_reordered_tasks(model, robot, planned):
     _, _, doc = planned
     bad = copy.deepcopy(doc)

@@ -12,7 +12,6 @@ from trusspath.truss import (
     discretize_element,
     load_model,
     serialize_model,
-    validate_decomposition,
 )
 
 
@@ -154,37 +153,6 @@ def test_discretize_start_node_flips_direction():
         discretize_element(model, 2, 10.0, start_node=0)
     with pytest.raises(ModelError, match="spacing"):
         discretize_element(model, 2, 0.0)
-
-
-def test_validate_decomposition_layers():
-    model = load_model(toy_doc())
-    layers = validate_decomposition(model)
-    assert layers == [[0, 1], [2, 3]]
-
-
-def test_validate_decomposition_warns_when_unanchored():
-    # layer 1 floats: its only connection to ground runs through layer 2,
-    # which the layer-order scan has not seen yet
-    doc = {
-        "name": "floating-layer",
-        "nodes": [
-            {"id": 0, "xyz": [0.0, 0.0, 0.0], "grounded": True},
-            {"id": 1, "xyz": [100.0, 0.0, 0.0]},
-            {"id": 2, "xyz": [200.0, 0.0, 0.0]},
-            {"id": 3, "xyz": [300.0, 0.0, 0.0]},
-        ],
-        "elements": [
-            {"id": 0, "start": 0, "end": 1, "layer": 0},
-            {"id": 1, "start": 2, "end": 3, "layer": 1},
-            {"id": 2, "start": 1, "end": 2, "layer": 2},
-        ],
-        "material": DEFAULT_MATERIAL,
-        "section": DEFAULT_SECTION,
-    }
-    model = load_model(doc)
-    with pytest.warns(UserWarning, match="shares no node"):
-        layers = validate_decomposition(model)
-    assert layers == [[0], [1], [2]]
 
 
 def test_bundled_cube_loads():
