@@ -22,7 +22,7 @@ from .fixtures import load_bundled_model, load_bundled_robot
 from .kinematics import RobotConfigError, fk_frames, load_robot
 from .pipeline import PipelineError, run_pipeline, validate_plan
 from .postprocess import PlanFormatError, load_plan, plan_to_dict, save_plan
-from .sequence import SequencePlanningError, plan_sequence
+from .sequence import SequenceFormatError, SequencePlanningError, plan_sequence
 from .transition import TransitionPlanningError
 from .truss import ModelError, load_model
 
@@ -37,6 +37,7 @@ __all__ = [
     "PlannerConfig",
     "PlannerConfigError",
     "RobotConfigError",
+    "SequenceFormatError",
     "SequencePlanningError",
     "TransitionPlanningError",
     "TransitionSettings",

@@ -10,24 +10,28 @@ inspected on its own:
   stats            sequence search accounting, one table row per run
   export-geometry  model waypoints and robot collision shapes as JSON
 
-Exit codes: 0 success, 2 planning failed, 3 validation failed, 4 bad
-inputs or configuration.
+`main` resolves the model, robot and configuration once and hands them to
+the subcommand.  Input documents are read, and output documents written,
+through `config.read_document` and `config.write_document`.
+
+Exit codes: 0 success, 2 planning failed, 3 validation failed (including a
+malformed plan file), 4 bad inputs or configuration (a missing or malformed
+model, robot, config or sequence file).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from .cartesian import CartesianPlanningError, MemoryBudgetError
-from .config import PlannerConfig, PlannerConfigError, load_config
+from .cartesian import CartesianPlanningError
+from .config import PlannerConfig, PlannerConfigError, load_config, read_document, write_document
 from .fixtures import MODEL_FILES, ROBOT_FILES, resolve_model, resolve_robot
 from .kinematics import RobotConfigError
 from .pipeline import PipelineError, run_pipeline, validate_plan
 from .postprocess import PlanFormatError, load_plan, save_plan
 from .sequence import (
+    SequenceFormatError,
     SequencePlanningError,
     plan_sequence,
     render_stats_table,
@@ -44,8 +48,7 @@ EXIT_CONFIG = 4
 
 _PLANNING_ERRORS = (
     SequencePlanningError,
-    CartesianPlanningError,
-    MemoryBudgetError,
+    CartesianPlanningError,  # and its subclass MemoryBudgetError
     TransitionPlanningError,
     PipelineError,
 )
@@ -53,6 +56,7 @@ _INPUT_ERRORS = (
     PlannerConfigError,
     ModelError,
     RobotConfigError,
+    SequenceFormatError,
     KeyError,
     FileNotFoundError,
 )
@@ -138,10 +142,7 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    model = resolve_model(args.model)
-    robot = resolve_robot(args.robot)
-    config = _build_config(args)
+def _cmd_plan(args, model, robot, config) -> int:
     plan, report = run_pipeline(model, robot, config)
     save_plan(plan, args.out)
     print(report.table())
@@ -149,57 +150,33 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sequence(args: argparse.Namespace) -> int:
-    model = resolve_model(args.model)
-    robot = resolve_robot(args.robot)
-    config = _build_config(args)
+def _cmd_sequence(args, model, robot, config) -> int:
     result = plan_sequence(model, robot, config)
-    Path(args.out).write_text(
-        json.dumps(sequence_to_dict(result), sort_keys=True, indent=2) + "\n"
-    )
+    write_document(sequence_to_dict(result), args.out)
     label = "layered" if config.use_decomposition else "flat"
     print(render_stats_table([(label, result.stats)]))
     print(f"sequence written to {args.out}")
     return EXIT_OK
 
 
-def _cmd_motion(args: argparse.Namespace) -> int:
-    model = resolve_model(args.model)
-    robot = resolve_robot(args.robot)
-    config = _build_config(args)
-    try:
-        doc = json.loads(Path(args.from_sequence).read_text())
-    except json.JSONDecodeError as exc:
-        print(f"error: sequence file is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    sequence = sequence_from_dict(doc)
-    plan, report = run_pipeline(model, robot, config, sequence=sequence)
+def _cmd_motion(args, model, robot, config) -> int:
+    doc = read_document(args.from_sequence, SequenceFormatError, "sequence")
+    plan, report = run_pipeline(model, robot, config, sequence=sequence_from_dict(doc))
     save_plan(plan, args.out)
     print(report.table())
     print(f"plan written to {args.out}")
     return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    model = resolve_model(args.model)
-    robot = resolve_robot(args.robot)
-    config = _build_config(args)
-    try:
-        plan = load_plan(args.plan)
-    except PlanFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    report = validate_plan(plan, model, robot, config)
+def _cmd_validate(args, model, robot, config) -> int:
+    report = validate_plan(load_plan(args.plan), model, robot, config)
     print(report.table())
     if not report.passed:
         return EXIT_VALIDATION
     return EXIT_OK
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    model = resolve_model(args.model)
-    robot = resolve_robot(args.robot)
-    config = _build_config(args)
+def _cmd_stats(args, model, robot, config) -> int:
     label = "layered" if config.use_decomposition else "flat"
     if config.collision_cost_ordering:
         label += "+coll-cost"
@@ -214,10 +191,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_export_geometry(args: argparse.Namespace) -> int:
-    model = resolve_model(args.model)
-    robot = resolve_robot(args.robot)
-    config = _build_config(args)
+def _cmd_export_geometry(args, model, robot, config) -> int:
     waypoints = {}
     for e in model.elements:
         pts = discretize_element(model, e.id, config.path_spacing).points
@@ -247,11 +221,13 @@ def _cmd_export_geometry(args: argparse.Namespace) -> int:
             ],
         },
     }
-    Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_document(doc, args.out)
     print(f"geometry written to {args.out}")
     return EXIT_OK
 
 
+# each subcommand gets the parsed arguments plus the model, robot and
+# configuration that `main` resolved from them
 _COMMANDS = {
     "plan": _cmd_plan,
     "sequence": _cmd_sequence,
@@ -263,10 +239,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        model = resolve_model(args.model)
+        robot = resolve_robot(args.robot)
+        return _COMMANDS[args.command](args, model, robot, _build_config(args))
     except _PLANNING_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLANNING

@@ -1,8 +1,13 @@
-"""Planner configuration with JSON overrides.
+"""Planner configuration with JSON overrides, and the JSON document boundary.
 
 All tunables live in one flat dataclass (plus a nested block for transition
 planning) so that a run is reproducible from the config dict alone.  Values
 are validated eagerly; a bad config should fail before any planning starts.
+
+Every input document (config, truss model, robot, plan, sequence) is read by
+`read_document`, and every output document (plan, sequence, exported
+geometry) is written by `write_document`.  They live here because this
+module imports nothing else from the package, so every loader can use them.
 """
 
 from __future__ import annotations
@@ -101,25 +106,37 @@ class PlannerConfig:
         return cfg
 
 
+def read_document(source: Any, error: type[Exception], kind: str) -> dict:
+    """The JSON object at path `source`, or `source` itself if already parsed.
+
+    A missing file, invalid JSON or a document that is not an object raises
+    `error`, with a message naming the `kind` of document.
+    """
+    if isinstance(source, (str, Path)):
+        path = Path(source)
+        try:
+            source = json.loads(path.read_text())
+        except FileNotFoundError as exc:
+            raise error(f"{kind} file not found: {path}") from exc
+        except json.JSONDecodeError as exc:
+            raise error(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(source, dict):
+        raise error(f"{kind} document must be a JSON object")
+    return source
+
+
+def write_document(doc: dict, path: str | Path) -> None:
+    """Write `doc` as key-sorted, two-space-indented JSON ending in a newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def load_config(source: str | Path | dict | None = None) -> PlannerConfig:
     """Defaults overridden by a JSON file or dict; unknown keys are errors."""
     if source is None:
         cfg = PlannerConfig()
         cfg.validate()
         return cfg
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            doc = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise PlannerConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise PlannerConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise PlannerConfigError("config document must be a JSON object")
-
+    doc = read_document(source, PlannerConfigError, "config")
     known = {f.name for f in dataclasses.fields(PlannerConfig)}
     unknown = set(doc) - known
     if unknown:

@@ -15,13 +15,13 @@ distinct but reproducible structures.
 from __future__ import annotations
 
 import importlib.resources
-import json
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_document
 from .kinematics import RobotModel, load_robot
-from .truss import TrussModel, load_model
+from .truss import ModelError, TrussModel, load_model
 
 MODEL_FILES = {"cube": "cube_23.json"}
 ROBOT_FILES = {"arm": "kr6_like.json"}
@@ -57,8 +57,8 @@ def fixture_path(filename: str) -> Path:
 def load_bundled_model(name: str = "cube") -> TrussModel:
     if name not in MODEL_FILES:
         raise KeyError(f"unknown bundled model {name!r}; have {sorted(MODEL_FILES)}")
-    doc = json.loads(fixture_path(MODEL_FILES[name]).read_text())
-    return load_model(doc)
+    # built from the parsed document, so the model keeps its own name
+    return load_model(read_document(fixture_path(MODEL_FILES[name]), ModelError, "model"))
 
 
 def load_bundled_robot(name: str = "arm") -> RobotModel:

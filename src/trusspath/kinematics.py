@@ -21,7 +21,6 @@ config uses degrees for human editing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,6 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import read_document
 from .geometry import (
     CapsuleShape,
     EEGeometry,
@@ -41,8 +41,6 @@ from .geometry import (
 )
 
 _EXPECTED_ALPHA = np.deg2rad([-90.0, 0.0, -90.0, 90.0, -90.0, 0.0])
-_DEFAULT_JUMP_LIMIT = 0.15  # rad per Cartesian step, per revolute joint
-_DEFAULT_PRISMATIC_JUMP = 15.0  # mm per Cartesian step on the rail
 _POSE_TOL = 1e-6
 
 
@@ -143,11 +141,7 @@ class RobotModel:
         arm = [j.weight for j in self.joints]
         return np.array(([self.track.weight] if self.track else []) + arm)
 
-    def jump_limits(
-        self,
-        revolute: float = _DEFAULT_JUMP_LIMIT,
-        prismatic: float = _DEFAULT_PRISMATIC_JUMP,
-    ) -> np.ndarray:
+    def jump_limits(self, revolute: float, prismatic: float) -> np.ndarray:
         arm = [revolute if j.kind == "revolute" else prismatic for j in self.joints]
         return np.array(([prismatic] if self.track else []) + arm)
 
@@ -442,11 +436,12 @@ def ik_sweep(
     tool orientation fixed while the tip slides along the element, so the
     whole sweep shares the rotation matrix.  With a rail, every origin is
     solved at each rail position (the robot's `track.step` grid unless
-    `track_positions` is given); a fixed arm is a rail with the one position
-    0 along a zero axis.  Every (origin, rail position, branch) candidate is
-    checked against the joint limits and, by forward kinematics, against its
-    flange target within 1e-6.  Returns one (k, dof) array per origin (k may
-    be 0), rows in lexicographic order of their joint values.
+    `track_positions` is given; positions off the rail are dropped); a fixed
+    arm is a rail with the one position 0 along a zero axis.  Every (origin,
+    rail position, branch) candidate is checked against the joint limits
+    and, by forward kinematics, against its flange target within 1e-6.
+    Returns one (k, dof) array per origin (k may be 0), rows in
+    lexicographic order of their joint values.
     """
     origins = np.atleast_2d(np.asarray(origins, dtype=float))
     n = origins.shape[0]
@@ -464,6 +459,7 @@ def ik_sweep(
             if track_positions is not None
             else robot.track.positions()
         )
+        grid = grid[(grid >= robot.track.lower - 1e-9) & (grid <= robot.track.upper + 1e-9)]
         axis = np.asarray(robot.track.direction, dtype=float)
     s = grid.shape[0]
     pos = (pos[:, None, :] - grid[None, :, None] * axis[None, None, :]).reshape(n * s, 3)
@@ -622,18 +618,7 @@ def _capsule(row: dict) -> CapsuleShape:
 
 def load_robot(source: str | Path | dict) -> RobotModel:
     """Build a RobotModel from a JSON path or parsed document."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            doc = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise RobotConfigError(f"robot file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise RobotConfigError(f"robot file {path} is not valid JSON: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise RobotConfigError("robot document must be a JSON object")
+    doc = read_document(source, RobotConfigError, "robot")
     try:
         name = str(doc.get("name", "robot"))
         dh_rows = doc["dh"]

@@ -9,8 +9,9 @@ document plus a stage report.
 `validate_plan` is the independent half: it takes a plan document plus the
 model, robot, and configuration, and re-derives every claim the plan makes
 (format, fingerprints, continuity, joint validity, tool consistency,
-clearance, structural admissibility) without consulting any planner state.
-Planner bugs show up here as failed checks, not as exceptions.
+clearance, structural admissibility, each pass starting at a built node)
+without consulting any planner state.  Planner bugs show up here as failed
+checks, not as exceptions.
 """
 
 from __future__ import annotations
@@ -478,10 +479,15 @@ def validate_plan(
     structure_errors = []
     for t in tasks:
         elem = model.element(t["element_id"])
-        if elem.start not in built_nodes and elem.end not in built_nodes:
+        # the route rule: a pass starts at a node that already exists
+        first = next(s["tcp"][0]["origin"] for s in t["subprocesses"] if s["kind"] == "extrusion")
+        built_ends = [model.node(n).position for n in (elem.start, elem.end) if n in built_nodes]
+        if not built_ends:
             structure_errors.append(
                 f"task {t['task_id']}: element {elem.id} touches no built node"
             )
+        elif min(np.abs(np.subtract(first, p)).max() for p in built_ends) > TCP_TOLERANCE:
+            structure_errors.append(f"task {t['task_id']}: extrusion starts at an unbuilt node")
         placed.append(elem.id)
         built_nodes.update((elem.start, elem.end))
         partial = PartialStructure(model, tuple(placed))

@@ -33,6 +33,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from .config import read_document, write_document
 from .kinematics import RobotModel, fk_frames_batch
 
 PLAN_VERSION = "1"
@@ -273,17 +274,11 @@ def plan_from_dict(doc: dict) -> TaggedPlan:
 def save_plan(plan: TaggedPlan, path: str | Path) -> None:
     doc = plan_to_dict(plan)
     validate_plan_document(doc)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_document(doc, path)
 
 
 def load_plan(path: str | Path) -> TaggedPlan:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise PlanFormatError(f"plan file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise PlanFormatError(f"plan file {path} is not valid JSON: {exc}") from exc
-    return plan_from_dict(doc)
+    return plan_from_dict(read_document(path, PlanFormatError, "plan"))
 
 
 def seam_gaps(plan: TaggedPlan) -> list[tuple[int, int, float]]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .geometry import (
     CapsuleShape,
     DirectionSet,
     EEGeometry,
+    GeometryError,
     ee_sweep_collision_batch,
     pose_from_direction,
     sample_directions,
@@ -57,6 +59,10 @@ class SequencePlanningError(Exception):
     def __init__(self, message: str, stats: "SearchStats | None" = None):
         super().__init__(message)
         self.stats = stats
+
+
+class SequenceFormatError(Exception):
+    """A sequence document that is not shaped like `sequence_to_dict`'s output."""
 
 
 @dataclass(frozen=True)
@@ -153,29 +159,35 @@ def sequence_to_dict(result: SequenceResult) -> dict:
 def sequence_from_dict(doc: dict) -> SequenceResult:
     """Rebuild a sequence result; direction indices are re-resolved against
     the deterministic direction lattice and must agree with the stored
-    vectors."""
-    directions = sample_directions(int(doc["direction_count"]))
-    tasks = []
-    for t in doc["tasks"]:
-        vec = directions[int(t["direction_index"])]
-        stored = np.array(t["direction"], dtype=float)
-        if np.abs(vec - stored).max() > 1e-9:
-            raise SequencePlanningError(
-                f"task {t['position']}: stored direction does not match "
-                f"index {t['direction_index']} of a "
-                f"{doc['direction_count']}-direction lattice"
+    vectors.  A document not shaped like `sequence_to_dict`'s output raises
+    `SequenceFormatError`."""
+    try:
+        directions = sample_directions(int(doc["direction_count"]))
+        tasks = []
+        for t in doc["tasks"]:
+            vec = directions[int(t["direction_index"])]
+            stored = np.array(t["direction"], dtype=float)
+            if np.abs(vec - stored).max() > 1e-9:
+                raise SequencePlanningError(
+                    f"task {t['position']}: stored direction does not match "
+                    f"index {t['direction_index']} of a "
+                    f"{doc['direction_count']}-direction lattice"
+                )
+            tasks.append(
+                SequenceTask(
+                    position=int(t["position"]),
+                    element=int(t["element"]),
+                    direction_index=int(t["direction_index"]),
+                    direction=tuple(float(v) for v in t["direction"]),
+                    rotation=float(t["rotation"]),
+                    start_node=int(t["start_node"]),
+                )
             )
-        tasks.append(
-            SequenceTask(
-                position=int(t["position"]),
-                element=int(t["element"]),
-                direction_index=int(t["direction_index"]),
-                direction=tuple(float(v) for v in t["direction"]),
-                rotation=float(t["rotation"]),
-                start_node=int(t["start_node"]),
-            )
-        )
-    stats = SearchStats(**doc.get("stats", {}))
+        stats = SearchStats(**doc.get("stats", {}))
+    except KeyError as exc:
+        raise SequenceFormatError(f"sequence document missing {exc}") from exc
+    except (TypeError, ValueError, IndexError, GeometryError) as exc:
+        raise SequenceFormatError(f"bad sequence document: {exc}") from exc
     return SequenceResult(tasks, stats, directions)
 
 
@@ -307,7 +319,6 @@ class SequencePlanner:
         self._placed_nodes: set[int] = {n.id for n in model.nodes if n.grounded}
         self._scene = CapsuleSet(())  # placed elements; statics are implicit
         self._tasks: list[SequenceTask] = []
-        self._deadline = 0.0
 
     def _element_nodes(self, element_id: int) -> tuple[int, int]:
         e = self.model.element(element_id)
@@ -416,9 +427,12 @@ class SequencePlanner:
 
     def plan(self) -> SequenceResult:
         t_start = time.monotonic()
-        self._t_start = t_start
-        self._deadline = t_start + self.config.search_timeout
+        try:
+            return self._search(t_start + self.config.search_timeout)
+        finally:
+            self.stats.total_time = time.monotonic() - t_start
 
+    def _search(self, deadline: float) -> SequenceResult:
         # an element's printable directions can never leave the union of its
         # two routes' self-clear sets, so start the bitsets there
         for eid in self._ids:
@@ -426,7 +440,6 @@ class SequencePlanner:
             union = self.sweeps.self_mask(eid, a) | self.sweeps.self_mask(eid, b)
             self._domain[self._index[eid]] &= union
             if not union.any():
-                self.stats.total_time = time.monotonic() - t_start
                 raise SequencePlanningError(
                     f"element {eid} has no extrusion direction clear of its "
                     "own bead",
@@ -444,42 +457,41 @@ class SequencePlanner:
         for gi, group in enumerate(groups):
             for pid in self._placed:  # committed layers are never undone
                 self._prune_against(group, pid)
-            if not self._extend(set(group)):
-                self.stats.total_time = time.monotonic() - t_start
-                raise SequencePlanningError(
-                    f"no printable ordering for element group {gi} "
-                    f"({len(group)} elements, {self.stats.backtracks} backtracks)",
-                    stats=self.stats,
-                )
-        self.stats.total_time = time.monotonic() - t_start
+            # depth-first search on an explicit stack: one frame per placed
+            # element holds its level's untried candidates and its undo record
+            remaining = set(group)
+            stack: list[tuple[Iterator[int], int, tuple]] = []
+            candidates = None
+            while remaining:
+                if candidates is None:  # a level starts
+                    if time.monotonic() > deadline:
+                        raise SequencePlanningError(
+                            f"sequence search exceeded {self.config.search_timeout:.0f}s",
+                            stats=self.stats,
+                        )
+                    candidates = iter(self._order_values(sorted(remaining)))
+                eid = next(candidates, None)
+                if eid is None:  # dead end: undo the placement one level up
+                    if not stack:
+                        raise SequencePlanningError(
+                            f"no printable ordering for element group {gi} "
+                            f"({len(group)} elements, {self.stats.backtracks} backtracks)",
+                            stats=self.stats,
+                        )
+                    candidates, eid, record = stack.pop()
+                    self._unplace(eid, record, remaining)
+                    self.stats.backtracks += 1
+                    continue
+                if not (self._connect_ok(eid) and self._structural_ok(eid)):
+                    continue
+                witness = self._ee_pose_exists(eid)
+                if witness is None:
+                    continue
+                record = self._place(eid, witness, remaining)
+                if record is not None:  # else a peer lost its last direction
+                    stack.append((candidates, eid, record))
+                    candidates = None
         return SequenceResult(list(self._tasks), self.stats, self.directions, self.sweeps)
-
-    def _extend(self, remaining: set[int]) -> bool:
-        if not remaining:
-            return True
-        if time.monotonic() > self._deadline:
-            self.stats.total_time = time.monotonic() - self._t_start
-            raise SequencePlanningError(
-                f"sequence search exceeded {self.config.search_timeout:.0f}s",
-                stats=self.stats,
-            )
-        peers = sorted(remaining)
-        for eid in self._order_values(peers):
-            if not self._connect_ok(eid):
-                continue
-            if not self._structural_ok(eid):
-                continue
-            witness = self._ee_pose_exists(eid)
-            if witness is None:
-                continue
-            record = self._place(eid, witness, remaining)
-            if record is None:  # a peer lost its last direction
-                continue
-            if self._extend(remaining):
-                return True
-            self._unplace(eid, record, remaining)
-            self.stats.backtracks += 1
-        return False
 
     def _place(self, eid, witness, remaining):
         direction_index, rotation = witness

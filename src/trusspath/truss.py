@@ -8,14 +8,13 @@ sequence planner as a decomposition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-DEFAULT_PATH_SPACING = 5.0  # mm between extrusion path points
+from .config import read_document
 
 
 class ModelError(Exception):
@@ -146,21 +145,11 @@ class TrussModel:
 
 def load_model(source: str | Path | dict) -> TrussModel:
     """Build a TrussModel from a JSON path or an already-parsed document."""
+    doc = read_document(source, ModelError, "model")
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            doc = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise ModelError(f"model file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
-        name = path.stem
+        name = Path(source).stem
     else:
-        doc = source
-        name = str(source.get("name", "truss"))
-
-    if not isinstance(doc, dict):
-        raise ModelError("model document must be a JSON object")
+        name = str(doc.get("name", "truss"))
     for key in ("nodes", "elements", "material", "section"):
         if key not in doc:
             raise ModelError(f"model document missing '{key}'")
@@ -295,7 +284,7 @@ def _ground_reachable_elements(model: TrussModel) -> set[int]:
 def discretize_element(
     model: TrussModel,
     element_id: int,
-    spacing: float = DEFAULT_PATH_SPACING,
+    spacing: float,
     start_node: int | None = None,
 ) -> PathPoints:
     """Uniform path points along an element, ordered start -> end.

@@ -124,6 +124,29 @@ def test_sequence_then_motion_matches_plan(plan_file, cfg_file, tmp_path, capsys
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "{not json",
+        "[]",
+        json.dumps({"direction_count": 24, "stats": {}}),
+        json.dumps({"direction_count": 24, "tasks": [], "stats": {"bogus": 1}}),
+    ],
+    ids=["missing", "invalid-json", "not-an-object", "no-tasks", "unknown-stats-key"],
+)
+def test_motion_rejects_bad_sequence_files(cfg_file, tmp_path, capsys, content):
+    seq = tmp_path / "seq.json"
+    if content is not None:
+        seq.write_text(content)
+    out = tmp_path / "plan.json"
+    rc = main(["motion", *common(cfg_file), "--from-sequence", str(seq), "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_export_geometry(cfg_file, tmp_path, capsys):
     out = tmp_path / "geometry.json"
     rc = main(["export-geometry", *common(cfg_file), "--out", str(out)])

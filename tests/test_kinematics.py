@@ -280,6 +280,18 @@ def test_track_extends_dof_and_ik():
             assert pose_error(robot, s, target) < IK_POSE_TOL
 
 
+def test_ik_keeps_explicit_rail_positions_on_the_rail():
+    # rail -500..500: a pose reached from 900 mm has no solution on the rail
+    robot = load_robot(tracked_doc())
+    q = robot.home.copy()
+    q[0] = 900.0
+    assert ik(robot, fk(robot, q), track_positions=[900.0]) == []
+    q[0] = 400.0
+    solutions = ik(robot, fk(robot, q), track_positions=[900.0, 400.0])
+    assert solutions
+    assert all(s[0] == 400.0 and robot.within_limits(s) for s in solutions)
+
+
 def test_track_spec_validation():
     with pytest.raises(RobotConfigError):
         TrackSpec((0.0, 1.0, 0.0), lower=5.0, upper=-5.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from trusspath import kinematics, pipeline
+from trusspath.cartesian import CartesianPlanningError
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import fixture_path, load_bundled_model, load_bundled_robot
 from trusspath.geometry import (
@@ -365,3 +366,33 @@ def test_clearance_catches_the_extruder_on_a_placed_element(model, robot, planne
         e.startswith(f"subprocess {sub['id']} (extrusion): ") and e.endswith("colliding configs")
         for e in clearance.detail.split("; ")
     )
+
+
+def test_validator_enforces_the_route_rule(model, robot, sequence):
+    # re-route the first pass that can be planned from an endpoint nothing
+    # built so far touches; the planner plans the route it is given, the
+    # validator must refuse it
+    built = {n.id for n in model.nodes if n.grounded}
+    for k, task in enumerate(sequence.tasks):
+        e = model.element(task.element)
+        other = e.end if task.start_node == e.start else e.start
+        if other not in built:
+            tasks = list(sequence.tasks)
+            tasks[k] = dataclasses.replace(task, start_node=other)
+            try:
+                plan, _ = run_pipeline(
+                    model, robot, CFG, sequence=dataclasses.replace(sequence, tasks=tasks)
+                )
+                break
+            except CartesianPlanningError:
+                pass
+        built.update((e.start, e.end))
+    else:
+        pytest.fail("no pass could be planned from an unbuilt node")
+    checks = check_map(validate_plan(plan, model, robot, CFG))
+    assert not checks["structure"].passed
+    assert (
+        f"task {plan.tasks[k].task_id}: extrusion starts at an unbuilt node"
+        in checks["structure"].detail
+    )
+    assert all(c.passed for name, c in checks.items() if name != "structure")

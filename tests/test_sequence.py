@@ -1,6 +1,7 @@
 """Sequence search: domain propagation, ordering rules, and full runs."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from trusspath.fixtures import (
 from trusspath.geometry import ee_element_collision, ee_self_collision
 from trusspath.kinematics import build_rungs
 from trusspath.sequence import (
+    SequenceFormatError,
     SequencePlanner,
     SequencePlanningError,
     plan_sequence,
@@ -287,9 +289,46 @@ def test_sequence_dict_round_trip(tower_result):
         assert a == b
     assert again.directions.count == result.directions.count
 
+    good = sequence_to_dict(result)
+    for bad in (
+        [],
+        {k: v for k, v in good.items() if k != "tasks"},
+        dict(good, stats={"bogus": 1}),
+        dict(good, direction_count="many"),
+        dict(good, tasks=[{"position": 0}]),
+    ):
+        with pytest.raises(SequenceFormatError):
+            sequence_from_dict(bad)
+
     doc["tasks"][0]["direction"] = [1.0, 0.0, 0.0]
     with pytest.raises(SequencePlanningError, match="does not match"):
         sequence_from_dict(doc)
+
+
+def test_search_runs_deeper_than_the_recursion_limit(robot, monkeypatch):
+    # a straight chain off one grounded node, one element per level, with
+    # every check except connectivity stubbed to pass
+    n = sys.getrecursionlimit() + 100
+    model = load_model(
+        {
+            "nodes": [
+                {"id": i, "xyz": [10.0 * i, 0.0, 0.0], "grounded": i == 0}
+                for i in range(n + 1)
+            ],
+            "elements": [{"id": i, "start": i, "end": i + 1} for i in range(n)],
+            "material": DEFAULT_MATERIAL,
+            "section": DEFAULT_SECTION,
+        }
+    )
+    planner = SequencePlanner(model, robot, FAST)
+    clear = np.ones(FAST.direction_count, dtype=bool)
+    monkeypatch.setattr(planner, "_structural_ok", lambda eid: True)
+    monkeypatch.setattr(planner, "_ee_pose_exists", lambda eid: (0, 0.0))
+    monkeypatch.setattr(planner, "_prune_against", lambda ids, pid: [])
+    monkeypatch.setattr(planner.sweeps, "self_mask", lambda eid, start: clear)
+    result = planner.plan()
+    assert [t.element for t in result.tasks] == list(range(n))
+    assert result.stats.backtracks == 0
 
 
 def test_render_stats_table_layout(tower_result):

@@ -76,6 +76,11 @@ def test_load_model_bad_json(tmp_path):
         load_model(path)
 
 
+def test_load_model_rejects_a_non_object_document():
+    with pytest.raises(ModelError, match="must be a JSON object"):
+        load_model([])
+
+
 def test_validation_rejects_bad_models():
     base = toy_doc()
 
