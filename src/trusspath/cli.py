@@ -16,13 +16,15 @@ through `config.read_document` and `config.write_document`.
 
 Exit codes: 0 success, 2 planning failed, 3 validation failed (including a
 malformed plan file), 4 bad inputs or configuration (a missing or malformed
-model, robot, config or sequence file).
+model, robot, config or sequence file, or an `--out` path that cannot be
+written, which is checked before any planning starts).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .cartesian import CartesianPlanningError
 from .config import PlannerConfig, PlannerConfigError, load_config, read_document, write_document
@@ -226,6 +228,16 @@ def _cmd_export_geometry(args, model, robot, config) -> int:
     return EXIT_OK
 
 
+def _unwritable(out: str) -> str | None:
+    """Why an output document cannot be written to `out`, or None."""
+    path = Path(out)
+    if not path.parent.is_dir():
+        return f"output directory does not exist: {path.parent}"
+    if path.is_dir():
+        return f"output path is a directory: {path}"
+    return None
+
+
 # each subcommand gets the parsed arguments plus the model, robot and
 # configuration that `main` resolved from them
 _COMMANDS = {
@@ -240,6 +252,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
+    problem = _unwritable(args.out) if hasattr(args, "out") else None
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         model = resolve_model(args.model)
         robot = resolve_robot(args.robot)

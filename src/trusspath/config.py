@@ -28,6 +28,20 @@ class PlannerConfigError(Exception):
     pass
 
 
+def _check_types(settings: Any, prefix: str = "") -> None:
+    """Each field must hold a value of its default's type (an int passes for
+    a float); values are never converted, so fingerprints see them as given."""
+    for f in dataclasses.fields(settings):
+        if f.default is dataclasses.MISSING:  # the nested transition block
+            continue
+        value, want = getattr(settings, f.name), type(f.default)
+        kinds = (int, float) if want is float else (want,)
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, kinds):
+            raise PlannerConfigError(
+                f"{prefix}{f.name} must be {want.__name__}, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class TransitionSettings:
     max_iterations: int = 3000
@@ -37,6 +51,7 @@ class TransitionSettings:
     fallback_timeout: float = 10.0
 
     def validate(self) -> None:
+        _check_types(self, "transition.")
         if self.max_iterations < 1:
             raise PlannerConfigError("transition.max_iterations must be >= 1")
         if self.step <= 0.0:
@@ -70,6 +85,7 @@ class PlannerConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_types(self)
         if self.direction_count < 4:
             raise PlannerConfigError("direction_count must be >= 4")
         if self.rotation_samples < 1:
@@ -109,16 +125,19 @@ class PlannerConfig:
 def read_document(source: Any, error: type[Exception], kind: str) -> dict:
     """The JSON object at path `source`, or `source` itself if already parsed.
 
-    A missing file, invalid JSON or a document that is not an object raises
-    `error`, with a message naming the `kind` of document.
+    A file that is missing or cannot be read, bytes that are not UTF-8 JSON,
+    or a document that is not an object raises `error`, with a message
+    naming the `kind` of document.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
-            source = json.loads(path.read_text())
+            source = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise error(f"{kind} file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise error(f"{kind} file {path} cannot be read: {exc.strerror}") from exc
+        except ValueError as exc:  # undecodable bytes or invalid JSON
             raise error(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(source, dict):
         raise error(f"{kind} document must be a JSON object")

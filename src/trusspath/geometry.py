@@ -29,30 +29,14 @@ class GeometryError(Exception):
 # direction sampling
 
 
-@dataclass(frozen=True)
-class DirectionSet:
-    """Deterministic set of unit direction vectors indexed 0..count-1."""
-
-    directions: np.ndarray  # (m, 3), unit rows
-
-    def __len__(self) -> int:
-        return self.directions.shape[0]
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self.directions[index]
-
-    @property
-    def count(self) -> int:
-        return self.directions.shape[0]
-
-
-def sample_directions(count: int) -> DirectionSet:
+def sample_directions(count: int) -> np.ndarray:
     """Spread `count` unit vectors over the sphere with a Fibonacci lattice.
 
-    The lattice is deterministic, so index `a` always names the same
-    direction for a given count.  Index 0 sits next to +z and the colatitude
-    grows with the index, which makes "mostly upward" directions come first
-    when scanning in index order.
+    The result is a read-only (count, 3) array of unit rows.  The lattice is
+    deterministic, so index `a` always names the same direction for a given
+    count.  Index 0 sits next to +z and the colatitude grows with the index,
+    which makes "mostly upward" directions come first when scanning in index
+    order.
     """
     if count < 4:
         raise GeometryError("direction count must be at least 4, got %d" % count)
@@ -63,7 +47,7 @@ def sample_directions(count: int) -> DirectionSet:
     dirs = np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     dirs.setflags(write=False)
-    return DirectionSet(dirs)
+    return dirs
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,9 @@ def run_pipeline(
     t0 = time.monotonic()
     if sequence is None:
         sequence = plan_sequence(model, robot, config)
-    elif sequence.directions.count != config.direction_count:
+    elif len(sequence.directions) != config.direction_count:
         raise PipelineError(
-            f"sequence was planned over {sequence.directions.count} directions "
+            f"sequence was planned over {len(sequence.directions)} directions "
             f"but the configuration says {config.direction_count}"
         )
     seq_time = time.monotonic() - t0

@@ -15,12 +15,18 @@ and never backtracks across a finished layer; a layer that cannot be
 completed aborts the whole search, which keeps worst-case behaviour bounded
 at the cost of completeness across layers.
 
-The kinematic feasibility probe is a function of the placed set alone: the
+Every check on a candidate is a function of the placed set alone: the
 element's bitset is its self-clear union minus the blocks of the placed
 elements (undo restores it exactly), the route's start node follows from
-degree counts, and the collision verdicts against the placed scene do not
-depend on its order.  Backtracking revisits the same sets, so probe answers
-are memoised by (element, placed set).
+degree counts, the collision verdicts against the placed scene do not depend
+on its order, and the candidate order depends only on the remaining set.
+So a placed set whose level runs out of candidates fails the same way
+however it is reached again; the search records such dead sets (nogood
+recording) and refuses any placement that would reach one.  This holds only
+up to summation order for a stiffness verdict within rounding of the
+tolerance, because `analyze` sums element stiffness in placement order.  The
+probe's wall-clock guard only aborts the search, so no timer decides an
+answer.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import numpy as np
 from .config import PlannerConfig
 from .geometry import (
     CapsuleShape,
-    DirectionSet,
     EEGeometry,
     GeometryError,
     ee_sweep_collision_batch,
@@ -93,8 +98,8 @@ class SearchStats:
     collision_cost_checks: int = 0
     # placements undone at once because they emptied a peer's direction set
     refused_placements: int = 0
-    # kinematics checks answered from the memo of earlier probes
-    probe_reuses: int = 0
+    # candidates skipped because placing them reaches a dead placed set
+    dead_refusals: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -133,14 +138,14 @@ def render_stats_table(rows: list[tuple[str, SearchStats]]) -> str:
 class SequenceResult:
     tasks: list[SequenceTask]
     stats: SearchStats
-    directions: DirectionSet
+    directions: np.ndarray  # the (m, 3) direction lattice
     # the search's sweep table, for task preparation to reuse; never saved
     sweeps: SweepTable | None = field(default=None, compare=False, repr=False)
 
 
 def sequence_to_dict(result: SequenceResult) -> dict:
     return {
-        "direction_count": result.directions.count,
+        "direction_count": len(result.directions),
         "tasks": [
             {
                 "position": t.position,
@@ -236,7 +241,7 @@ class SweepTable:
         self,
         model: TrussModel,
         ee: EEGeometry,
-        directions: DirectionSet,
+        directions: np.ndarray,
         config: PlannerConfig,
     ):
         self.model = model
@@ -244,20 +249,20 @@ class SweepTable:
         self.config = config
         # roll-0 tool rotation per direction, as ee_element_collision poses it
         self._rotations = np.array(
-            [pose_from_direction(np.zeros(3), d, 0.0)[:3, :3] for d in directions.directions]
+            [pose_from_direction(np.zeros(3), d, 0.0)[:3, :3] for d in directions]
         )
         self._paths: dict[tuple[int, int], np.ndarray] = {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._self: dict[tuple[int, int], np.ndarray] = {}
 
     def serves(
-        self, model: TrussModel, ee: EEGeometry, directions: DirectionSet, config: PlannerConfig
+        self, model: TrussModel, ee: EEGeometry, directions: np.ndarray, config: PlannerConfig
     ) -> bool:
         """Whether this table answers for the given inputs as a fresh one would."""
         return (
             self.model is model
             and self.ee == ee
-            and len(self._rotations) == directions.count
+            and len(self._rotations) == len(directions)
             and self.config.path_spacing == config.path_spacing
             and self.config.clearance == config.clearance
         )
@@ -314,8 +319,7 @@ class SequencePlanner:
         self._domain = np.ones((len(self._ids), m), dtype=bool)
         self._placed: list[int] = []
         self._placed_mask = 0  # bit self._index[eid] set while eid is placed
-        # probe answers by (element, placed mask); see _ee_pose_exists
-        self._probes: dict[tuple[int, int], tuple[int, float] | None] = {}
+        self._dead: set[int] = set()  # placed masks whose level ran out
         self._placed_nodes: set[int] = {n.id for n in model.nodes if n.grounded}
         self._scene = CapsuleSet(())  # placed elements; statics are implicit
         self._tasks: list[SequenceTask] = []
@@ -346,38 +350,33 @@ class SequencePlanner:
 
         Directions come from the element's maintained bitset, which already
         encodes sweep collisions against everything placed.  Rolls follow the
-        low-discrepancy sequence; the probe gives up at the kinematics
-        timeout so one impossible element cannot stall the search.  Every
-        input of the probe is a function of the placed set, so answers are
-        memoised by it; an answer cut short by the timeout is not.
+        low-discrepancy sequence.  A probe running past the kinematics
+        timeout aborts the search rather than answer "infeasible", so the
+        answer never depends on the machine's speed.
         """
         self.stats.kinematics_checks += 1
-        key = (element_id, self._placed_mask)
-        if key in self._probes:
-            self.stats.probe_reuses += 1
-            return self._probes[key]
         t0 = time.monotonic()
         start = route_start_node(self.model, element_id, self._placed)
         row = self._domain[self._index[element_id]] & self.sweeps.self_mask(element_id, start)
         pts = self.sweeps.waypoints(element_id, start)
-        found = None
-        for a in np.flatnonzero(row):
-            for rot in self._rotations:
-                if time.monotonic() - t0 > self.config.kinematics_timeout:
-                    self.stats.kinematics_time += time.monotonic() - t0
-                    return None
-                rungs = build_rungs(
-                    self.robot, pts, self.directions[a], float(rot), self._scene,
-                    clearance=self.config.clearance,
-                )
-                if rungs is not None:
-                    found = (int(a), float(rot))
-                    break
-            if found:
-                break
-        self.stats.kinematics_time += time.monotonic() - t0
-        self._probes[key] = found
-        return found
+        try:
+            for a in np.flatnonzero(row):
+                for rot in self._rotations:
+                    if time.monotonic() - t0 > self.config.kinematics_timeout:
+                        raise SequencePlanningError(
+                            f"feasibility probe for element {element_id} exceeded "
+                            f"kinematics_timeout ({self.config.kinematics_timeout:g}s)",
+                            stats=self.stats,
+                        )
+                    rungs = build_rungs(
+                        self.robot, pts, self.directions[a], float(rot), self._scene,
+                        clearance=self.config.clearance,
+                    )
+                    if rungs is not None:
+                        return int(a), float(rot)
+            return None
+        finally:
+            self.stats.kinematics_time += time.monotonic() - t0
 
     # -- domain maintenance ---------------------------------------------------
 
@@ -472,6 +471,7 @@ class SequencePlanner:
                     candidates = iter(self._order_values(sorted(remaining)))
                 eid = next(candidates, None)
                 if eid is None:  # dead end: undo the placement one level up
+                    self._dead.add(self._placed_mask)
                     if not stack:
                         raise SequencePlanningError(
                             f"no printable ordering for element group {gi} "
@@ -481,6 +481,9 @@ class SequencePlanner:
                     candidates, eid, record = stack.pop()
                     self._unplace(eid, record, remaining)
                     self.stats.backtracks += 1
+                    continue
+                if (self._placed_mask | 1 << self._index[eid]) in self._dead:
+                    self.stats.dead_refusals += 1
                     continue
                 if not (self._connect_ok(eid) and self._structural_ok(eid)):
                     continue

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from trusspath import cli
 from trusspath.cli import main
 
 CFG_DOC = {"direction_count": 24, "rotation_samples": 2}
@@ -132,8 +133,12 @@ def test_sequence_then_motion_matches_plan(plan_file, cfg_file, tmp_path, capsys
         "[]",
         json.dumps({"direction_count": 24, "stats": {}}),
         json.dumps({"direction_count": 24, "tasks": [], "stats": {"bogus": 1}}),
+        json.dumps({"direction_count": 24, "tasks": [], "stats": {"probe_reuses": 0}}),
     ],
-    ids=["missing", "invalid-json", "not-an-object", "no-tasks", "unknown-stats-key"],
+    ids=[
+        "missing", "invalid-json", "not-an-object", "no-tasks", "unknown-stats-key",
+        "retired-stats-key",
+    ],
 )
 def test_motion_rejects_bad_sequence_files(cfg_file, tmp_path, capsys, content):
     seq = tmp_path / "seq.json"
@@ -145,6 +150,49 @@ def test_motion_rejects_bad_sequence_files(cfg_file, tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "utf16-bom"])
+def test_unreadable_inputs_give_one_error_line(cfg_file, tmp_path, capsys, kind):
+    if kind == "directory":
+        bad = tmp_path / "input"
+        bad.mkdir()
+    else:
+        bad = tmp_path / "input.json"
+        bad.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out.json"
+    cases = [
+        # a plan file that cannot be read exits 3, as a missing one does
+        (["validate", *common(cfg_file), "--plan", str(bad)], 3),
+        (["motion", *common(cfg_file), "--from-sequence", str(bad), "--out", str(out)], 4),
+        (["sequence", "--model", "cube", "--robot", "arm", "--config", str(bad)], 4),
+        (["sequence", "--model", str(bad), "--robot", "arm", "--out", str(out)], 4),
+        (["sequence", "--model", "cube", "--robot", str(bad), "--out", str(out)], 4),
+    ]
+    for argv, want in cases:
+        assert main(argv) == want, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+def test_output_path_is_checked_before_planning(cfg_file, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("plan_sequence", "run_pipeline", "discretize_element", "read_document"):
+        monkeypatch.setattr(cli, name, no_work)
+    seq = tmp_path / "seq.json"
+    seq.write_text("{}")
+    missing = tmp_path / "nodir"
+    for argv in (
+        ["plan"], ["sequence"], ["motion", "--from-sequence", str(seq)], ["export-geometry"],
+    ):
+        assert main([*argv, *common(cfg_file), "--out", str(missing / "out.json")]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: output directory does not exist: {missing}\n"
+    assert main(["sequence", *common(cfg_file), "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == f"error: output path is a directory: {tmp_path}\n"
 
 
 def test_export_geometry(cfg_file, tmp_path, capsys):

@@ -91,6 +91,36 @@ def test_validation_bounds():
             load_config({"transition": overrides})
 
 
+def test_load_config_rejects_mistyped_values():
+    # values are rejected, never converted, so a config's fingerprint is
+    # always of the values as given
+    for doc in [
+        {"jump_limit": "a"},
+        {"direction_count": 24.0},
+        {"seed": True},
+        {"use_decomposition": 1},
+        {"search_timeout": None},
+        {"transition": {"step": None}},
+        {"transition": {"max_iterations": "3000"}},
+    ]:
+        with pytest.raises(PlannerConfigError, match="must be"):
+            load_config(doc)
+    cfg = load_config({"jump_limit": 1, "transition": {"direct_timeout": 2}})
+    assert cfg.jump_limit == 1 and type(cfg.jump_limit) is int
+    assert cfg.to_dict()["transition"]["direct_timeout"] == 2
+    with pytest.raises(PlannerConfigError, match="clearance must be float"):
+        PlannerConfig().replace(clearance="2")
+
+
+def test_load_config_unreadable_file(tmp_path):
+    with pytest.raises(PlannerConfigError, match="cannot be read"):
+        load_config(tmp_path)
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xff\xfe")
+    with pytest.raises(PlannerConfigError, match="not valid JSON"):
+        load_config(bom)
+
+
 def test_replace_revalidates():
     cfg = PlannerConfig()
     changed = cfg.replace(seed=9, clearance=1.0)

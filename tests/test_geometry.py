@@ -111,17 +111,17 @@ def test_point_segment_distance():
 
 def test_sample_directions_properties():
     dirs = sample_directions(72)
-    assert dirs.count == 72
-    norms = np.linalg.norm(dirs.directions, axis=1)
+    assert dirs.shape == (72, 3) and not dirs.flags.writeable
+    norms = np.linalg.norm(dirs, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
     # index 0 is the most upward sample, last the most downward
-    assert dirs[0][2] == max(d[2] for d in dirs.directions)
-    assert dirs[71][2] == min(d[2] for d in dirs.directions)
+    assert dirs[0][2] == max(d[2] for d in dirs)
+    assert dirs[71][2] == min(d[2] for d in dirs)
     # deterministic
     again = sample_directions(72)
-    assert np.array_equal(dirs.directions, again.directions)
+    assert np.array_equal(dirs, again)
     # reasonably spread: nearest-neighbour angle bounded away from zero
-    dots = dirs.directions @ dirs.directions.T
+    dots = dirs @ dirs.T
     np.fill_diagonal(dots, -1.0)
     closest = math.degrees(math.acos(float(dots.max())))
     assert closest > 10.0
@@ -256,7 +256,7 @@ def test_sweep_batch_matches_per_direction_checks():
     )
     directions = sample_directions(40)
     rotations = np.array(
-        [pose_from_direction(np.zeros(3), d, 0.0)[:3, :3] for d in directions.directions]
+        [pose_from_direction(np.zeros(3), d, 0.0)[:3, :3] for d in directions]
     )
     outcomes = set()
     for ee in (default_ee_geometry(), leaning):
@@ -272,7 +272,7 @@ def test_sweep_batch_matches_per_direction_checks():
                 )
                 want = [
                     ee_element_collision(pts, d, 0.0, seg, 2.0, ee, clearance=clearance)
-                    for d in directions.directions
+                    for d in directions
                 ]
                 assert got.tolist() == want
                 got_self = ee_sweep_collision_batch(
@@ -280,7 +280,7 @@ def test_sweep_batch_matches_per_direction_checks():
                 )
                 want_self = [
                     ee_self_collision(pts, d, 0.0, 2.0, ee, clearance=clearance)
-                    for d in directions.directions
+                    for d in directions
                 ]
                 assert got_self.tolist() == want_self
                 outcomes.update(want + want_self)

@@ -320,13 +320,21 @@ def oracle_center_of_gravity(partial):
     return acc / total
 
 
+class NoMemo(set):
+    """A dead-set memo that stores nothing, so the search revisits sets."""
+
+    def add(self, mask):
+        pass
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_frame_table_analysis_is_bit_identical_to_per_call_assembly(monkeypatch):
-    # every prefix the search analyses on the cube at 24 directions x 2 rolls
-    # (78 backtracks), plus random prefixes, many of them floating
+    # every prefix the search without dead placed sets analyses on the cube
+    # at 24 directions x 2 rolls (78 backtracks), plus random prefixes, many
+    # of them floating
     model = load_bundled_model("cube")
     prefixes = []
 
@@ -336,7 +344,9 @@ def test_frame_table_analysis_is_bit_identical_to_per_call_assembly(monkeypatch)
 
     monkeypatch.setattr(sequence, "analyze", recording)
     cfg = PlannerConfig(direction_count=24, rotation_samples=2)
-    stats = sequence.plan_sequence(model, load_bundled_robot("arm"), cfg).stats
+    planner = sequence.SequencePlanner(model, load_bundled_robot("arm"), cfg)
+    planner._dead = NoMemo()
+    stats = planner.plan().stats
     assert len(prefixes) == stats.stiffness_checks == 292
     rng = np.random.default_rng(7)
     ids = [e.id for e in model.elements]
