@@ -17,7 +17,8 @@ through `config.read_document` and `config.write_document`.
 Exit codes: 0 success, 2 planning failed, 3 validation failed (including a
 malformed plan file), 4 bad inputs or configuration (a missing or malformed
 model, robot, config or sequence file, or an `--out` path that cannot be
-written, which is checked before any planning starts).
+written: a missing directory is caught before any planning starts, and a
+failed write, such as a full disk, ends the run with one error line).
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ import sys
 from pathlib import Path
 
 from .cartesian import CartesianPlanningError
-from .config import PlannerConfig, PlannerConfigError, load_config, read_document, write_document
+from .config import (
+    DocumentWriteError,
+    PlannerConfig,
+    PlannerConfigError,
+    load_config,
+    read_document,
+    write_document,
+)
 from .fixtures import MODEL_FILES, ROBOT_FILES, resolve_model, resolve_robot
 from .kinematics import RobotConfigError
 from .pipeline import PipelineError, run_pipeline, validate_plan
@@ -59,6 +67,7 @@ _INPUT_ERRORS = (
     ModelError,
     RobotConfigError,
     SequenceFormatError,
+    DocumentWriteError,
     KeyError,
     FileNotFoundError,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -28,9 +29,27 @@ class PlannerConfigError(Exception):
     pass
 
 
+class DocumentWriteError(Exception):
+    """An output document could not be written."""
+
+
+def finite(value: Any) -> float:
+    """`float(value)` for a number read from an input document; NaN, the
+    infinities and integers beyond the float range raise ValueError, which
+    each loader reports as its own error."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def _check_types(settings: Any, prefix: str = "") -> None:
     """Each field must hold a value of its default's type (an int passes for
-    a float); values are never converted, so fingerprints see them as given."""
+    a float) and be finite; values are never converted, so fingerprints see
+    them as given."""
     for f in dataclasses.fields(settings):
         if f.default is dataclasses.MISSING:  # the nested transition block
             continue
@@ -40,6 +59,11 @@ def _check_types(settings: Any, prefix: str = "") -> None:
             raise PlannerConfigError(
                 f"{prefix}{f.name} must be {want.__name__}, got {value!r}"
             )
+        if want is float:
+            try:
+                finite(value)
+            except ValueError as exc:
+                raise PlannerConfigError(f"{prefix}{f.name} must be finite") from exc
 
 
 @dataclass(frozen=True)
@@ -145,8 +169,15 @@ def read_document(source: Any, error: type[Exception], kind: str) -> dict:
 
 
 def write_document(doc: dict, path: str | Path) -> None:
-    """Write `doc` as key-sorted, two-space-indented JSON ending in a newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write `doc` as key-sorted, two-space-indented JSON ending in a newline.
+
+    A failed write raises `DocumentWriteError` naming the path and the reason.
+    """
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise DocumentWriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def load_config(source: str | Path | dict | None = None) -> PlannerConfig:

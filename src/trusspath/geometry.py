@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default lateral safety margin added on top of capsule radii (mm).
+# Default tip-standoff margin of the extruder capsules (mm), see EEGeometry.
 DEFAULT_CLEARANCE = 2.0
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -89,7 +89,8 @@ class EEGeometry:
     extrusion axis (material leaves along +z), so the physical body sits at
     negative z.  Capsules must stand clear of the tip itself: the tip slides
     along freshly printed material, so it is exempt from collision by
-    construction.
+    construction.  `clearance` is the margin of that standoff check only;
+    collision queries take their clearance from the caller.
     """
 
     capsules: tuple[CapsuleShape, ...]
@@ -256,7 +257,7 @@ def ee_element_collision(
     segment: np.ndarray,
     segment_radius: float,
     ee: EEGeometry,
-    clearance: float | None = None,
+    clearance: float,
 ) -> bool:
     """True when sweeping the extruder along a path hits one other element.
 
@@ -269,14 +270,13 @@ def ee_element_collision(
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
         raise GeometryError("path_points must be a non-empty (n, 3) array")
     seg = np.asarray(segment, dtype=float)
-    margin = ee.clearance if clearance is None else clearance
     rot = pose_from_direction(np.zeros(3), direction, rotation)[:3, :3]
     q0, q1 = seg[0], seg[1]
     for cap in ee.capsules:
         a = pts + rot @ cap.a
         b = pts + rot @ cap.b
         dist = segment_distance_batch(a, b, q0, q1)
-        if np.any(dist < cap.radius + segment_radius + margin):
+        if np.any(dist < cap.radius + segment_radius + clearance):
             return True
     return False
 
@@ -287,7 +287,7 @@ def ee_self_collision(
     rotation: float,
     segment_radius: float,
     ee: EEGeometry,
-    clearance: float | None = None,
+    clearance: float,
 ) -> bool:
     """True when the extruder body would drag through its own fresh bead.
 
@@ -305,14 +305,13 @@ def ee_self_collision(
         raise GeometryError("path_points must be a non-empty (n, 3) array")
     if pts.shape[0] < 2:
         return False
-    margin = ee.clearance if clearance is None else clearance
     rot = pose_from_direction(np.zeros(3), direction, rotation)[:3, :3]
     tail = pts[1:]
     for cap in ee.capsules:
         a = tail + rot @ cap.a
         b = tail + rot @ cap.b
         dist = segment_distance_batch(a, b, pts[0], tail)
-        if np.any(dist < cap.radius + segment_radius + margin):
+        if np.any(dist < cap.radius + segment_radius + clearance):
             return True
     return False
 

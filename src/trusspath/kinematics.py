@@ -3,8 +3,9 @@
 The supported robot is a six-revolute arm with a spherical wrist (joint axes
 4, 5, 6 intersect in one point), described by standard DH rows
 A_i = Rotz(theta) * Transz(d) * Transx(a) * Rotx(alpha), optionally riding on
-one leading prismatic rail.  The rail translates the arm base along a fixed
-direction and is enumerated at a configurable step during inverse kinematics.
+one leading prismatic rail.  Every DH row is revolute; the rail is the only
+prismatic axis.  It translates the arm base along a fixed direction, and
+inverse kinematics solves the arm at every position of its `step` grid.
 `ik_sweep` is the one IK path: it treats a fixed arm as a rail with a single
 position, verifies every closed-form branch in one vectorised pass, and
 returns each tool position's solutions as one sorted (k, dof) array.
@@ -22,14 +23,14 @@ config uses degrees for human editing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import read_document
+from .config import finite, read_document
 from .geometry import (
     CapsuleShape,
     EEGeometry,
@@ -58,7 +59,8 @@ class RobotConfigError(KinematicsError):
 
 @dataclass(frozen=True)
 class Joint:
-    kind: str  # 'revolute' | 'prismatic'
+    """One revolute DH row."""
+
     a: float
     alpha: float
     d: float
@@ -68,8 +70,6 @@ class Joint:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("revolute", "prismatic"):
-            raise RobotConfigError(f"unknown joint kind {self.kind!r}")
         if self.lower >= self.upper:
             raise RobotConfigError("joint lower limit must be below upper limit")
         if self.weight <= 0.0:
@@ -118,9 +118,9 @@ class RobotModel:
     home: np.ndarray  # (dof,)
     link_capsules: tuple[LinkCapsule, ...]
     ee: EEGeometry
+    source: dict  # parsed document this model was loaded from
     track: TrackSpec | None = None
     static_capsules: tuple[CapsuleShape, ...] = ()
-    source: dict | None = None  # parsed document this model was loaded from
 
     @property
     def dof(self) -> int:
@@ -142,7 +142,7 @@ class RobotModel:
         return np.array(([self.track.weight] if self.track else []) + arm)
 
     def jump_limits(self, revolute: float, prismatic: float) -> np.ndarray:
-        arm = [revolute if j.kind == "revolute" else prismatic for j in self.joints]
+        arm = [revolute] * len(self.joints)
         return np.array(([prismatic] if self.track else []) + arm)
 
     def within_limits(self, q: np.ndarray, tol: float = 1e-9) -> bool:
@@ -210,8 +210,7 @@ def invert_transform(t: np.ndarray) -> np.ndarray:
 
 def _dh_matrix_batch(joint: Joint, values: np.ndarray) -> np.ndarray:
     n = values.shape[0]
-    theta = joint.theta + (values if joint.kind == "revolute" else 0.0)
-    d = joint.d + (values if joint.kind == "prismatic" else 0.0)
+    theta = joint.theta + values
     ct, st = np.cos(theta), np.sin(theta)
     ca, sa = math.cos(joint.alpha), math.sin(joint.alpha)
     out = np.zeros((n, 4, 4))
@@ -225,7 +224,7 @@ def _dh_matrix_batch(joint: Joint, values: np.ndarray) -> np.ndarray:
     out[:, 1, 3] = joint.a * st
     out[:, 2, 1] = sa
     out[:, 2, 2] = ca
-    out[:, 2, 3] = d
+    out[:, 2, 3] = joint.d
     out[:, 3, 3] = 1.0
     return out
 
@@ -277,13 +276,9 @@ def jacobian(robot: RobotModel, q: np.ndarray) -> np.ndarray:
     if robot.track is not None:
         axis = robot.base_pose[:3, :3] @ np.asarray(robot.track.direction)
         cols.append(np.concatenate([axis, np.zeros(3)]))
-    for i, joint in enumerate(robot.joints):
-        origin_frame = frames[i]  # frame before joint i+1
+    for origin_frame in frames[: len(robot.joints)]:  # frame before each joint
         z = origin_frame[:3, 2]
-        if joint.kind == "revolute":
-            cols.append(np.concatenate([np.cross(z, tip - origin_frame[:3, 3]), z]))
-        else:
-            cols.append(np.concatenate([z, np.zeros(3)]))
+        cols.append(np.concatenate([np.cross(z, tip - origin_frame[:3, 3]), z]))
     return np.column_stack(cols)
 
 
@@ -301,8 +296,8 @@ def _family_params(robot: RobotModel) -> tuple[float, float, float, float, float
 
 
 def _check_solvable_family(joints: Sequence[Joint]) -> None:
-    if len(joints) != 6 or any(j.kind != "revolute" for j in joints):
-        raise RobotConfigError("analytic IK needs exactly six revolute joints")
+    if len(joints) != 6:
+        raise RobotConfigError("analytic IK needs exactly six DH rows")
     alphas = np.array([j.alpha for j in joints])
     if np.max(np.abs(_wrap(alphas - _EXPECTED_ALPHA))) > 1e-9:
         raise RobotConfigError(
@@ -411,35 +406,29 @@ def _flange_targets(
     return flange[:, :3, :3].copy(), flange[:, :3, 3].copy()
 
 
-def ik(
-    robot: RobotModel,
-    target: EEPose | np.ndarray,
-    track_positions: Iterable[float] | None = None,
-) -> list[np.ndarray]:
+def ik(robot: RobotModel, target: EEPose | np.ndarray) -> list[np.ndarray]:
     """All analytic solutions reaching a world tool pose, sorted and verified.
 
     The rows of `ik_sweep`'s family for this one pose, as a list.
     """
     frame = target.frame() if isinstance(target, EEPose) else np.asarray(target, float)
-    return list(ik_sweep(robot, frame[:3, :3], frame[:3, 3], track_positions)[0])
+    return list(ik_sweep(robot, frame[:3, :3], frame[:3, 3])[0])
 
 
 def ik_sweep(
-    robot: RobotModel,
-    rotation: np.ndarray,
-    origins: np.ndarray,
-    track_positions: Iterable[float] | None = None,
+    robot: RobotModel, rotation: np.ndarray, origins: np.ndarray
 ) -> list[np.ndarray]:
     """IK families for many tool positions sharing one orientation.
 
     This is the inner loop of Cartesian planning: an extrusion pass keeps the
     tool orientation fixed while the tip slides along the element, so the
     whole sweep shares the rotation matrix.  With a rail, every origin is
-    solved at each rail position (the robot's `track.step` grid unless
-    `track_positions` is given; positions off the rail are dropped); a fixed
-    arm is a rail with the one position 0 along a zero axis.  Every (origin,
-    rail position, branch) candidate is checked against the joint limits
-    and, by forward kinematics, against its flange target within 1e-6.
+    solved at each position of the rail's `track.step` grid
+    (`TrackSpec.positions`), the only rail positions a plan uses; a fixed
+    arm is a rail with the one position 0 along a zero axis.  Every
+    (origin, rail position, branch) candidate is checked against the joint
+    limits and, by forward kinematics, against its flange target within
+    1e-6.
     Returns one (k, dof) array per origin (k may be 0), rows in
     lexicographic order of their joint values.
     """
@@ -454,12 +443,7 @@ def ik_sweep(
     if robot.track is None:
         grid, axis = np.zeros(1), np.zeros(3)
     else:
-        grid = (
-            np.asarray(list(track_positions), dtype=float)
-            if track_positions is not None
-            else robot.track.positions()
-        )
-        grid = grid[(grid >= robot.track.lower - 1e-9) & (grid <= robot.track.upper + 1e-9)]
+        grid = robot.track.positions()
         axis = np.asarray(robot.track.direction, dtype=float)
     s = grid.shape[0]
     pos = (pos[:, None, :] - grid[None, :, None] * axis[None, None, :]).reshape(n * s, 3)
@@ -531,8 +515,8 @@ def _robot_capsule_table(robot: RobotModel):
 def config_collides_batch(
     robot: RobotModel,
     qs: np.ndarray,
-    scene: CapsuleSet | Sequence[CapsuleShape] | None,
-    clearance: float | None = None,
+    scene: CapsuleSet,
+    clearance: float,
 ) -> np.ndarray:
     """Vectorized collision test; True rows collide.
 
@@ -540,12 +524,9 @@ def config_collides_batch(
     self-collision pairs.  The robot's own static workcell capsules are
     always part of the scene, so callers pass only what they add to them.
     Rows are independent: testing configs in one call or in several gives
-    the same booleans.
+    the same booleans.  `clearance` is added to every capsule pair.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
-    margin = robot.ee.clearance if clearance is None else clearance
-    if not isinstance(scene, CapsuleSet):
-        scene = CapsuleSet(scene or ())
 
     frames_idx, local_a, local_b, radii, pairs = robot.capsule_table
     frames = fk_frames_batch(robot, qs)  # (n, F, 4, 4)
@@ -564,13 +545,13 @@ def config_collides_batch(
             obstacles.a[None, None, :, :],
             obstacles.b[None, None, :, :],
         )  # (n, c, m)
-        limit = radii[None, :, None] + obstacles.radii[None, None, :] + margin
+        limit = radii[None, :, None] + obstacles.radii[None, None, :] + clearance
         hit |= np.any(dist < limit, axis=(1, 2))
     i, j = pairs[:, 0], pairs[:, 1]
     dist = segment_distance_batch(
         world_a[:, i], world_b[:, i], world_a[:, j], world_b[:, j]
     )  # (n, P)
-    hit |= np.any(dist < radii[i] + radii[j] + margin, axis=1)
+    hit |= np.any(dist < radii[i] + radii[j] + clearance, axis=1)
     return hit
 
 
@@ -579,8 +560,8 @@ def build_rungs(
     waypoints: np.ndarray,
     direction: np.ndarray,
     rotation: float,
-    scene: CapsuleSet | Sequence[CapsuleShape] | None,
-    clearance: float | None = None,
+    scene: CapsuleSet,
+    clearance: float,
 ) -> list[np.ndarray] | None:
     """Collision-free IK configs per waypoint under one tool orientation, or
     None if any rung is empty.
@@ -610,28 +591,28 @@ def build_rungs(
 def _capsule(row: dict) -> CapsuleShape:
     """A capsule from its `{p0, p1, radius}` row."""
     return CapsuleShape(
-        tuple(float(v) for v in row["p0"]),
-        tuple(float(v) for v in row["p1"]),
-        float(row["radius"]),
+        tuple(finite(v) for v in row["p0"]),
+        tuple(finite(v) for v in row["p1"]),
+        finite(row["radius"]),
     )
 
 
 def load_robot(source: str | Path | dict) -> RobotModel:
-    """Build a RobotModel from a JSON path or parsed document."""
+    """Build a RobotModel from a JSON path or parsed document; every number
+    in it must be finite."""
     doc = read_document(source, RobotConfigError, "robot")
     try:
         name = str(doc.get("name", "robot"))
         dh_rows = doc["dh"]
         joints = tuple(
             Joint(
-                kind="revolute",
-                a=float(row["a"]),
-                alpha=math.radians(float(row["alpha_deg"])),
-                d=float(row["d"]),
-                theta=math.radians(float(row.get("theta_offset_deg", 0.0))),
-                lower=math.radians(float(row["lower_deg"])),
-                upper=math.radians(float(row["upper_deg"])),
-                weight=float(row.get("weight", 1.0)),
+                a=finite(row["a"]),
+                alpha=math.radians(finite(row["alpha_deg"])),
+                d=finite(row["d"]),
+                theta=math.radians(finite(row.get("theta_offset_deg", 0.0))),
+                lower=math.radians(finite(row["lower_deg"])),
+                upper=math.radians(finite(row["upper_deg"])),
+                weight=finite(row.get("weight", 1.0)),
             )
             for row in dh_rows
         )
@@ -639,30 +620,30 @@ def load_robot(source: str | Path | dict) -> RobotModel:
 
         base = doc.get("base_pose", {})
         base_pose = make_transform(
-            base.get("origin", (0.0, 0.0, 0.0)),
-            [math.radians(v) for v in base.get("rpy_deg", (0.0, 0.0, 0.0))],
+            [finite(v) for v in base.get("origin", (0.0, 0.0, 0.0))],
+            [math.radians(finite(v)) for v in base.get("rpy_deg", (0.0, 0.0, 0.0))],
         )
         tool_doc = doc.get("tool", {})
         tool = make_transform(
-            tool_doc.get("origin", (0.0, 0.0, 0.0)),
-            [math.radians(v) for v in tool_doc.get("rpy_deg", (0.0, 0.0, 0.0))],
+            [finite(v) for v in tool_doc.get("origin", (0.0, 0.0, 0.0))],
+            [math.radians(finite(v)) for v in tool_doc.get("rpy_deg", (0.0, 0.0, 0.0))],
         )
 
         track = None
         if "track" in doc and doc["track"] is not None:
             tr = doc["track"]
             track = TrackSpec(
-                direction=tuple(float(v) for v in tr["direction"]),
-                lower=float(tr["lower"]),
-                upper=float(tr["upper"]),
-                step=float(tr.get("step", 10.0)),
-                weight=float(tr.get("weight", 1.0)),
+                direction=tuple(finite(v) for v in tr["direction"]),
+                lower=finite(tr["lower"]),
+                upper=finite(tr["upper"]),
+                step=finite(tr.get("step", 10.0)),
+                weight=finite(tr.get("weight", 1.0)),
             )
 
         home_doc = doc.get("home", {})
-        home_arm = [math.radians(float(v)) for v in home_doc.get("joints_deg", [0.0] * 6)]
+        home_arm = [math.radians(finite(v)) for v in home_doc.get("joints_deg", [0.0] * 6)]
         if track is not None:
-            home = np.array([float(home_doc.get("track", track.lower))] + home_arm)
+            home = np.array([finite(home_doc.get("track", track.lower))] + home_arm)
         else:
             home = np.array(home_arm)
 
@@ -670,14 +651,14 @@ def load_robot(source: str | Path | dict) -> RobotModel:
             LinkCapsule(frame=int(row["frame"]), shape=_capsule(row))
             for row in doc.get("link_capsules", [])
         )
-        clearance = float(doc.get("clearance", 2.0))
+        clearance = finite(doc.get("clearance", 2.0))
         if "ee" in doc and doc["ee"] != "default":
             caps = tuple(_capsule(row) for row in doc["ee"]["capsules"])
             ee = EEGeometry(caps, clearance)
         else:
             ee = default_ee_geometry(clearance)
         static = tuple(_capsule(row) for row in doc.get("static_capsules", []))
-    except (KeyError, TypeError, ValueError, GeometryError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, GeometryError) as exc:
         raise RobotConfigError(f"bad robot document: {exc}") from exc
 
     robot = RobotModel(

@@ -67,16 +67,9 @@ class PipelineError(Exception):
 def input_fingerprints(
     model: TrussModel, robot: RobotModel, config: PlannerConfig
 ) -> dict:
-    robot_doc = robot.source
-    if robot_doc is None:
-        robot_doc = {
-            "name": robot.name,
-            "dof": robot.dof,
-            "home": [float(v) for v in robot.home],
-        }
     return {
         "model": fingerprint(serialize_model(model)),
-        "robot": fingerprint(robot_doc),
+        "robot": fingerprint(robot.source),
         "config": fingerprint(config.to_dict()),
     }
 

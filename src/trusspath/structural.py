@@ -3,7 +3,8 @@
 Each strut is one 3D frame element with the classical 12x12 stiffness matrix
 (axial + torsion + bending in two planes).  Nodes carry 6 DOF; grounded nodes
 are fully clamped.  Self weight is lumped half-and-half onto the element's end
-nodes.  Units: mm, N, MPa; gravity defaults to -z at 9810 mm/s^2.
+nodes.  Units: mm, N, MPa; gravity defaults to -z at 9810 mm/s^2, and the
+two checks below always analyse under that default.
 
 The two fabrication checks are:
   check_stiffness  -- max nodal translation under self weight below tolerance
@@ -22,7 +23,6 @@ from .geometry import convex_hull_2d, point_in_hull
 from .truss import TrussModel
 
 DEFAULT_GRAVITY = (0.0, 0.0, -9810.0)  # mm/s^2
-DEFAULT_DISPLACEMENT_TOLERANCE = 1.0  # mm
 RESIDUAL_LIMIT = 1e-8
 # mass[kg] * accel[mm/s^2] -> N needs a 1e-3 factor (kg*mm/s^2 = mN)
 _MILLI = 1e-3
@@ -228,14 +228,13 @@ def analyze(
 
 def check_stiffness(
     partial: PartialStructure,
-    tolerance: float = DEFAULT_DISPLACEMENT_TOLERANCE,
-    gravity: Sequence[float] = DEFAULT_GRAVITY,
+    tolerance: float,
     result: StiffnessResult | None = None,
 ) -> bool:
     """Max nodal translation under self weight stays below `tolerance` (mm)."""
     if not partial.element_ids:
         return True
-    res = result if result is not None else analyze(partial, gravity)
+    res = result if result is not None else analyze(partial)
     if res.singular:
         return False
     return res.max_translation < tolerance
@@ -268,15 +267,14 @@ def support_hull(partial: PartialStructure) -> np.ndarray:
 
 def check_stability(
     partial: PartialStructure,
-    gravity: Sequence[float] = DEFAULT_GRAVITY,
     result: StiffnessResult | None = None,
-    tol: float = 1e-9,
 ) -> bool:
     """Partial structure neither tips over nor lifts off its supports.
 
-    Two conditions: the center of gravity must project (along gravity)
-    inside the convex hull of the prefix's grounded nodes, boundary included,
-    and no grounded node may need a tensile vertical reaction.
+    Two conditions: the center of gravity must project (along -z, the
+    default gravity) inside the convex hull of the prefix's grounded nodes,
+    boundary included, and no grounded node may need a tensile vertical
+    reaction.
     """
     if not partial.element_ids:
         return True
@@ -284,10 +282,10 @@ def check_stability(
     if hull.shape[0] == 0:
         return False
     cog = center_of_gravity(partial)
-    if not point_in_hull(cog[:2], hull, tol=max(tol, 1e-9)):
+    if not point_in_hull(cog[:2], hull):
         return False
 
-    res = result if result is not None else analyze(partial, gravity)
+    res = result if result is not None else analyze(partial)
     if res.singular:
         return False
     # reaction z < 0 would mean the support pulls the structure down, i.e.

@@ -61,7 +61,7 @@ def _segment_free(
     b: np.ndarray,
     scene: CapsuleSet,
     step_vec: np.ndarray,
-    clearance: float | None = None,
+    clearance: float,
 ) -> bool:
     qs = _interpolate(a, b, step_vec)
     return not config_collides_batch(robot, qs, scene, clearance=clearance).any()
@@ -108,7 +108,7 @@ def rrt_connect(
     max_iterations: int,
     timeout: float,
     rng: np.random.Generator,
-    clearance: float | None = None,
+    clearance: float,
 ) -> tuple[np.ndarray, int] | None:
     """Bidirectional tree search; returns (path, iterations) or None.
 
@@ -156,7 +156,7 @@ def shortcut(
     step_vec: np.ndarray,
     iterations: int,
     rng: np.random.Generator,
-    clearance: float | None = None,
+    clearance: float,
 ) -> np.ndarray:
     """Random shortcut smoothing; the result never costs more than the input."""
     pts = [row for row in path]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_document
+from .config import finite, read_document
 
 
 class ModelError(Exception):
@@ -144,7 +144,8 @@ class TrussModel:
 
 
 def load_model(source: str | Path | dict) -> TrussModel:
-    """Build a TrussModel from a JSON path or an already-parsed document."""
+    """Build a TrussModel from a JSON path or an already-parsed document;
+    every number in it must be finite."""
     doc = read_document(source, ModelError, "model")
     if isinstance(source, (str, Path)):
         name = Path(source).stem
@@ -157,12 +158,12 @@ def load_model(source: str | Path | dict) -> TrussModel:
     nodes = []
     for row in doc["nodes"]:
         try:
-            xyz = tuple(float(v) for v in row["xyz"])
+            xyz = tuple(finite(v) for v in row["xyz"])
             nodes.append(Node(int(row["id"]), xyz, bool(row.get("grounded", False))))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"bad node entry {row!r}") from exc
-        if len(xyz) != 3 or not all(np.isfinite(xyz)):
-            raise ModelError(f"node {row.get('id')} has non-finite coordinates")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"bad node entry {row!r}: {exc}") from exc
+        if len(xyz) != 3:
+            raise ModelError(f"node {row.get('id')} needs three coordinates")
 
     elements = []
     for row in doc["elements"]:
@@ -175,23 +176,23 @@ def load_model(source: str | Path | dict) -> TrussModel:
                     int(row.get("layer", 0)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"bad element entry {row!r}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"bad element entry {row!r}: {exc}") from exc
 
     mat = doc["material"]
     sec = doc["section"]
     try:
         material = MaterialSpec(
-            float(mat["elastic_modulus"]),
-            float(mat["shear_modulus"]),
-            float(mat["density"]),
+            finite(mat["elastic_modulus"]),
+            finite(mat["shear_modulus"]),
+            finite(mat["density"]),
         )
         section = SectionSpec(
-            float(sec["area"]),
-            float(sec["iy"]),
-            float(sec["iz"]),
-            float(sec["j"]),
-            float(sec["radius"]),
+            finite(sec["area"]),
+            finite(sec["iy"]),
+            finite(sec["iz"]),
+            finite(sec["j"]),
+            finite(sec["radius"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad material/section block: {exc}") from exc

@@ -1,11 +1,15 @@
 """Command line entry points and exit codes."""
 
+import errno
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from trusspath import cli
 from trusspath.cli import main
+from trusspath.postprocess import load_plan
 
 CFG_DOC = {"direction_count": 24, "rotation_samples": 2}
 
@@ -193,6 +197,28 @@ def test_output_path_is_checked_before_planning(cfg_file, tmp_path, capsys, monk
         assert err == f"error: output directory does not exist: {missing}\n"
     assert main(["sequence", *common(cfg_file), "--out", str(tmp_path)]) == 4
     assert capsys.readouterr().err == f"error: output path is a directory: {tmp_path}\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "sequence", "motion", "export-geometry"])
+def test_failed_write_gives_one_error_line(
+    plan_file, cfg_file, tmp_path, capsys, monkeypatch, command
+):
+    seq = tmp_path / "seq.json"
+    seq.write_text("{}")
+    # stand-ins for the planning work; the write is what is under test
+    monkeypatch.setattr(cli, "run_pipeline", lambda *_, **__: (load_plan(plan_file), None))
+    monkeypatch.setattr(cli, "sequence_from_dict", lambda doc: None)
+
+    def disk_full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    out = tmp_path / "out.json"
+    extra = ["--from-sequence", str(seq)] if command == "motion" else []
+    assert main([command, *common(cfg_file), *extra, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert not out.exists()
 
 
 def test_export_geometry(cfg_file, tmp_path, capsys):

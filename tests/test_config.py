@@ -1,6 +1,8 @@
 """Configuration defaults, overrides, and validation."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -110,6 +112,32 @@ def test_load_config_rejects_mistyped_values():
     assert cfg.to_dict()["transition"]["direct_timeout"] == 2
     with pytest.raises(PlannerConfigError, match="clearance must be float"):
         PlannerConfig().replace(clearance="2")
+
+
+# every float field of the config and of its transition block, so a new
+# field is covered here without editing the test
+FLOAT_FIELDS = [
+    (block, f.name)
+    for block, settings in ((None, PlannerConfig), ("transition", TransitionSettings))
+    for f in dataclasses.fields(settings)
+    if type(f.default) is float
+]
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"]
+)
+@pytest.mark.parametrize(
+    "block,name", FLOAT_FIELDS, ids=[f"{b}.{n}" if b else n for b, n in FLOAT_FIELDS]
+)
+def test_load_config_rejects_non_finite_numbers(tmp_path, block, name, value):
+    doc = {name: value} if block is None else {block: {name: value}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity tokens
+    with pytest.raises(PlannerConfigError, match=f"{name} must be finite"):
+        load_config(path)
+    with pytest.raises(PlannerConfigError, match="must be finite"):
+        load_config(doc)
 
 
 def test_load_config_unreadable_file(tmp_path):

@@ -219,7 +219,7 @@ def test_ee_element_collision_direct_hit():
     up = np.array([0.0, 0.0, 1.0])
     # element crossing straight through the barrel volume above the path
     segment = np.array([[25.0, -20.0, 60.0], [25.0, 20.0, 60.0]])
-    assert ee_element_collision(path, up, 0.0, segment, 2.0, ee)
+    assert ee_element_collision(path, up, 0.0, segment, 2.0, ee, clearance=2.0)
 
 
 def test_ee_self_collision_depends_on_route():
@@ -230,21 +230,21 @@ def test_ee_self_collision_depends_on_route():
     # leaning backward over the fresh bead: blocked one way only
     lean_back = np.array([-1.0, 0.0, 0.35])
     lean_fwd = np.array([1.0, 0.0, 0.35])
-    assert ee_self_collision(pts, lean_back, 0.0, 2.0, ee) is True
-    assert ee_self_collision(pts, lean_fwd, 0.0, 2.0, ee) is False
+    assert ee_self_collision(pts, lean_back, 0.0, 2.0, ee, clearance=2.0) is True
+    assert ee_self_collision(pts, lean_fwd, 0.0, 2.0, ee, clearance=2.0) is False
     # the reversed pass swaps which lean is blocked
     rev = pts[::-1].copy()
-    assert ee_self_collision(rev, lean_back, 0.0, 2.0, ee) is False
-    assert ee_self_collision(rev, lean_fwd, 0.0, 2.0, ee) is True
+    assert ee_self_collision(rev, lean_back, 0.0, 2.0, ee, clearance=2.0) is False
+    assert ee_self_collision(rev, lean_fwd, 0.0, 2.0, ee, clearance=2.0) is True
 
 
 def test_ee_self_collision_vertical_is_clear():
     ee = default_ee_geometry()
     pts = np.linspace(np.zeros(3), np.array([120.0, 0.0, 0.0]), 25)
     up = np.array([0.0, 0.0, 1.0])
-    assert not ee_self_collision(pts, up, 0.0, 2.0, ee)
+    assert not ee_self_collision(pts, up, 0.0, 2.0, ee, clearance=2.0)
     # single point paths have no grown bead yet
-    assert not ee_self_collision(pts[:1], up, 0.0, 2.0, ee)
+    assert not ee_self_collision(pts[:1], up, 0.0, 2.0, ee, clearance=2.0)
 
 
 def test_sweep_batch_matches_per_direction_checks():

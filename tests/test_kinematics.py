@@ -109,7 +109,7 @@ def test_ik_sweep_matches_pointwise_ik():
             assert np.allclose(a, b, atol=1e-9)
 
 
-def oracle_ik_sweep(robot, rotation, origins, track_positions=None):
+def oracle_ik_sweep(robot, rotation, origins):
     """`ik_sweep` as a fixed-arm branch and a rail branch: a Python loop sorts
     each (origin, rail position)'s verified rows, and the rail branch sorts
     each origin's concatenated rows a second time."""
@@ -151,11 +151,7 @@ def oracle_ik_sweep(robot, rotation, origins, track_positions=None):
 
     if robot.track is None:
         return verify_and_filter(rot, pos, None)
-    grid = (
-        np.asarray(list(track_positions), dtype=float)
-        if track_positions is not None
-        else robot.track.positions()
-    )
+    grid = robot.track.positions()
     axis = np.asarray(robot.track.direction, dtype=float)
     s = grid.shape[0]
     pos_all = (pos[:, None, :] - grid[None, :, None] * axis[None, None, :]).reshape(n * s, 3)
@@ -171,19 +167,15 @@ def oracle_ik_sweep(robot, rotation, origins, track_positions=None):
 def test_ik_sweep_matches_two_branch_oracle_bit_for_bit():
     rng = np.random.default_rng(47)
     total = 0
-    for robot, track_positions in (
-        (load_bundled_robot("arm"), None),
-        (load_robot(tracked_doc()), None),
-        (load_robot(tracked_doc()), [120.0, -250.0, 120.0, 500.0]),  # unsorted, repeated
-    ):
-        for _ in range(4):
+    for robot in (load_bundled_robot("arm"), load_robot(tracked_doc())):
+        for _ in range(7):
             q = rng.uniform(robot.lower, robot.upper)
             frame = fk(robot, q).frame()
             origins = frame[:3, 3] + rng.uniform(-40.0, 40.0, size=(12, 3))
             origins[5] = (1e5, 0.0, 0.0)  # unreachable: an empty family
             for pts in (origins, origins[0]):  # a sweep and a single origin
-                got = ik_sweep(robot, frame[:3, :3], pts, track_positions)
-                want = oracle_ik_sweep(robot, frame[:3, :3], pts, track_positions)
+                got = ik_sweep(robot, frame[:3, :3], pts)
+                want = oracle_ik_sweep(robot, frame[:3, :3], pts)
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     w = np.array(w, dtype=float).reshape(-1, robot.dof)
@@ -270,26 +262,15 @@ def test_track_extends_dof_and_ik():
     rng = np.random.default_rng(41)
     for _ in range(10):
         q = rng.uniform(robot.lower, robot.upper)
+        q[0] = rng.choice(grid)  # IK solves the rail on its grid only
         target = fk(robot, q)
-        solutions = ik(robot, target, track_positions=[q[0]])
+        solutions = ik(robot, target)
         assert solutions
         best = min(float(np.max(np.abs(s - q))) for s in solutions)
         assert best < IK_MATCH_TOL
         for s in solutions:
-            assert s[0] == pytest.approx(q[0])
+            assert s[0] in grid
             assert pose_error(robot, s, target) < IK_POSE_TOL
-
-
-def test_ik_keeps_explicit_rail_positions_on_the_rail():
-    # rail -500..500: a pose reached from 900 mm has no solution on the rail
-    robot = load_robot(tracked_doc())
-    q = robot.home.copy()
-    q[0] = 900.0
-    assert ik(robot, fk(robot, q), track_positions=[900.0]) == []
-    q[0] = 400.0
-    solutions = ik(robot, fk(robot, q), track_positions=[900.0, 400.0])
-    assert solutions
-    assert all(s[0] == 400.0 and robot.within_limits(s) for s in solutions)
 
 
 def test_track_spec_validation():
@@ -301,9 +282,11 @@ def test_track_spec_validation():
         TrackSpec((0.0, 1.0, 0.0), lower=-5.0, upper=5.0, step=0.0)
 
 
-def collides(robot, q, scene, clearance=None):
+def collides(robot, q, scene, clearance=2.0):
     """One configuration through the batch query."""
-    return config_collides_batch(robot, np.asarray(q)[None], scene, clearance)[0]
+    return config_collides_batch(
+        robot, np.asarray(q)[None], CapsuleSet(scene), clearance
+    )[0]
 
 
 def test_config_collides_with_scene():
@@ -321,7 +304,7 @@ def test_config_collides_batch_matches_single():
     rng = np.random.default_rng(43)
     qs = rng.uniform(robot.lower * 0.7, robot.upper * 0.7, size=(12, robot.dof))
     scene = [CapsuleShape((400.0, 0.0, 0.0), (400.0, 0.0, 800.0), 60.0)]
-    batch = config_collides_batch(robot, qs, scene)
+    batch = config_collides_batch(robot, qs, CapsuleSet(scene), clearance=2.0)
     assert batch.shape == (12,)
     for row, q in zip(batch, qs):
         assert row == collides(robot, q, scene)
@@ -387,4 +370,51 @@ def test_load_robot_errors(tmp_path):
     doc = bundled_doc()
     doc["link_capsules"][0]["frame"] = 99
     with pytest.raises(RobotConfigError, match="frame"):
+        load_robot(doc)
+
+
+def every_block_doc():
+    """The rail robot plus a static capsule and an explicit extruder block,
+    so every block of a robot document holds numbers."""
+    doc = tracked_doc()
+    doc["static_capsules"] = [{"p0": [2000.0, 0.0, 0.0], "p1": [2000.0, 0.0, 500.0], "radius": 50.0}]
+    doc["ee"] = {
+        "capsules": [
+            {"p0": [0.0, 0.0, -25.0], "p1": [0.0, 0.0, -145.0], "radius": 12.0},
+            {"p0": [0.0, 0.0, -150.0], "p1": [0.0, 0.0, -195.0], "radius": 35.0},
+        ]
+    }
+    return doc
+
+
+ROBOT_NUMBERS = [
+    ("dh", 0, "a"),
+    ("dh", 1, "alpha_deg"),
+    ("dh", 5, "weight"),
+    ("base_pose", "origin", 1),
+    ("tool", "rpy_deg", 2),
+    ("track", "step"),
+    ("home", "joints_deg", 3),
+    ("home", "track"),
+    ("link_capsules", 0, "radius"),
+    ("link_capsules", 1, "frame"),
+    ("static_capsules", 0, "p1", 2),
+    ("ee", "capsules", 1, "p0", 0),
+    ("clearance",),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "path", ROBOT_NUMBERS, ids=["-".join(map(str, p)) for p in ROBOT_NUMBERS]
+)
+def test_load_robot_rejects_non_finite_numbers(path, value):
+    load_robot(every_block_doc())  # the unedited document loads
+    doc = every_block_doc()
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    # a frame index read as an integer fails its conversion instead
+    with pytest.raises(RobotConfigError, match="not a finite number|cannot convert float"):
         load_robot(doc)

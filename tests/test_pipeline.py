@@ -10,14 +10,19 @@ import pytest
 from trusspath import kinematics, pipeline
 from trusspath.cartesian import CartesianPlanningError
 from trusspath.config import PlannerConfig
-from trusspath.fixtures import fixture_path, load_bundled_model, load_bundled_robot
+from trusspath.fixtures import (
+    bracing_tower,
+    fixture_path,
+    load_bundled_model,
+    load_bundled_robot,
+)
 from trusspath.geometry import (
     CapsuleShape,
     EEGeometry,
     direction_rotation_from_frame,
     ee_self_collision,
 )
-from trusspath.kinematics import config_collides_batch, load_robot
+from trusspath.kinematics import CapsuleSet, config_collides_batch, load_robot
 from trusspath.pipeline import (
     PipelineError,
     input_fingerprints,
@@ -145,8 +150,8 @@ def test_static_capsule_is_an_obstacle_everywhere(model, robot, planned, monkeyp
     rows = next(
         np.array(s["joints"]) for s in first["subprocesses"] if s["kind"] == "extrusion"
     )
-    assert not config_collides_batch(robot, rows, [], clearance=CFG.clearance).any()
-    assert config_collides_batch(walled, rows, [], clearance=CFG.clearance).all()
+    assert not config_collides_batch(robot, rows, CapsuleSet(()), clearance=CFG.clearance).any()
+    assert config_collides_batch(walled, rows, CapsuleSet(()), clearance=CFG.clearance).all()
 
     assert SequencePlanner(model, robot, CFG)._ee_pose_exists(eid) is not None
     # the probe tests the static exactly once per config: with nothing
@@ -175,6 +180,27 @@ def test_rerun_is_byte_identical(model, robot, planned):
     plan2, _ = run_pipeline(model, robot, CFG)
     text1 = json.dumps(doc, sort_keys=True, indent=2)
     text2 = json.dumps(plan_to_dict(plan2), sort_keys=True, indent=2)
+    assert text1 == text2
+
+
+def test_railed_robot_plans_and_validates():
+    # the bundled arm on a y rail, -500..500 mm, solved on its 100 mm grid
+    doc = json.loads(fixture_path("kr6_like.json").read_text())
+    doc["track"] = {"direction": [0.0, 1.0, 0.0], "lower": -500.0, "upper": 500.0, "step": 100.0}
+    doc["home"]["track"] = 0.0
+    railed = load_robot(doc)
+    tower = bracing_tower(stories=1)
+    plan, _ = run_pipeline(tower, railed, CFG)
+    assert plan.dof == 7
+    report = validate_plan(plan, tower, railed, CFG)
+    assert report.passed, report.table()
+    rail = np.concatenate(
+        [s.joints[:, 0] for t in plan.tasks for s in t.subprocesses if s.data_kind == "tcp"]
+    )
+    assert np.isin(rail, railed.track.positions()).all()
+    again, _ = run_pipeline(tower, railed, CFG)
+    text1 = json.dumps(plan_to_dict(plan), sort_keys=True, indent=2)
+    text2 = json.dumps(plan_to_dict(again), sort_keys=True, indent=2)
     assert text1 == text2
 
 

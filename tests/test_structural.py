@@ -160,7 +160,7 @@ def test_floating_prefix_is_singular():
     )
     res = analyze(PartialStructure(model, (2,)))
     assert res.singular
-    assert not check_stiffness(PartialStructure(model, (2,)))
+    assert not check_stiffness(PartialStructure(model, (2,)), 1.0)
     assert not check_stability(PartialStructure(model, (2,)))
     # the full chain is fine
     assert not analyze(PartialStructure(model, (0, 1, 2))).singular
@@ -175,7 +175,7 @@ def test_check_stiffness_threshold():
     assert not check_stiffness(partial, tolerance=1.0)
     assert check_stiffness(partial, tolerance=1e6)
     # empty prefix is trivially fine
-    assert check_stiffness(PartialStructure(stiff, ()))
+    assert check_stiffness(PartialStructure(stiff, ()), 1.0)
 
 
 def test_analyze_rejects_empty_and_duplicate():

@@ -121,6 +121,33 @@ def test_validation_rejects_bad_models():
         load_model(doc)
 
 
+MODEL_NUMBERS = [
+    ("nodes", 0, "id"),
+    ("nodes", 2, "xyz", 1),
+    ("elements", 1, "start"),
+    ("material", "elastic_modulus"),
+    ("material", "density"),
+    ("section", "area"),
+    ("section", "j"),
+    ("section", "radius"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "path", MODEL_NUMBERS, ids=["-".join(map(str, p)) for p in MODEL_NUMBERS]
+)
+def test_load_model_rejects_non_finite_numbers(path, value):
+    doc = json.loads(json.dumps(toy_doc()))  # the shared material stays intact
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    # an id read as an integer fails its conversion instead
+    with pytest.raises(ModelError, match="not a finite number|cannot convert float"):
+        load_model(doc)
+
+
 def test_validation_rejects_floating_parts():
     doc = toy_doc()
     # island: two nodes and an element with no path to ground
