@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -44,6 +45,19 @@ def finite(value: Any) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
     return number
+
+
+def integer(value: Any) -> int:
+    """`int(value)` for an id, index or layer read from an input document.
+
+    An integral number passes (an integral float counts, as in a plan
+    document); a bool, a fraction, a non-finite number or a string raises
+    ValueError, which each loader reports as its own error."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and finite(value).is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def _check_types(settings: Any, prefix: str = "") -> None:

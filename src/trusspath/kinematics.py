@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import finite, read_document
+from .config import finite, integer, read_document
 from .geometry import (
     CapsuleShape,
     EEGeometry,
@@ -427,8 +427,8 @@ def ik_sweep(
     (`TrackSpec.positions`), the only rail positions a plan uses; a fixed
     arm is a rail with the one position 0 along a zero axis.  Every
     (origin, rail position, branch) candidate is checked against the joint
-    limits and, by forward kinematics, against its flange target within
-    1e-6.
+    limits; the survivors must reproduce the world tool pose within 1e-6
+    through `fk_frames_batch`, the one forward-kinematics chain.
     Returns one (k, dof) array per origin (k may be 0), rows in
     lexicographic order of their joint values.
     """
@@ -455,19 +455,15 @@ def ik_sweep(
     lows = np.array([j.lower for j in robot.joints])
     highs = np.array([j.upper for j in robot.joints])
     ok = valid.reshape(-1) & np.all((flat >= lows - 1e-9) & (flat <= highs + 1e-9), axis=1)
-    cur = np.eye(4)[None, :, :].repeat(flat.shape[0], axis=0)
-    for i, joint in enumerate(robot.joints):
-        cur = cur @ _dh_matrix_batch(joint, flat[:, i])
-    pos_err = np.linalg.norm(cur[:, :3, 3] - np.repeat(pos, branches, axis=0), axis=1)
-    rot_err = np.linalg.norm(
-        cur[:, :3, :3] - np.repeat(rot, branches, axis=0), axis=(1, 2)
-    ) / math.sqrt(2.0)
-    ok &= (pos_err < _POSE_TOL) & (rot_err < _POSE_TOL)
-
     rows = flat[ok]
     if robot.track is not None:
         rows = np.column_stack([np.repeat(np.tile(grid, n), branches)[ok], rows])
     owner = np.repeat(np.arange(n), s * branches)[ok]
+    tip = fk_frames_batch(robot, rows)[:, -1]
+    pos_err = np.linalg.norm(tip[:, :3, 3] - origins[owner], axis=1)
+    rot_err = np.linalg.norm(tip[:, :3, :3] - rotation, axis=(1, 2)) / math.sqrt(2.0)
+    hit = (pos_err < _POSE_TOL) & (rot_err < _POSE_TOL)
+    rows, owner = rows[hit], owner[hit]
     # stable, so equal rows keep (rail position, branch) order
     order = np.lexsort((*rows.T[::-1], owner))
     return np.split(rows[order], np.cumsum(np.bincount(owner, minlength=n))[:-1])
@@ -599,7 +595,7 @@ def _capsule(row: dict) -> CapsuleShape:
 
 def load_robot(source: str | Path | dict) -> RobotModel:
     """Build a RobotModel from a JSON path or parsed document; every number
-    in it must be finite."""
+    in it must be finite and every link-capsule `frame` an integer."""
     doc = read_document(source, RobotConfigError, "robot")
     try:
         name = str(doc.get("name", "robot"))
@@ -648,7 +644,7 @@ def load_robot(source: str | Path | dict) -> RobotModel:
             home = np.array(home_arm)
 
         link_capsules = tuple(
-            LinkCapsule(frame=int(row["frame"]), shape=_capsule(row))
+            LinkCapsule(frame=integer(row["frame"]), shape=_capsule(row))
             for row in doc.get("link_capsules", [])
         )
         clearance = finite(doc.get("clearance", 2.0))

@@ -3,8 +3,9 @@
 `run_pipeline` chains the stages: order the elements, pick orientation
 blocks and joint paths for every extrusion pass, wrap each pass in approach
 and depart slides, and stitch free-space transitions between them, starting
-from the robot's home configuration.  The output is a fingerprinted plan
-document plus a stage report.
+from the robot's home configuration.  The output is the fingerprinted plan
+document, a plain dict that `save_plan` writes as it is, plus a stage
+report.
 
 `validate_plan` is the independent half: it takes a plan document plus the
 model, robot, and configuration, and re-derives every claim the plan makes
@@ -37,12 +38,10 @@ from .kinematics import (
 )
 from .postprocess import (
     PLAN_VERSION,
+    SUBPROCESS_TYPES,
     PlanFormatError,
-    Subprocess,
-    TaggedPlan,
-    TaskPlan,
     fingerprint,
-    plan_to_dict,
+    seam_gaps,
     tcp_entries,
     validate_plan_document,
 )
@@ -132,7 +131,8 @@ def run_pipeline(
     robot: RobotModel,
     config: PlannerConfig | None = None,
     sequence: SequenceResult | None = None,
-) -> tuple[TaggedPlan, PipelineReport]:
+) -> tuple[dict, PipelineReport]:
+    """Plan `model` end to end; returns the plan document and a stage report."""
     config = config or PlannerConfig()
     config.validate()
     t_all = time.monotonic()
@@ -161,9 +161,8 @@ def run_pipeline(
     cart_time = time.monotonic() - t0
 
     t0 = time.monotonic()
-    plan_tasks: list[TaskPlan] = []
+    plan_tasks: list[dict] = []
     prev = robot.home
-    sub_id = 0
     trans_cost = 0.0
     via_home = 0
     fallbacks = 0
@@ -175,13 +174,13 @@ def run_pipeline(
             robot, task.waypoints[0], v, cap.rotation, traj[0],
             task.scene, config, directions, cap.direction_index,
         )
-        approach = out[::-1].copy() if out is not None else traj[:1].copy()
+        approach = out[::-1] if out is not None else traj[:1]
         fallbacks += int(out is None)
         out = plan_retraction(
             robot, task.waypoints[-1], v, cap.rotation, traj[-1],
             task.scene_after, config, directions, cap.direction_index,
         )
-        depart = out if out is not None else traj[-1:].copy()
+        depart = out if out is not None else traj[-1:]
         fallbacks += int(out is None)
 
         move = plan_transition(
@@ -191,47 +190,31 @@ def run_pipeline(
         trans_cost += move.cost
         via_home += int(move.via_home)
 
-        plan_tasks.append(
-            TaskPlan(
-                task_id=k,
-                element_id=task.element,
-                subprocesses=[
-                    Subprocess(sub_id, "transition", "joint", move.path),
-                    Subprocess(
-                        sub_id + 1,
-                        "retraction-approach",
-                        "tcp",
-                        approach,
-                        tcp_entries(robot, approach),
-                    ),
-                    Subprocess(
-                        sub_id + 2,
-                        "extrusion",
-                        "tcp",
-                        traj,
-                        tcp_entries(robot, traj),
-                        {"extruder_on": 0, "extruder_off": len(traj) - 1},
-                    ),
-                    Subprocess(
-                        sub_id + 3,
-                        "retraction-depart",
-                        "tcp",
-                        depart,
-                        tcp_entries(robot, depart),
-                    ),
-                ],
-            )
-        )
-        sub_id += 4
+        legs = (move.path, approach, traj, depart)
+        subs = [
+            {
+                "id": 4 * k + i,
+                "kind": kind,
+                "data_kind": "joint" if kind == "transition" else "tcp",
+                "joints": rows.tolist(),
+                "tcp": None if kind == "transition" else tcp_entries(robot, rows),
+                "io_anchors": (
+                    {"extruder_on": 0, "extruder_off": len(rows) - 1}
+                    if kind == "extrusion" else None
+                ),
+            }
+            for i, (kind, rows) in enumerate(zip(SUBPROCESS_TYPES, legs))
+        ]
+        plan_tasks.append({"task_id": k, "element_id": task.element, "subprocesses": subs})
         prev = depart[-1]
     trans_time = time.monotonic() - t0
 
-    plan = TaggedPlan(
-        version=PLAN_VERSION,
-        fingerprints=input_fingerprints(model, robot, config),
-        dof=robot.dof,
-        tasks=plan_tasks,
-    )
+    plan = {
+        "version": PLAN_VERSION,
+        "fingerprints": input_fingerprints(model, robot, config),
+        "dof": robot.dof,
+        "tasks": plan_tasks,
+    }
     report = PipelineReport(
         sequence_stats=sequence.stats,
         sequence_time=seq_time,
@@ -244,7 +227,7 @@ def run_pipeline(
         transition_count=len(plan_tasks),
         transition_via_home=via_home,
         transition_cost=trans_cost,
-        subprocess_count=sub_id,
+        subprocess_count=4 * len(plan_tasks),
         retraction_fallbacks=fallbacks,
     )
     return plan, report
@@ -283,26 +266,29 @@ def _check(report: ValidationReport, name: str, passed: bool, detail: str) -> No
 
 
 def validate_plan(
-    plan: TaggedPlan | dict,
+    plan: dict,
     model: TrussModel,
     robot: RobotModel,
     config: PlannerConfig | None = None,
 ) -> ValidationReport:
-    """Re-derive every claim a plan makes against its inputs."""
+    """Re-derive every claim a plan document makes against its inputs.
+
+    `plan` is the document as `run_pipeline` returns it or `load_plan` reads
+    it; a malformed one fails the "format" check and nothing else runs.
+    """
     config = config or PlannerConfig()
     config.validate()
     report = ValidationReport()
 
-    doc = plan if isinstance(plan, dict) else plan_to_dict(plan)
     try:
-        validate_plan_document(doc)
-        _check(report, "format", True, f"{len(doc['tasks'])} tasks, well-formed")
+        validate_plan_document(plan)
+        _check(report, "format", True, f"{len(plan['tasks'])} tasks, well-formed")
     except PlanFormatError as exc:
         _check(report, "format", False, str(exc))
         return report  # nothing else is trustworthy
 
     expected = input_fingerprints(model, robot, config)
-    mismatched = [k for k in expected if doc["fingerprints"].get(k) != expected[k]]
+    mismatched = [k for k in expected if plan["fingerprints"].get(k) != expected[k]]
     _check(
         report,
         "fingerprints",
@@ -312,13 +298,13 @@ def validate_plan(
     )
 
     # every later check reads joint rows as robot configurations
-    if doc["dof"] != robot.dof:
-        _check(report, "dof", False, f"plan has {doc['dof']} joints, robot has {robot.dof}")
+    if plan["dof"] != robot.dof:
+        _check(report, "dof", False, f"plan has {plan['dof']} joints, robot has {robot.dof}")
         return report
 
     # reconstruct numeric views once, in document order: (task index,
     # subprocess, joint rows); ids are labels, not keys
-    tasks = doc["tasks"]
+    tasks = plan["tasks"]
     subs = [
         (k, s, np.array(s["joints"], dtype=float))
         for k, t in enumerate(tasks)
@@ -326,9 +312,7 @@ def validate_plan(
     ]
 
     # continuity: seams and the home start
-    worst_gap = 0.0
-    for (_, _, before), (_, _, after) in zip(subs[:-1], subs[1:]):
-        worst_gap = max(worst_gap, float(np.abs(after[0] - before[-1]).max()))
+    worst_gap = max(gap for _, _, gap in seam_gaps(plan))
     first = subs[0][2][0]
     home_gap = float(np.abs(first - robot.home).max())
     ok = worst_gap <= SEAM_TOLERANCE and home_gap <= SEAM_TOLERANCE

@@ -1,12 +1,15 @@
-"""Plan document assembly, serialization, and integrity fingerprints.
+"""The plan document: format check, serialization and integrity fingerprints.
 
-A finished plan is a list of per-element task entries, each holding exactly
+A plan is its JSON document; `run_pipeline` builds it, `save_plan` writes
+it, `load_plan` reads it back and `validate_plan` checks it, all as the same
+plain dict.  It holds the plan `version`, the input `fingerprints`, the
+joint count `dof` and a list of per-element `tasks`, each holding exactly
 four subprocesses in execution order: the free-space transition that brings
 the robot in, the approach slide onto the start node, the extrusion pass
 itself, and the depart slide away from the end node.  Transitions are pure
-joint-space data; the other three carry tool poses alongside the joints so
-downstream consumers (simulation, controller code generation) do not need a
-kinematics model.
+joint-space data (`"tcp": null`); the other three carry tool poses alongside
+the joints so downstream consumers (simulation, controller code generation)
+do not need a kinematics model.
 
 Documents embed SHA-256 fingerprints of the model, robot, and configuration
 they were planned from, letting the validator refuse a plan replayed against
@@ -26,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
 from numbers import Number
 from pathlib import Path
 from typing import NoReturn
@@ -47,31 +49,6 @@ SUBPROCESS_TYPES = (
 
 class PlanFormatError(Exception):
     pass
-
-
-@dataclass
-class Subprocess:
-    id: int
-    kind: str  # one of SUBPROCESS_TYPES
-    data_kind: str  # "joint" for transitions, "tcp" otherwise
-    joints: np.ndarray  # (m, dof)
-    tcp: list[dict] | None = None  # per waypoint: origin, zaxis, rotation
-    io_anchors: dict | None = None  # extrusion only: extruder_on / extruder_off
-
-
-@dataclass
-class TaskPlan:
-    task_id: int
-    element_id: int
-    subprocesses: list[Subprocess] = field(default_factory=list)
-
-
-@dataclass
-class TaggedPlan:
-    version: str
-    fingerprints: dict  # {"model": hex, "robot": hex, "config": hex}
-    dof: int
-    tasks: list[TaskPlan] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -223,76 +200,41 @@ def validate_plan_document(doc: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# conversion and io
+# io
 
 
-def plan_to_dict(plan: TaggedPlan) -> dict:
-    return {
-        "version": plan.version,
-        "fingerprints": dict(plan.fingerprints),
-        "dof": plan.dof,
-        "tasks": [
-            {
-                "task_id": t.task_id,
-                "element_id": t.element_id,
-                "subprocesses": [
-                    {
-                        "id": s.id,
-                        "kind": s.kind,
-                        "data_kind": s.data_kind,
-                        "joints": [[float(v) for v in row] for row in s.joints],
-                        "tcp": s.tcp,
-                        "io_anchors": s.io_anchors,
-                    }
-                    for s in t.subprocesses
-                ],
-            }
-            for t in plan.tasks
-        ],
-    }
+def plan_to_dict(plan: dict) -> dict:
+    """The plan itself: a plan is its document."""
+    return plan
 
 
-def plan_from_dict(doc: dict) -> TaggedPlan:
+def save_plan(plan: dict, path: str | Path) -> None:
+    """Check the plan document, then write it in canonical form."""
+    validate_plan_document(plan)
+    write_document(plan, path)
+
+
+def load_plan(path: str | Path) -> dict:
+    """Read a plan document and check it."""
+    doc = read_document(path, PlanFormatError, "plan")
     validate_plan_document(doc)
-    tasks = []
-    for t in doc["tasks"]:
-        subs = [
-            Subprocess(
-                id=s["id"],
-                kind=s["kind"],
-                data_kind=s["data_kind"],
-                joints=np.array(s["joints"], dtype=float),
-                tcp=s.get("tcp"),
-                io_anchors=s.get("io_anchors"),
-            )
-            for s in t["subprocesses"]
-        ]
-        tasks.append(TaskPlan(t["task_id"], t["element_id"], subs))
-    return TaggedPlan(doc["version"], dict(doc["fingerprints"]), doc["dof"], tasks)
+    return doc
 
 
-def save_plan(plan: TaggedPlan, path: str | Path) -> None:
-    doc = plan_to_dict(plan)
-    validate_plan_document(doc)
-    write_document(doc, path)
-
-
-def load_plan(path: str | Path) -> TaggedPlan:
-    return plan_from_dict(read_document(path, PlanFormatError, "plan"))
-
-
-def seam_gaps(plan: TaggedPlan) -> list[tuple[int, int, float]]:
+def seam_gaps(plan: dict) -> list[tuple[int, int, float]]:
     """Largest joint discontinuity at every subprocess boundary.
 
     Returns (task_id, subprocess id of the later side, gap) triples covering
-    both intra-task boundaries and the stitch between consecutive tasks.
+    both intra-task boundaries and the stitch between consecutive tasks, in
+    document order.
     """
     gaps = []
-    prev_end: np.ndarray | None = None
-    for task in plan.tasks:
-        for sub in task.subprocesses:
+    prev_end: list | None = None
+    for task in plan["tasks"]:
+        for sub in task["subprocesses"]:
+            rows = sub["joints"]
             if prev_end is not None:
-                gap = float(np.abs(sub.joints[0] - prev_end).max())
-                gaps.append((task.task_id, sub.id, gap))
-            prev_end = sub.joints[-1]
+                gap = float(np.abs(np.subtract(rows[0], prev_end)).max())
+                gaps.append((task["task_id"], sub["id"], gap))
+            prev_end = rows[-1]
     return gaps

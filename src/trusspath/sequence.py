@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import PlannerConfig
+from .config import PlannerConfig, finite, integer
 from .geometry import (
     CapsuleShape,
     EEGeometry,
@@ -164,28 +164,30 @@ def sequence_to_dict(result: SequenceResult) -> dict:
 def sequence_from_dict(doc: dict) -> SequenceResult:
     """Rebuild a sequence result; direction indices are re-resolved against
     the deterministic direction lattice and must agree with the stored
-    vectors.  A document not shaped like `sequence_to_dict`'s output raises
-    `SequenceFormatError`."""
+    vectors.  A document not shaped like `sequence_to_dict`'s output, or
+    holding a fraction where an integer belongs or a non-finite direction or
+    rotation, raises `SequenceFormatError`."""
     try:
-        directions = sample_directions(int(doc["direction_count"]))
+        directions = sample_directions(integer(doc["direction_count"]))
         tasks = []
         for t in doc["tasks"]:
-            vec = directions[int(t["direction_index"])]
-            stored = np.array(t["direction"], dtype=float)
-            if np.abs(vec - stored).max() > 1e-9:
+            index = integer(t["direction_index"])
+            if not 0 <= index < len(directions):
+                raise IndexError(f"direction index {index} is off the lattice")
+            direction = tuple(finite(v) for v in t["direction"])
+            if np.abs(directions[index] - direction).max() > 1e-9:
                 raise SequencePlanningError(
                     f"task {t['position']}: stored direction does not match "
-                    f"index {t['direction_index']} of a "
-                    f"{doc['direction_count']}-direction lattice"
+                    f"index {index} of a {len(directions)}-direction lattice"
                 )
             tasks.append(
                 SequenceTask(
-                    position=int(t["position"]),
-                    element=int(t["element"]),
-                    direction_index=int(t["direction_index"]),
-                    direction=tuple(float(v) for v in t["direction"]),
-                    rotation=float(t["rotation"]),
-                    start_node=int(t["start_node"]),
+                    position=integer(t["position"]),
+                    element=integer(t["element"]),
+                    direction_index=index,
+                    direction=direction,
+                    rotation=finite(t["rotation"]),
+                    start_node=integer(t["start_node"]),
                 )
             )
         stats = SearchStats(**doc.get("stats", {}))

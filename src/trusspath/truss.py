@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import finite, read_document
+from .config import finite, integer, read_document
 
 
 class ModelError(Exception):
@@ -145,7 +145,8 @@ class TrussModel:
 
 def load_model(source: str | Path | dict) -> TrussModel:
     """Build a TrussModel from a JSON path or an already-parsed document;
-    every number in it must be finite."""
+    every number in it must be finite, every id, node reference and layer
+    an integer, and every `grounded` flag a boolean."""
     doc = read_document(source, ModelError, "model")
     if isinstance(source, (str, Path)):
         name = Path(source).stem
@@ -159,7 +160,10 @@ def load_model(source: str | Path | dict) -> TrussModel:
     for row in doc["nodes"]:
         try:
             xyz = tuple(finite(v) for v in row["xyz"])
-            nodes.append(Node(int(row["id"]), xyz, bool(row.get("grounded", False))))
+            grounded = row.get("grounded", False)
+            if not isinstance(grounded, bool):
+                raise ValueError(f"grounded {grounded!r} is not true or false")
+            nodes.append(Node(integer(row["id"]), xyz, grounded))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bad node entry {row!r}: {exc}") from exc
         if len(xyz) != 3:
@@ -170,10 +174,10 @@ def load_model(source: str | Path | dict) -> TrussModel:
         try:
             elements.append(
                 Element(
-                    int(row["id"]),
-                    int(row["start"]),
-                    int(row["end"]),
-                    int(row.get("layer", 0)),
+                    integer(row["id"]),
+                    integer(row["start"]),
+                    integer(row["end"]),
+                    integer(row.get("layer", 0)),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

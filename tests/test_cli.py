@@ -138,10 +138,11 @@ def test_sequence_then_motion_matches_plan(plan_file, cfg_file, tmp_path, capsys
         json.dumps({"direction_count": 24, "stats": {}}),
         json.dumps({"direction_count": 24, "tasks": [], "stats": {"bogus": 1}}),
         json.dumps({"direction_count": 24, "tasks": [], "stats": {"probe_reuses": 0}}),
+        json.dumps({"direction_count": 24.5, "tasks": [], "stats": {}}),
     ],
     ids=[
         "missing", "invalid-json", "not-an-object", "no-tasks", "unknown-stats-key",
-        "retired-stats-key",
+        "retired-stats-key", "fractional-direction-count",
     ],
 )
 def test_motion_rejects_bad_sequence_files(cfg_file, tmp_path, capsys, content):

@@ -4,12 +4,14 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from trusspath.config import (
     PlannerConfig,
     PlannerConfigError,
     TransitionSettings,
+    integer,
     load_config,
 )
 
@@ -167,3 +169,15 @@ def test_to_dict_round_trips():
     assert again == cfg
     # the dict is JSON serializable as-is
     json.dumps(doc)
+
+
+def test_integer_takes_integral_numbers_only():
+    assert integer(3) == 3 and type(integer(3)) is int
+    assert integer(3.0) == 3 and type(integer(3.0)) is int  # JSON typing
+    assert integer(np.int64(2)) == 2
+    for bad in (True, False, 1.9, 0.5, "1", None, [1]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            integer(bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not a finite number"):
+            integer(bad)

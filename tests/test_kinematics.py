@@ -372,6 +372,17 @@ def test_load_robot_errors(tmp_path):
     with pytest.raises(RobotConfigError, match="frame"):
         load_robot(doc)
 
+    # a link capsule's frame is an index: a fraction or a flag is refused,
+    # not truncated
+    for frame in (0.7, True, "1"):
+        doc = bundled_doc()
+        doc["link_capsules"][0]["frame"] = frame
+        with pytest.raises(RobotConfigError, match="is not an integer"):
+            load_robot(doc)
+    doc = bundled_doc()
+    doc["link_capsules"][0]["frame"] = float(doc["link_capsules"][0]["frame"])
+    assert load_robot(doc).link_capsules == load_robot(bundled_doc()).link_capsules
+
 
 def every_block_doc():
     """The rail robot plus a static capsule and an explicit extruder block,

@@ -1,0 +1,80 @@
+"""The benchmark's tracer against the library it wraps.
+
+`perfbench/tracer.py` replaces traced functions by name in every trusspath
+module that binds them.  A traced name that is renamed or deleted would
+otherwise break only a `--trace 1` benchmark run; this test breaks first.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import trusspath
+from trusspath import kinematics
+from trusspath.fixtures import load_bundled_robot
+from trusspath.kinematics import CapsuleSet, fk_frames
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bound_names(tracer_module):
+    """Every (module, name) binding of a traced function, with its value."""
+    modules = [
+        m for name, m in sorted(sys.modules.items())
+        if m is not None and name.startswith("trusspath.")
+    ]
+    names = {func for _, func, _ in tracer_module.TRACED}
+    return {
+        (m.__name__, func): getattr(m, func)
+        for m in modules
+        for func in names
+        if hasattr(m, func)
+    }
+
+
+def test_tracer_counts_through_its_wrappers_and_restores_the_originals(monkeypatch):
+    tracer_module = load_tracer(monkeypatch)
+    for layer, func, _ in tracer_module.TRACED:
+        assert callable(getattr(sys.modules[f"trusspath.{layer}"], func)), func
+    before = bound_names(tracer_module)
+    original_sweep = kinematics.ik_sweep
+
+    robot = load_bundled_robot("arm")
+    frame = fk_frames(robot, robot.home)[-1]
+    configs = np.array([robot.home, robot.home])
+    tracer = tracer_module.Tracer(trusspath)
+    tracer.install()
+    try:
+        assert kinematics.ik_sweep is not original_sweep
+        assert kinematics.ik_sweep.__wrapped__ is original_sweep
+        families = kinematics.ik_sweep(robot, frame[:3, :3], frame[:3, 3][None])
+        hits = kinematics.config_collides_batch(
+            robot, configs, CapsuleSet(()), clearance=2.0
+        )
+    finally:
+        tracer.uninstall()
+
+    metrics = tracer.metrics()
+    assert metrics["kinematics.ik_sweep.calls"] == 1
+    assert metrics["kinematics.ik_sweep.poses"] == 1
+    assert metrics["kinematics.ik_sweep.solutions"] == len(families[0]) > 0
+    assert metrics["kinematics.config_collides_batch.calls"] == 1
+    assert metrics["kinematics.config_collides_batch.configs"] == 2
+    assert metrics["kinematics.config_collides_batch.capsule_tests"] > 0
+    assert hits.shape == (2,)
+    # nothing else ran under the tracer but what those two calls made
+    assert metrics["pipeline.run_pipeline.calls"] == 0
+
+    after = bound_names(tracer_module)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

@@ -29,7 +29,7 @@ from trusspath.pipeline import (
     run_pipeline,
     validate_plan,
 )
-from trusspath.postprocess import plan_to_dict
+from trusspath.postprocess import load_plan, save_plan
 from trusspath.sequence import SequencePlanner, plan_sequence
 from trusspath.truss import load_model, serialize_model
 
@@ -62,8 +62,7 @@ def sequence(model, robot):
 
 @pytest.fixture(scope="module")
 def planned(model, robot, sequence):
-    plan, report = run_pipeline(model, robot, CFG, sequence=sequence)
-    return plan, report, plan_to_dict(plan)
+    return run_pipeline(model, robot, CFG, sequence=sequence)
 
 
 def check_map(report):
@@ -71,7 +70,7 @@ def check_map(report):
 
 
 def test_plan_passes_every_validator_check(model, robot, planned):
-    plan, _, _ = planned
+    plan, _ = planned
     report = validate_plan(plan, model, robot, CFG)
     assert [c.name for c in report.checks] == CHECK_NAMES
     for check in report.checks:
@@ -82,7 +81,7 @@ def test_plan_passes_every_validator_check(model, robot, planned):
 
 
 def test_document_layout(model, robot, planned):
-    plan, _, doc = planned
+    doc, _ = planned
     assert doc["version"] == "1"
     assert doc["dof"] == robot.dof
     assert len(doc["tasks"]) == len(model.elements)
@@ -112,7 +111,7 @@ def test_document_layout(model, robot, planned):
 
 
 def test_report_accounting(planned):
-    _, report, doc = planned
+    doc, report = planned
     n = len(doc["tasks"])
     assert report.subprocess_count == 4 * n
     assert report.transition_count == n
@@ -129,7 +128,7 @@ def test_retraction_fallbacks_are_counted(model, robot, sequence, monkeypatch):
     # every retraction fails, so each pass gets a one-row approach and depart
     monkeypatch.setattr(pipeline, "plan_retraction", lambda *args, **kwargs: None)
     plan, report = run_pipeline(model, robot, CFG, sequence=sequence)
-    assert report.retraction_fallbacks == 2 * len(plan.tasks)
+    assert report.retraction_fallbacks == 2 * len(plan["tasks"])
     assert f"{report.retraction_fallbacks} retraction fallbacks" in report.table()
     verdict = validate_plan(plan, model, robot, CFG)
     assert verdict.passed, verdict.table()
@@ -138,7 +137,7 @@ def test_retraction_fallbacks_are_counted(model, robot, sequence, monkeypatch):
 def test_static_capsule_is_an_obstacle_everywhere(model, robot, planned, monkeypatch):
     # a workcell static that wraps the first printed element: every pass
     # over it now touches the workcell
-    _, _, doc = planned
+    doc, _ = planned
     first = doc["tasks"][0]
     eid = first["element_id"]
     p0, p1 = model.element_segment(eid)
@@ -176,11 +175,24 @@ def test_static_capsule_is_an_obstacle_everywhere(model, robot, planned, monkeyp
 
 
 def test_rerun_is_byte_identical(model, robot, planned):
-    _, _, doc = planned
+    doc, _ = planned
     plan2, _ = run_pipeline(model, robot, CFG)
     text1 = json.dumps(doc, sort_keys=True, indent=2)
-    text2 = json.dumps(plan_to_dict(plan2), sort_keys=True, indent=2)
+    text2 = json.dumps(plan2, sort_keys=True, indent=2)
     assert text1 == text2
+
+
+def test_plan_is_its_document(model, robot, planned, tmp_path):
+    # the plan run_pipeline returns is the document save_plan writes and
+    # load_plan reads back, and the validator cannot tell them apart
+    plan, _ = planned
+    path = tmp_path / "plan.json"
+    save_plan(plan, path)
+    reloaded = load_plan(path)
+    assert reloaded == plan
+    in_memory = validate_plan(plan, model, robot, CFG)
+    assert in_memory.passed
+    assert validate_plan(reloaded, model, robot, CFG).table() == in_memory.table()
 
 
 def test_railed_robot_plans_and_validates():
@@ -191,30 +203,36 @@ def test_railed_robot_plans_and_validates():
     railed = load_robot(doc)
     tower = bracing_tower(stories=1)
     plan, _ = run_pipeline(tower, railed, CFG)
-    assert plan.dof == 7
+    assert plan["dof"] == 7
     report = validate_plan(plan, tower, railed, CFG)
     assert report.passed, report.table()
-    rail = np.concatenate(
-        [s.joints[:, 0] for t in plan.tasks for s in t.subprocesses if s.data_kind == "tcp"]
+    rail = np.array(
+        [
+            row[0]
+            for t in plan["tasks"]
+            for s in t["subprocesses"]
+            if s["data_kind"] == "tcp"
+            for row in s["joints"]
+        ]
     )
     assert np.isin(rail, railed.track.positions()).all()
     again, _ = run_pipeline(tower, railed, CFG)
-    text1 = json.dumps(plan_to_dict(plan), sort_keys=True, indent=2)
-    text2 = json.dumps(plan_to_dict(again), sort_keys=True, indent=2)
+    text1 = json.dumps(plan, sort_keys=True, indent=2)
+    text2 = json.dumps(again, sort_keys=True, indent=2)
     assert text1 == text2
 
 
 def test_pipeline_accepts_precomputed_sequence(model, robot, planned):
-    _, _, doc = planned
+    doc, _ = planned
     sequence = plan_sequence(model, robot, CFG)
     plan2, _ = run_pipeline(model, robot, CFG, sequence=sequence)
-    assert plan_to_dict(plan2) == doc
+    assert plan2 == doc
     with pytest.raises(PipelineError, match="directions"):
         run_pipeline(model, robot, CFG.replace(direction_count=16), sequence=sequence)
 
 
 def test_fingerprints_bind_inputs(model, robot, planned):
-    plan, _, _ = planned
+    plan, _ = planned
     base = input_fingerprints(model, robot, CFG)
     other = input_fingerprints(model, robot, CFG.replace(seed=CFG.seed + 1))
     assert base["model"] == other["model"]
@@ -229,7 +247,7 @@ def test_fingerprints_bind_inputs(model, robot, planned):
 
 
 def test_validator_catches_tampered_joints(model, robot, planned):
-    _, _, doc = planned
+    doc, _ = planned
     bad = copy.deepcopy(doc)
     sub = bad["tasks"][2]["subprocesses"][2]
     assert sub["kind"] == "extrusion"
@@ -247,7 +265,7 @@ def test_validator_checks_each_subprocess_by_position_not_id(model, robot, plann
     # an out-of-limits row in a transition that carries its approach's id:
     # keyed by id, the approach's rows would be checked twice and the
     # transition's never
-    _, _, doc = planned
+    doc, _ = planned
     bad = copy.deepcopy(doc)
     transition, approach = bad["tasks"][1]["subprocesses"][:2]
     assert (transition["kind"], approach["kind"]) == ("transition", "retraction-approach")
@@ -263,7 +281,7 @@ def test_validator_checks_each_subprocess_by_position_not_id(model, robot, plann
 
 
 def test_validator_catches_reordered_tasks(model, robot, planned):
-    _, _, doc = planned
+    doc, _ = planned
     bad = copy.deepcopy(doc)
     bad["tasks"] = [bad["tasks"][-1]] + bad["tasks"][:-1]
     report = validate_plan(bad, model, robot, CFG)
@@ -274,7 +292,7 @@ def test_validator_catches_reordered_tasks(model, robot, planned):
 
 
 def test_validator_catches_fingerprint_edit(model, robot, planned):
-    _, _, doc = planned
+    doc, _ = planned
     bad = copy.deepcopy(doc)
     fp = bad["fingerprints"]["model"]
     bad["fingerprints"]["model"] = ("0" if fp[0] != "0" else "1") + fp[1:]
@@ -286,7 +304,7 @@ def test_validator_catches_fingerprint_edit(model, robot, planned):
 
 
 def test_format_failure_short_circuits(model, robot, planned):
-    _, _, doc = planned
+    doc, _ = planned
     old_version = copy.deepcopy(doc)
     old_version["version"] = "999"
     null_tcp = copy.deepcopy(doc)
@@ -300,7 +318,7 @@ def test_format_failure_short_circuits(model, robot, planned):
 
 
 def test_unknown_element_fails_the_structure_check(model, robot, planned):
-    _, _, doc = planned
+    doc, _ = planned
     bad = copy.deepcopy(doc)
     bad["tasks"][3]["element_id"] = 999
     report = validate_plan(bad, model, robot, CFG)
@@ -321,7 +339,7 @@ def drop_last_joint(doc):
 
 
 def test_dof_mismatch_fails_the_dof_check(model, robot, planned):
-    _, _, doc = planned
+    doc, _ = planned
     report = validate_plan(drop_last_joint(doc), model, robot, CFG)
     assert [c.name for c in report.checks] == CHECK_NAMES[:2] + ["dof"]
     assert all(c.passed for c in report.checks[:2])
@@ -341,7 +359,7 @@ def test_bead_check_poses_the_extruder_at_the_pass_roll(robot):
     strut["elements"] = [{"id": 0, "start": 0, "end": 1, "layer": 0}]
     model = load_model(strut)
     cfg = PlannerConfig()
-    doc = plan_to_dict(run_pipeline(model, robot, cfg)[0])
+    doc = run_pipeline(model, robot, cfg)[0]
     sub = doc["tasks"][0]["subprocesses"][2]
     origins = np.array([e["origin"] for e in sub["tcp"]])
     rotation = np.array(sub["tcp"][0]["rotation"])
@@ -371,7 +389,7 @@ def test_clearance_catches_the_extruder_on_a_placed_element(model, robot, planne
     # move the node of the first printed element that the second does not
     # share onto the barrel of the second task's extruder: the unchanged
     # plan now drives that barrel through the first element
-    _, _, doc = planned
+    doc, _ = planned
     first, second = (model.element(t["element_id"]) for t in doc["tasks"][:2])
     node = next(n for n in (first.start, first.end) if n not in (second.start, second.end))
     sub = doc["tasks"][1]["subprocesses"][2]
@@ -418,7 +436,7 @@ def test_validator_enforces_the_route_rule(model, robot, sequence):
     checks = check_map(validate_plan(plan, model, robot, CFG))
     assert not checks["structure"].passed
     assert (
-        f"task {plan.tasks[k].task_id}: extrusion starts at an unbuilt node"
+        f"task {plan['tasks'][k]['task_id']}: extrusion starts at an unbuilt node"
         in checks["structure"].detail
     )
     assert all(c.passed for name, c in checks.items() if name != "structure")

@@ -20,8 +20,6 @@ from trusspath.postprocess import (
     canonical_json,
     fingerprint,
     load_plan,
-    plan_from_dict,
-    plan_to_dict,
     save_plan,
     seam_gaps,
     tcp_entries,
@@ -102,16 +100,15 @@ def test_tcp_entries_match_forward_kinematics():
         assert np.allclose(pose.direction, -rot[:, 2], atol=1e-9)
 
 
-def test_valid_document_round_trips():
+def test_valid_document_round_trips(tmp_path):
     doc = toy_doc()
     validate_plan_document(doc)
-    plan = plan_from_dict(doc)
-    assert plan.dof == 2
-    assert [t.element_id for t in plan.tasks] == [10, 11]
-    assert plan_to_dict(plan) == doc
+    path = tmp_path / "plan.json"
+    save_plan(doc, path)
+    assert load_plan(path) == doc
 
 
-def test_document_rejections():
+def test_document_rejections(tmp_path):
     cases = []
 
     d = toy_doc(); d["version"] = "999"
@@ -151,22 +148,23 @@ def test_document_rejections():
     for doc, frag in cases:
         with pytest.raises(PlanFormatError, match=frag):
             validate_plan_document(doc)
-    # plan_from_dict goes through the same gate
+    # load_plan goes through the same gate
     bad = toy_doc(); bad["version"] = "999"
-    with pytest.raises(PlanFormatError):
-        plan_from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(PlanFormatError, match="version"):
+        load_plan(path)
 
 
 def test_save_load_byte_stable(tmp_path):
     doc = toy_doc()
-    plan = plan_from_dict(doc)
     p1 = tmp_path / "plan.json"
     p2 = tmp_path / "plan2.json"
-    save_plan(plan, p1)
+    save_plan(doc, p1)
     reloaded = load_plan(p1)
     save_plan(reloaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert plan_to_dict(reloaded) == doc
+    assert reloaded == doc
 
 
 def test_load_plan_errors(tmp_path):
@@ -193,8 +191,7 @@ def test_seam_gaps_cover_every_boundary():
     doc = toy_doc()
     # introduce one known discontinuity: task 1 transition starts at 1.0
     # while task 0 depart ends at 0.5
-    plan = plan_from_dict(doc)
-    gaps = seam_gaps(plan)
+    gaps = seam_gaps(doc)
     assert len(gaps) == 7  # 8 subprocesses, every boundary but the first
     by_id = {sid: gap for _, sid, gap in gaps}
     assert by_id[1] == pytest.approx(0.0)
@@ -494,8 +491,7 @@ def edge_plan_doc():
         cube, name="edge", nodes=cube["nodes"][:2], elements=cube["elements"][:1]
     )
     config = PlannerConfig(direction_count=24, rotation_samples=2)
-    plan, _ = run_pipeline(load_model(edge), load_bundled_robot("arm"), config)
-    return plan_to_dict(plan)
+    return run_pipeline(load_model(edge), load_bundled_robot("arm"), config)[0]
 
 
 @pytest.mark.parametrize("base, count", [("toy", 10_000), ("planned", 1_000)])

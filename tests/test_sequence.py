@@ -304,6 +304,46 @@ def test_sequence_dict_round_trip(tower_result):
         sequence_from_dict(doc)
 
 
+def _edit_first_task(doc, key, value):
+    if key == "direction":
+        doc["tasks"][0]["direction"][1] = value
+    else:
+        doc["tasks"][0][key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("direction", math.nan, "not a finite number"),
+        ("rotation", math.nan, "not a finite number"),
+        ("rotation", math.inf, "not a finite number"),
+        ("element", 0.5, "is not an integer"),
+        ("position", True, "is not an integer"),
+        ("start_node", "0", "is not an integer"),
+        ("direction_index", 1.5, "is not an integer"),
+        ("direction_index", -1, "off the lattice"),
+    ],
+    ids=["nan-direction", "nan-rotation", "inf-rotation", "fractional-element",
+         "bool-position", "string-start-node", "fractional-index", "negative-index"],
+)
+def test_sequence_document_values_must_be_what_they_say(tower_result, key, value, message):
+    # NaN never exceeds the lattice tolerance and int() truncates, so these
+    # once loaded as a different sequence
+    _, result = tower_result
+    doc = _edit_first_task(sequence_to_dict(result), key, value)
+    with pytest.raises(SequenceFormatError, match=message):
+        sequence_from_dict(doc)
+
+
+def test_sequence_document_reads_integral_floats_as_integers(tower_result):
+    _, result = tower_result
+    doc = sequence_to_dict(result)
+    doc["direction_count"] = float(doc["direction_count"])
+    doc["tasks"][0]["element"] = float(doc["tasks"][0]["element"])
+    assert sequence_from_dict(doc).tasks == result.tasks
+
+
 def test_search_runs_deeper_than_the_recursion_limit(robot, monkeypatch):
     # a straight chain off one grounded node, one element per level, with
     # every check except connectivity stubbed to pass

@@ -148,6 +148,39 @@ def test_load_model_rejects_non_finite_numbers(path, value):
         load_model(doc)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("elements", 0, "end"), 1.9),
+        (("elements", 1, "start"), "1"),
+        (("elements", 2, "id"), 2.5),
+        (("elements", 0, "layer"), True),
+        (("nodes", 1, "id"), 0.7),
+        (("nodes", 0, "grounded"), "no"),
+        (("nodes", 2, "grounded"), 1),
+    ],
+    ids=["fractional-end", "string-start", "fractional-id", "bool-layer",
+         "fractional-node-id", "string-grounded", "integer-grounded"],
+)
+def test_load_model_rejects_values_that_are_not_what_they_say(path, value):
+    doc = json.loads(json.dumps(toy_doc()))
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with pytest.raises(ModelError, match="is not an integer|is not true or false"):
+        load_model(doc)
+
+
+def test_load_model_reads_integral_floats_as_integers():
+    doc = json.loads(json.dumps(toy_doc()))
+    doc["elements"][0]["end"] = 2.0
+    doc["elements"][0]["layer"] = 0.0
+    element = load_model(doc).element(0)
+    assert (element.end, element.layer) == (2, 0)
+    assert type(element.end) is int
+
+
 def test_validation_rejects_floating_parts():
     doc = toy_doc()
     # island: two nodes and an element with no path to ground
