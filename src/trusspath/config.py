@@ -35,9 +35,13 @@ class DocumentWriteError(Exception):
 
 
 def finite(value: Any) -> float:
-    """`float(value)` for a number read from an input document; NaN, the
-    infinities and integers beyond the float range raise ValueError, which
-    each loader reports as its own error."""
+    """`float(value)` for a number read from an input document.
+
+    Only an int or a float passes; a bool, a string, NaN, the infinities and
+    integers beyond the float range raise ValueError, which each loader
+    reports as its own error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
     try:
         number = float(value)
     except OverflowError:

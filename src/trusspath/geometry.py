@@ -190,6 +190,37 @@ def segment_segment_distance(
     return float(d[0])
 
 
+# A pair is ruled out without the exact kernel only when its bounding-sphere
+# bound clears the contact limit by this margin (mm), so rounding in the
+# bound can never flip a collision boolean.
+CULL_MARGIN = 1e-6
+
+
+def norm3(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of a (..., 3) array, from `+ * sqrt`
+    only (no BLAS-backed reduction)."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def bounding_spheres(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and half-lengths of the segments a-b, (..., 3) each.
+
+    Two segments are at least `norm3(m1 - m2) - h1 - h2` apart (Ericson,
+    *Real-Time Collision Detection*, 2005, ch. 4).
+    """
+    return 0.5 * (a + b), 0.5 * norm3(b - a)
+
+
+def mark_contacts(hit: np.ndarray, rows: np.ndarray, segments, limit) -> None:
+    """Set `hit[rows[k]]` where the exact distance of segment pair k, with
+    `segments = (p0, p1, q0, q1)` gathered flat, is below `limit` (scalar or
+    per pair).  The exact kernel is not called for an empty gather."""
+    if len(rows):
+        dist = segment_distance_batch(*segments)
+        hit[rows[dist < limit]] = True
+
+
 def capsules_overlap(c1: CapsuleShape, c2: CapsuleShape, clearance: float = 0.0) -> bool:
     dist = segment_segment_distance(c1.a, c1.b, c2.a, c2.b)
     return dist < c1.radius + c2.radius + clearance
@@ -329,13 +360,23 @@ def ee_sweep_collision_batch(
     True where the sweep along the (n, 3) path hits the capsule q0-q1.
     `q0`/`q1` broadcast against the path, so the call with path `pts[1:]`,
     `q0 = pts[0]` and `q1 = pts[1:]` is `ee_self_collision`.
+
+    Per extruder capsule, only the (rotation, path point) pairs of rotations
+    not yet hit whose bounding-sphere bound is below the contact limit plus
+    `CULL_MARGIN` go to the exact kernel, in one flat call.
     """
+    n = len(path_points)
+    q0, q1 = np.broadcast_to(q0, (n, 3)), np.broadcast_to(q1, (n, 3))
+    q_mid, q_half = bounding_spheres(q0, q1)  # (n, 3), (n,)
     hit = np.zeros(len(rotations), dtype=bool)
     for cap in ee.capsules:
         a = path_points + (rotations @ cap.a)[:, None, :]  # (m, n, 3)
         b = path_points + (rotations @ cap.b)[:, None, :]
-        dist = segment_distance_batch(a, b, q0, q1)
-        hit |= np.any(dist < cap.radius + segment_radius + clearance, axis=1)
+        limit = cap.radius + segment_radius + clearance
+        mid, half = bounding_spheres(a, b)
+        near = norm3(mid - q_mid) - half - q_half < limit + CULL_MARGIN  # (m, n)
+        r, k = np.nonzero(near & ~hit[:, None])
+        mark_contacts(hit, r, (a[r, k], b[r, k], q0[k], q1[k]), limit)
     return hit
 
 

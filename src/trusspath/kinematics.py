@@ -32,13 +32,16 @@ import numpy as np
 
 from .config import finite, integer, read_document
 from .geometry import (
+    CULL_MARGIN,
     CapsuleShape,
     EEGeometry,
     GeometryError,
+    bounding_spheres,
     default_ee_geometry,
     direction_rotation_from_frame,
+    mark_contacts,
+    norm3,
     pose_from_direction,
-    segment_distance_batch,
 )
 
 _EXPECTED_ALPHA = np.deg2rad([-90.0, 0.0, -90.0, 90.0, -90.0, 0.0])
@@ -486,6 +489,7 @@ class CapsuleSet:
             self.a = np.zeros((0, 3))
             self.b = np.zeros((0, 3))
             self.radii = np.zeros(0)
+        self.mid, self.half = bounding_spheres(self.a, self.b)
 
     def __len__(self) -> int:
         return len(self.capsules)
@@ -521,33 +525,51 @@ def config_collides_batch(
     always part of the scene, so callers pass only what they add to them.
     Rows are independent: testing configs in one call or in several gives
     the same booleans.  `clearance` is added to every capsule pair.
+
+    Three passes run in turn (scene, static capsules, self pairs), and each
+    tests only the configs that no earlier pass has hit.  Within a pass a
+    pair goes to the exact `segment_distance_batch` kernel, in one flat
+    call, only when its bounding-sphere bound is below the contact limit
+    plus `CULL_MARGIN`; every pair near contact is still decided exactly.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
 
     frames_idx, local_a, local_b, radii, pairs = robot.capsule_table
     frames = fk_frames_batch(robot, qs)  # (n, F, 4, 4)
-    n = qs.shape[0]
     sel = frames[:, frames_idx]  # (n, c, 4, 4)
     world_a = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_a) + sel[:, :, :3, 3]
     world_b = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_b) + sel[:, :, :3, 3]
+    mid, half = bounding_spheres(world_a, world_b)  # (n, c, 3), (n, c)
 
-    hit = np.zeros(n, dtype=bool)
+    hit = np.zeros(qs.shape[0], dtype=bool)
     for obstacles in (scene, robot.static_scene):
-        if not len(obstacles):
+        live = np.flatnonzero(~hit)
+        if not len(obstacles) or not len(live):
             continue
-        dist = segment_distance_batch(
-            world_a[:, :, None, :],
-            world_b[:, :, None, :],
-            obstacles.a[None, None, :, :],
-            obstacles.b[None, None, :, :],
-        )  # (n, c, m)
-        limit = radii[None, :, None] + obstacles.radii[None, None, :] + clearance
-        hit |= np.any(dist < limit, axis=(1, 2))
+        limit = radii[:, None] + obstacles.radii[None, :] + clearance  # (c, m)
+        bound = (
+            norm3(mid[live, :, None, :] - obstacles.mid)
+            - half[live, :, None]
+            - obstacles.half
+        )  # (l, c, m)
+        k, c, o = np.nonzero(bound < limit + CULL_MARGIN)
+        rows = live[k]
+        mark_contacts(
+            hit, rows,
+            (world_a[rows, c], world_b[rows, c], obstacles.a[o], obstacles.b[o]),
+            limit[c, o],
+        )
+    live = np.flatnonzero(~hit)
     i, j = pairs[:, 0], pairs[:, 1]
-    dist = segment_distance_batch(
-        world_a[:, i], world_b[:, i], world_a[:, j], world_b[:, j]
-    )  # (n, P)
-    hit |= np.any(dist < radii[i] + radii[j] + clearance, axis=1)
+    limit = radii[i] + radii[j] + clearance  # (P,)
+    bound = norm3(mid[live][:, i] - mid[live][:, j]) - half[live][:, i] - half[live][:, j]
+    k, p = np.nonzero(bound < limit + CULL_MARGIN)
+    rows, i, j = live[k], i[p], j[p]
+    mark_contacts(
+        hit, rows,
+        (world_a[rows, i], world_b[rows, i], world_a[rows, j], world_b[rows, j]),
+        limit[p],
+    )
     return hit
 
 

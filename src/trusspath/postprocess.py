@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
-from numbers import Number
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
-from .config import read_document, write_document
+from .config import finite, read_document, write_document
 from .kinematics import RobotModel, fk_frames_batch
 
 PLAN_VERSION = "1"
@@ -90,7 +90,16 @@ def _reject(message: str) -> NoReturn:
 
 
 def _is_number(v) -> bool:
-    return type(v) is float or (isinstance(v, Number) and not isinstance(v, bool))
+    """A finite number (see `config.finite`): joint and pose values are read
+    as floats, so NaN, the infinities and integers beyond the float range
+    are rejected here rather than met as an error further on."""
+    if type(v) is float:  # nearly every value; kept cheap
+        return math.isfinite(v)
+    try:
+        finite(v)
+    except ValueError:
+        return False
+    return True
 
 
 def _is_count(v, least: int = 0) -> bool:
@@ -169,7 +178,8 @@ def validate_plan_document(doc: dict) -> None:
     """Raise PlanFormatError unless `doc` is a well-formed plan document.
 
     One pass checks exact key sets, value types (an integral float counts as
-    an integer, a bool is not a number, NaN is), the version, 64-hex-digit
+    an integer, a bool is not a number, a joint or pose value must be a
+    finite float-range number), the version, 64-hex-digit
     fingerprints, four subprocesses per task in the canonical kind order,
     joint rows `dof` wide, one tool pose per joint row wherever tcp data is
     due, and extruder anchors spanning each extrusion pass.

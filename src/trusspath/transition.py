@@ -158,15 +158,27 @@ def shortcut(
     rng: np.random.Generator,
     clearance: float,
 ) -> np.ndarray:
-    """Random shortcut smoothing; the result never costs more than the input."""
+    """Random shortcut smoothing; the result never costs more than the input.
+
+    An edge `(pts[i], pts[j])` found blocked stays blocked for the whole
+    call, so it is remembered (keyed by the rows' bytes) and a repeat draw
+    skips its collision query.  The rng draws are the same either way, so
+    the memory changes no result.
+    """
     pts = [row for row in path]
+    blocked: set[tuple[bytes, bytes]] = set()
     for _ in range(iterations):
         if len(pts) < 3:
             break
         i = int(rng.integers(0, len(pts) - 2))
         j = int(rng.integers(i + 2, len(pts)))
+        edge = (pts[i].tobytes(), pts[j].tobytes())
+        if edge in blocked:
+            continue
         if _segment_free(robot, pts[i], pts[j], scene, step_vec, clearance):
             pts = pts[: i + 1] + pts[j:]
+        else:
+            blocked.add(edge)
     return np.array(pts)
 
 

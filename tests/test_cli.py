@@ -1,5 +1,6 @@
 """Command line entry points and exit codes."""
 
+import copy
 import errno
 import json
 import os
@@ -9,7 +10,9 @@ import pytest
 
 from trusspath import cli
 from trusspath.cli import main
+from trusspath.fixtures import load_bundled_model, load_bundled_robot
 from trusspath.postprocess import load_plan
+from trusspath.truss import serialize_model
 
 CFG_DOC = {"direction_count": 24, "rotation_samples": 2}
 
@@ -92,6 +95,43 @@ def test_validate_reports_malformed_plans(plan_file, cfg_file, tmp_path, capsys)
     assert main(["validate", *common(cfg_file), "--plan", str(short)]) == 3
     out = capsys.readouterr().out
     assert "dof" in out and "plan has 5 joints, robot has 6" in out
+
+
+@pytest.mark.parametrize("value", [10**400, float("nan"), float("-inf")], ids=["huge", "nan", "-inf"])
+@pytest.mark.parametrize("field", ["joints", "tcp"])
+def test_validate_rejects_non_finite_plan_numbers(
+    plan_file, cfg_file, tmp_path, capsys, field, value
+):
+    doc = json.loads(plan_file.read_text())
+    extrusion = doc["tasks"][2]["subprocesses"][2]
+    if field == "joints":
+        extrusion["joints"][1][4] = value
+    else:
+        extrusion["tcp"][1]["origin"][0] = value
+    bad = tmp_path / "bad_number.json"
+    bad.write_text(json.dumps(doc))  # NaN, -Infinity and the long integer as such
+    assert main(["validate", *common(cfg_file), "--plan", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan document rejected") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["model", "robot"])
+@pytest.mark.parametrize("value", ["480", True], ids=["string", "bool"])
+def test_non_numbers_in_input_documents_exit_4(tmp_path, capsys, kind, value):
+    if kind == "model":
+        doc = serialize_model(load_bundled_model("cube"))
+        doc["nodes"][4]["xyz"][0] = value
+    else:
+        doc = copy.deepcopy(load_bundled_robot("arm").source)
+        doc["dh"][1]["a"] = value
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    names = {"model": "cube", "robot": "arm", kind: str(path)}
+    rc = main(["sequence", "--model", names["model"], "--robot", names["robot"]])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "is not a number" in err
 
 
 def test_bad_inputs_exit_code(cfg_file, tmp_path, capsys):

@@ -11,6 +11,7 @@ from trusspath.config import (
     PlannerConfig,
     PlannerConfigError,
     TransitionSettings,
+    finite,
     integer,
     load_config,
 )
@@ -181,3 +182,14 @@ def test_integer_takes_integral_numbers_only():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="not a finite number"):
             integer(bad)
+
+
+def test_finite_takes_ints_and_floats_only():
+    assert finite(3) == 3.0 and type(finite(3)) is float
+    assert finite(-0.5) == -0.5
+    for bad in ("480", "1e3", True, False, None, [1.0], b"1"):
+        with pytest.raises(ValueError, match="is not a number"):
+            finite(bad)
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValueError, match="not a finite number"):
+            finite(bad)

@@ -1,11 +1,13 @@
 """Forward/inverse kinematics, Jacobian, limits, and collision queries."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from dense_collision import dense_config_collides_batch
 from trusspath.fixtures import fixture_path, load_bundled_model, load_bundled_robot
 from trusspath.geometry import CapsuleShape
 from trusspath.kinematics import (
@@ -311,7 +313,9 @@ def test_config_collides_batch_matches_single():
     assert batch.any() or not batch.all()  # vector is well formed
 
 
-def test_config_collides_batch_rows_are_independent():
+def independence_set(rng):
+    """The bundled arm, a scene of the cube's first 12 elements and 300
+    configs: 150 anywhere in the limits, 150 around home."""
     robot = load_bundled_robot("arm")
     model = load_bundled_model("cube")
     scene = CapsuleSet(
@@ -320,13 +324,18 @@ def test_config_collides_batch_rows_are_independent():
             for e in model.elements[:12]
         ]
     )
-    rng = np.random.default_rng(44)
     qs = np.concatenate(
         [
             rng.uniform(robot.lower, robot.upper, size=(150, robot.dof)),
             robot.home + rng.normal(0.0, 0.4, size=(150, robot.dof)),
         ]
     )
+    return robot, scene, qs
+
+
+def test_config_collides_batch_rows_are_independent():
+    rng = np.random.default_rng(44)
+    robot, scene, qs = independence_set(rng)
     stacked = config_collides_batch(robot, qs, scene, clearance=2.0)
     assert stacked.any() and not stacked.all()
     for _ in range(5):
@@ -336,6 +345,67 @@ def test_config_collides_batch_rows_are_independent():
             for part in np.split(qs, cuts)
         ]
         assert np.array_equal(np.concatenate(chunks), stacked)
+
+
+@pytest.mark.parametrize("clearance", [0.0, 2.0, 10.0])
+def test_culled_collision_test_matches_dense_oracle(clearance):
+    robot, scene, qs = independence_set(np.random.default_rng(44))
+    culled = config_collides_batch(robot, qs, scene, clearance=clearance)
+    assert np.array_equal(culled, dense_config_collides_batch(robot, qs, scene, clearance))
+    assert culled.any() and not culled.all()
+    # the self pairs alone, with no obstacle at all
+    empty = CapsuleSet(())
+    assert np.array_equal(
+        config_collides_batch(robot, qs, empty, clearance=clearance),
+        dense_config_collides_batch(robot, qs, empty, clearance),
+    )
+
+
+def _unit_normal(u):
+    """A unit vector perpendicular to the unit vector `u`."""
+    w = np.cross(u, np.eye(3)[int(np.argmin(np.abs(u)))])
+    return w / np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("where", ["scene", "static"])
+def test_culled_collision_test_decides_near_contact_exactly(where):
+    """One obstacle per query, placed within 1e-7 mm of contact with one
+    robot capsule: end on along its axis, where the bounding-sphere bound
+    is tight, and alongside it, where the bound is loose."""
+    robot = load_bundled_robot("arm")
+    frames_idx, local_a, local_b, radii, _ = robot.capsule_table
+    rng = np.random.default_rng(7)
+    qs = robot.home + rng.normal(0.0, 0.3, size=(40, robot.dof))
+    qs = qs[~dense_config_collides_batch(robot, qs, CapsuleSet(()), 2.0)][:12]
+    assert len(qs) == 12
+    clearance, radius = 2.0, 5.0
+    outcomes = set()
+    for q in qs:
+        frames = fk_frames(robot, q)[frames_idx]
+        world_a = np.einsum("cij,cj->ci", frames[:, :3, :3], local_a) + frames[:, :3, 3]
+        world_b = np.einsum("cij,cj->ci", frames[:, :3, :3], local_b) + frames[:, :3, 3]
+        for a, b, r in zip(world_a, world_b, radii):
+            u = (b - a) / np.linalg.norm(b - a)
+            w = _unit_normal(u)
+            for delta in (-1e-7, 1e-7):
+                gap = r + radius + clearance + delta
+                for p0, p1 in (
+                    (b + gap * u, b + (gap + 50.0) * u),  # end on
+                    (a + gap * w, b + gap * w),  # alongside
+                ):
+                    obstacle = CapsuleShape(tuple(p0), tuple(p1), radius)
+                    if where == "scene":
+                        probe, scene = robot, CapsuleSet((obstacle,))
+                    else:
+                        probe = dataclasses.replace(robot, static_capsules=(obstacle,))
+                        scene = CapsuleSet(())
+                    culled = config_collides_batch(probe, q[None], scene, clearance)[0]
+                    dense = dense_config_collides_batch(probe, q[None], scene, clearance)[0]
+                    assert culled == dense
+                    if delta < 0.0:
+                        assert culled  # 1e-7 mm inside the contact limit
+                    outcomes.add(bool(culled))
+    assert outcomes == {True, False}
 
 
 def test_clearance_widens_collisions():
@@ -428,4 +498,18 @@ def test_load_robot_rejects_non_finite_numbers(path, value):
     block[path[-1]] = value
     # a frame index read as an integer fails its conversion instead
     with pytest.raises(RobotConfigError, match="not a finite number|cannot convert float"):
+        load_robot(doc)
+
+
+@pytest.mark.parametrize("value", ["480", True, None], ids=["string", "bool", "null"])
+@pytest.mark.parametrize(
+    "path", ROBOT_NUMBERS, ids=["-".join(map(str, p)) for p in ROBOT_NUMBERS]
+)
+def test_load_robot_rejects_non_numbers(path, value):
+    doc = every_block_doc()
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with pytest.raises(RobotConfigError, match="is not a number|is not an integer"):
         load_robot(doc)

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from trusspath import kinematics, pipeline
+from dense_collision import dense_config_collides_batch, dense_ee_sweep_collision_batch
+from trusspath import geometry, kinematics, pipeline, sequence as sequence_module, transition
 from trusspath.cartesian import CartesianPlanningError
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import (
@@ -124,6 +125,36 @@ def test_report_accounting(planned):
         assert word in table
 
 
+def test_culled_collision_tests_match_dense_oracles_on_a_cube_run(model, robot, monkeypatch):
+    """Every robot-collision and extruder-sweep query that a 24 x 2 cube
+    plan and its validation make gets the dense oracle's booleans."""
+    oracles = {
+        "config_collides_batch": (kinematics, dense_config_collides_batch),
+        "ee_sweep_collision_batch": (geometry, dense_ee_sweep_collision_batch),
+    }
+    queries = {name: [] for name in oracles}
+    for name, (home, _) in oracles.items():
+        original = getattr(home, name)
+
+        def recorded(*args, _original=original, _calls=queries[name], **kwargs):
+            result = _original(*args, **kwargs)
+            _calls.append((args, kwargs, result))
+            return result
+
+        for mod in (kinematics, geometry, pipeline, sequence_module, transition):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, recorded)
+
+    plan, _ = run_pipeline(model, robot, CFG)
+    assert validate_plan(plan, model, robot, CFG).passed
+    for name, (_, oracle) in oracles.items():
+        assert len(queries[name]) > 100, name
+        for args, kwargs, result in queries[name]:
+            assert np.array_equal(result, oracle(*args, **kwargs)), name
+        hits = np.concatenate([result for _, _, result in queries[name]])
+        assert hits.any() and not hits.all(), name
+
+
 def test_retraction_fallbacks_are_counted(model, robot, sequence, monkeypatch):
     # every retraction fails, so each pass gets a one-row approach and depart
     monkeypatch.setattr(pipeline, "plan_retraction", lambda *args, **kwargs: None)
@@ -154,20 +185,28 @@ def test_static_capsule_is_an_obstacle_everywhere(model, robot, planned, monkeyp
 
     assert SequencePlanner(model, robot, CFG)._ee_pose_exists(eid) is not None
     # the probe tests the static exactly once per config: with nothing
-    # placed yet, every robot-against-scene distance call has one obstacle
-    widths = []
-    original = kinematics.segment_distance_batch
+    # placed yet, at most one exact-kernel pass per collision query meets
+    # the static, and the static is the one obstacle of that pass
+    static = walled.static_scene
+    queries, passes = [], []
+    collides, contacts = kinematics.config_collides_batch, kinematics.mark_contacts
 
-    def counting(p0, p1, q0, q1):
-        out = original(p0, p1, q0, q1)
-        widths.append(out.shape)
-        return out
+    def query(*args, **kwargs):
+        queries.append(args)
+        return collides(*args, **kwargs)
 
-    monkeypatch.setattr(kinematics, "segment_distance_batch", counting)
+    def recording(hit, rows, segments, limit):
+        _, _, q0, q1 = segments
+        is_static = (q0 == static.a).all(axis=-1) & (q1 == static.b).all(axis=-1)
+        if is_static.any():
+            passes.append(bool(is_static.all()))
+        contacts(hit, rows, segments, limit)
+
+    monkeypatch.setattr(kinematics, "config_collides_batch", query)
+    monkeypatch.setattr(kinematics, "mark_contacts", recording)
     assert SequencePlanner(model, walled, CFG)._ee_pose_exists(eid) is None
     monkeypatch.undo()
-    obstacles = {shape[2] for shape in widths if len(shape) == 3}
-    assert obstacles == {1}
+    assert passes and all(passes) and len(passes) <= len(queries)
 
     verdict = check_map(validate_plan(doc, model, walled, CFG))
     assert not verdict["clearance"].passed
@@ -314,6 +353,17 @@ def test_format_failure_short_circuits(model, robot, planned):
         assert len(report.checks) == 1
         assert report.checks[0].name == "format"
         assert detail in report.checks[0].detail
+        assert not report.passed
+
+
+def test_non_finite_joint_values_fail_the_format_check(model, robot, planned):
+    doc, _ = planned
+    for value in (10**400, float("nan"), float("inf")):
+        bad = copy.deepcopy(doc)
+        bad["tasks"][2]["subprocesses"][0]["joints"][0][1] = value
+        report = validate_plan(bad, model, robot, CFG)
+        assert [c.name for c in report.checks] == ["format"]
+        assert "joint rows are not all 6 wide number lists" in report.checks[0].detail
         assert not report.passed
 
 

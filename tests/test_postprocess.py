@@ -202,11 +202,12 @@ def test_seam_gaps_cover_every_boundary():
 
 
 def test_format_follows_json_typing():
-    # draft 2020-12 typing: an integral float is an integer, NaN is a number
+    # draft 2020-12 typing: an integral float is an integer; a joint or pose
+    # value must also be finite and in the float range, as it is read as one
     doc = toy_doc()
     doc["dof"] = 2.0
     doc["tasks"][0]["task_id"] = 0.0
-    doc["tasks"][0]["subprocesses"][0]["joints"][0][1] = float("nan")
+    doc["tasks"][0]["subprocesses"][0]["joints"][0][1] = 10**300
     doc["tasks"][0]["subprocesses"][2]["io_anchors"] = {
         "extruder_on": 0.0,
         "extruder_off": 2.0,
@@ -227,6 +228,11 @@ def test_format_follows_json_typing():
         edited(("tasks", 0, "task_id"), 1.5),
         edited(("tasks", 0, "element_id"), -1),
         edited(("tasks", 0, "subprocesses", 0, "joints", 0, 1), False),
+        edited(("tasks", 0, "subprocesses", 0, "joints", 0, 1), float("nan")),
+        edited(("tasks", 0, "subprocesses", 0, "joints", 0, 1), -float("inf")),
+        edited(("tasks", 0, "subprocesses", 0, "joints", 0, 1), 10**400),
+        edited(("tasks", 0, "subprocesses", 1, "tcp", 0, "origin", 2), float("nan")),
+        edited(("tasks", 0, "subprocesses", 1, "tcp", 0, "zaxis", 1), 10**400),
         edited(("tasks", 0, "subprocesses", 0, "joints", 0), []),
         edited(("fingerprints", "model"), fingerprint({"m": 1}).upper()),
         edited(("tasks", 0, "subprocesses", 1, "tcp"), None),
@@ -243,7 +249,8 @@ def test_format_follows_json_typing():
 # ---------------------------------------------------------------------------
 # differential test against the format as first specified: a JSON Schema run
 # by jsonschema, then the rules the schema could not express.  The schema and
-# the rules are kept verbatim as the oracle.
+# the rules are kept verbatim as the oracle, plus one rule added later: every
+# joint and pose value is finite and in the float range.
 
 _VEC3 = {
     "type": "array",
@@ -345,6 +352,13 @@ ORACLE_PLAN_SCHEMA = {
 }
 
 
+def _finite_json_number(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def oracle_validate(doc, schema_validator):
     """The schema check plus the structural rules jsonschema cannot express.
 
@@ -379,6 +393,13 @@ def oracle_validate(doc, schema_validator):
                     f"subprocess {sub['id']}: {len(sub['tcp'])} tool poses for "
                     f"{len(sub['joints'])} joint rows"
                 )
+            values = [v for row in sub["joints"] for v in row]
+            for pose in sub.get("tcp") or ():
+                values += pose["origin"] + pose["zaxis"] + sum(pose["rotation"], [])
+            if not all(map(_finite_json_number, values)):
+                raise PlanFormatError(
+                    f"subprocess {sub['id']}: a joint or pose value is not finite"
+                )
             if sub["kind"] == "extrusion":
                 anchors = sub["io_anchors"]
                 if anchors is None:
@@ -396,7 +417,7 @@ def oracle_validate(doc, schema_validator):
 HEX64 = "0123456789abcdef" * 4
 REPLACEMENTS = [
     None, True, False, 0, 1, 2, 6, -1, 0.0, 2.0, 6.0, 2.5, -0.0,
-    float("nan"), float("inf"), "", "1", "x", "joint", "tcp",
+    float("nan"), float("inf"), 10**400, "", "1", "x", "joint", "tcp",
     *SUBPROCESS_TYPES, HEX64, HEX64 + "\n", HEX64.upper(), HEX64[:63],
     [], [0.0], [0.0, 0.0], [[0.0, 0.0]], [None], [True, 0.0], IDENTITY,
     {}, {"extruder_on": 0, "extruder_off": 2}, {"extruder_on": 0},

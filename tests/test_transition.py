@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trusspath import transition
 from trusspath.config import PlannerConfig, TransitionSettings
 from trusspath.fixtures import load_bundled_robot
 from trusspath.geometry import CapsuleShape, pose_from_direction
@@ -148,6 +149,47 @@ def test_shortcut_never_increases_cost(robot, blocked_pair):
         for a, b in zip(smooth[:-1], smooth[1:]):
             assert _segment_free(robot, a, b, scene, step_vec, CFG.clearance)
     assert improved, "at least one seed should find a shortcut on a detour"
+
+
+def reference_shortcut(robot, path, scene, step_vec, iterations, rng, clearance):
+    """`shortcut` without its blocked-edge memory: every draw asks."""
+    pts = [row for row in path]
+    for _ in range(iterations):
+        if len(pts) < 3:
+            break
+        i = int(rng.integers(0, len(pts) - 2))
+        j = int(rng.integers(i + 2, len(pts)))
+        if transition._segment_free(robot, pts[i], pts[j], scene, step_vec, clearance):
+            pts = pts[: i + 1] + pts[j:]
+    return np.array(pts)
+
+
+def test_shortcut_memory_changes_no_result(robot, blocked_pair, monkeypatch):
+    qa, qb, scene = blocked_pair
+    step_vec = step_vector(robot, CFG)
+    raw_path, _ = rrt_connect(
+        robot, qa, qb, scene, step_vec, 3000, 5.0,
+        np.random.default_rng(3), CFG.clearance,
+    )
+    calls = []
+    segment_free = transition._segment_free
+
+    def counted(*args):
+        calls.append(args)
+        return segment_free(*args)
+
+    monkeypatch.setattr(transition, "_segment_free", counted)
+    for seed in range(5):
+        runs = []
+        for smooth in (shortcut, reference_shortcut):
+            rng = np.random.default_rng(seed)
+            calls.clear()
+            path = smooth(robot, raw_path, scene, step_vec, 200, rng, CFG.clearance)
+            runs.append((path, rng.bit_generator.state, len(calls)))
+        (path, state, asked), (ref_path, ref_state, ref_asked) = runs
+        assert np.array_equal(path, ref_path)
+        assert state == ref_state  # the same draws
+        assert asked < ref_asked, (seed, asked, ref_asked)
 
 
 def test_no_route_raises_after_home_fallback(robot, blocked_pair):

@@ -148,6 +148,20 @@ def test_load_model_rejects_non_finite_numbers(path, value):
         load_model(doc)
 
 
+@pytest.mark.parametrize("value", ["480", True, None], ids=["string", "bool", "null"])
+@pytest.mark.parametrize(
+    "path", MODEL_NUMBERS, ids=["-".join(map(str, p)) for p in MODEL_NUMBERS]
+)
+def test_load_model_rejects_non_numbers(path, value):
+    doc = json.loads(json.dumps(toy_doc()))
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with pytest.raises(ModelError, match="is not a number|is not an integer"):
+        load_model(doc)
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
