@@ -23,7 +23,14 @@ rung of edges and keeps back-pointers, `_ladder` applies it rung by rung and
 start), block path extraction (from a one-hot start), the chain search, the
 full-graph baseline and the retraction slides (from their one-config anchor
 rung) all run on it, so ties always go to the lowest index and an earlier
-capsule.  Every rung comes from `kinematics.build_rungs`.
+capsule.  Each relaxation computes a rung pair's joint differences once and
+takes both the step cost and the jump mask from them.
+
+Every rung comes from `kinematics.build_rungs_batch`.  The capsule sampler
+and the full-graph baseline hand it a task's candidates in chunks of at most
+`CANDIDATE_CHUNK`, so a chunk costs one IK sweep and one collision query;
+block path recovery and the retraction slides use its one-orientation case,
+`build_rungs`.
 """
 
 from __future__ import annotations
@@ -35,11 +42,14 @@ import numpy as np
 
 from .config import PlannerConfig
 from .geometry import CapsuleShape, sample_directions
-from .kinematics import CapsuleSet, RobotModel, build_rungs
+from .kinematics import CapsuleSet, RobotModel, build_rungs, build_rungs_batch
 from .sequence import SequenceResult, SweepTable, rotation_sequence
 from .truss import TrussModel
 
 _INF = float("inf")
+# Most orientation candidates one `build_rungs_batch` call takes.  Bounds the
+# collision query's temporaries when a task's whole queue is explored.
+CANDIDATE_CHUNK = 6
 
 
 class CartesianPlanningError(Exception):
@@ -153,11 +163,6 @@ def _pair_costs(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray
     return diff.sum(axis=2)
 
 
-def _pair_allowed(a: np.ndarray, b: np.ndarray, limits: np.ndarray) -> np.ndarray:
-    diff = np.abs(a[:, None, :] - b[None, :, :]) <= limits[None, None, :]
-    return diff.all(axis=2)
-
-
 def _minplus(cost: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One min-plus relaxation: out[..., j] = min over m of cost[..., m] + step[m, j].
 
@@ -166,8 +171,7 @@ def _minplus(cost: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray
     them.
     """
     total = cost[..., :, None] + step
-    back = np.argmin(total, axis=-2)
-    return np.take_along_axis(total, back[..., None, :], axis=-2)[..., 0, :], back
+    return total.min(axis=-2), total.argmin(axis=-2)
 
 
 def _ladder(
@@ -178,8 +182,9 @@ def _ladder(
     step (`backs[r - 1]` maps rung r to rung r - 1)."""
     backs = []
     for a, b in zip(rungs, rungs[1:]):
-        step = _pair_costs(a, b, weights)
-        step[~_pair_allowed(a, b, limits)] = _INF
+        diff = np.abs(a[:, None, :] - b[None, :, :])
+        step = (diff * weights[None, None, :]).sum(axis=2)
+        step[(diff > limits[None, None, :]).any(axis=2)] = _INF
         cost, back = _minplus(cost, step)
         backs.append(back)
     return cost, backs
@@ -214,33 +219,40 @@ def _inner_cost_matrix(
     return _ladder(start, rungs, weights, limits)[0]
 
 
-def build_capsule(
-    robot: RobotModel,
-    task: TaskSpec,
-    direction: np.ndarray,
+def capsule_from_rungs(
+    task: int,
     direction_index: int,
     rotation: float,
-    config: PlannerConfig,
+    rungs: list[np.ndarray],
+    weights: np.ndarray,
+    limits: np.ndarray,
 ) -> Capsule | None:
-    rungs = build_rungs(
-        robot, task.waypoints, direction, rotation, task.scene,
-        clearance=config.clearance,
-    )
-    if rungs is None:
-        return None
-    weights = robot.weights
-    limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
-    inner = _inner_cost_matrix(rungs, weights, limits)
+    """Summarise one orientation block's rungs, or None if its ladder joins
+    no first-rung config to a last-rung one."""
     capsule = Capsule(
-        task=task.index,
+        task=task,
         direction_index=direction_index,
         rotation=rotation,
         entry=rungs[0].copy(),
         exit=rungs[-1].copy(),
-        inner_cost=inner,
+        inner_cost=_inner_cost_matrix(rungs, weights, limits),
         waypoints=len(rungs),
     )
     return capsule if capsule.feasible else None
+
+
+def _block_rungs(
+    robot: RobotModel,
+    task: TaskSpec,
+    candidates: list[tuple[int, float]],
+    directions: np.ndarray,
+    config: PlannerConfig,
+) -> list[list[np.ndarray] | None]:
+    """Rungs (or None) of each (direction index, roll) candidate of a task."""
+    return build_rungs_batch(
+        robot, task.waypoints, [(directions[a], rot) for a, rot in candidates],
+        task.scene, clearance=config.clearance,
+    )
 
 
 def extract_block_path(
@@ -379,18 +391,26 @@ def expand_and_search(
         q.remove(w)
         q.insert(0, w)
 
+    weights = robot.weights
+    limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
     columns: list[list[Capsule]] = []
     attempted = 0
     for task, queue in zip(tasks, queues):
         budget = max_capsules if max_capsules is not None else len(queue)
         column: list[Capsule] = []
-        for a, rot in queue:
-            if len(column) >= budget:
-                break
-            attempted += 1
-            cap = build_capsule(robot, task, directions[a], a, rot, config)
-            if cap is not None:
-                column.append(cap)
+        done = 0
+        while done < len(queue) and len(column) < budget:
+            # a chunk the budget could fill can't overshoot it: every
+            # candidate in it would have been attempted one at a time
+            chunk = queue[done : done + min(budget - len(column), CANDIDATE_CHUNK)]
+            done += len(chunk)
+            for (a, rot), rungs in zip(chunk, _block_rungs(robot, task, chunk, directions, config)):
+                if rungs is None:
+                    continue
+                cap = capsule_from_rungs(task.index, a, rot, rungs, weights, limits)
+                if cap is not None:
+                    column.append(cap)
+        attempted += done
         columns.append(column)
 
     cost, picks = chain_search(columns, robot.weights, robot.home)
@@ -450,12 +470,14 @@ def full_ladder_graph(
     ladders: list[list[list[np.ndarray]]] = []  # task -> block -> rungs
     n_vertices = 0
     for t in tasks:
+        grid = _candidate_grid(t, rotations)
         blocks = []
-        for a, rot in _candidate_grid(t, rotations):
-            rungs = build_rungs(
-                robot, t.waypoints, directions[a], rot, t.scene,
-                clearance=config.clearance,
-            )
+        built = (
+            rungs
+            for i in range(0, len(grid), CANDIDATE_CHUNK)
+            for rungs in _block_rungs(robot, t, grid[i : i + CANDIDATE_CHUNK], directions, config)
+        )
+        for rungs in built:
             if rungs is None:
                 continue
             n_vertices += sum(r.shape[0] for r in rungs)
@@ -463,7 +485,7 @@ def full_ladder_graph(
                 est = estimate_full_graph_size(
                     len(tasks),
                     tasks[0].waypoints.shape[0],
-                    len(_candidate_grid(t, rotations)),
+                    len(grid),
                     max(r.shape[0] for r in rungs),
                 )
                 raise MemoryBudgetError(

@@ -196,20 +196,27 @@ def segment_segment_distance(
 CULL_MARGIN = 1e-6
 
 
-def norm3(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis of a (..., 3) array, from `+ * sqrt`
-    only (no BLAS-backed reduction)."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.sqrt(x * x + y * y + z * z)
+def distance3(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distances between broadcast (..., 3) point arrays (at least
+    one leading axis), from `- + * sqrt` only (no BLAS-backed reduction).
+    Sums `dx*dx + dy*dy + dz*dz` left to right one axis at a time and in
+    place, so no (..., 3) difference array is built."""
+    total = p[..., 0] - q[..., 0]
+    total *= total
+    for axis in (1, 2):
+        d = p[..., axis] - q[..., axis]
+        d *= d
+        total += d
+    return np.sqrt(total, out=total)
 
 
 def bounding_spheres(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and half-lengths of the segments a-b, (..., 3) each.
 
-    Two segments are at least `norm3(m1 - m2) - h1 - h2` apart (Ericson,
+    Two segments are at least `distance3(m1, m2) - h1 - h2` apart (Ericson,
     *Real-Time Collision Detection*, 2005, ch. 4).
     """
-    return 0.5 * (a + b), 0.5 * norm3(b - a)
+    return 0.5 * (a + b), 0.5 * distance3(b, a)
 
 
 def mark_contacts(hit: np.ndarray, rows: np.ndarray, segments, limit) -> None:
@@ -374,7 +381,7 @@ def ee_sweep_collision_batch(
         b = path_points + (rotations @ cap.b)[:, None, :]
         limit = cap.radius + segment_radius + clearance
         mid, half = bounding_spheres(a, b)
-        near = norm3(mid - q_mid) - half - q_half < limit + CULL_MARGIN  # (m, n)
+        near = distance3(mid, q_mid) - half - q_half < limit + CULL_MARGIN  # (m, n)
         r, k = np.nonzero(near & ~hit[:, None])
         mark_contacts(hit, r, (a[r, k], b[r, k], q0[k], q1[k]), limit)
     return hit

@@ -39,8 +39,8 @@ from .geometry import (
     bounding_spheres,
     default_ee_geometry,
     direction_rotation_from_frame,
+    distance3,
     mark_contacts,
-    norm3,
     pose_from_direction,
 )
 
@@ -421,11 +421,14 @@ def ik(robot: RobotModel, target: EEPose | np.ndarray) -> list[np.ndarray]:
 def ik_sweep(
     robot: RobotModel, rotation: np.ndarray, origins: np.ndarray
 ) -> list[np.ndarray]:
-    """IK families for many tool positions sharing one orientation.
+    """IK families for many tool positions, one tool rotation each.
 
     This is the inner loop of Cartesian planning: an extrusion pass keeps the
-    tool orientation fixed while the tip slides along the element, so the
-    whole sweep shares the rotation matrix.  With a rail, every origin is
+    tool orientation fixed while the tip slides along the element, so a
+    sweep passes one (3, 3) `rotation` shared by every origin; a stack of
+    (n, 3, 3) rotations, one per origin, solves several orientations' sweeps
+    in one call.  Each origin's family depends only on its own pose, so both
+    forms give the same rows.  With a rail, every origin is
     solved at each position of the rail's `track.step` grid
     (`TrackSpec.positions`), the only rail positions a plan uses; a fixed
     arm is a rail with the one position 0 along a zero axis.  Every
@@ -439,6 +442,7 @@ def ik_sweep(
     n = origins.shape[0]
     frames = np.zeros((n, 4, 4))
     frames[:, 3, 3] = 1.0
+    rotation = np.broadcast_to(rotation, (n, 3, 3))
     frames[:, :3, :3] = rotation
     frames[:, :3, 3] = origins
     rot, pos = _flange_targets(robot, frames)
@@ -464,7 +468,7 @@ def ik_sweep(
     owner = np.repeat(np.arange(n), s * branches)[ok]
     tip = fk_frames_batch(robot, rows)[:, -1]
     pos_err = np.linalg.norm(tip[:, :3, 3] - origins[owner], axis=1)
-    rot_err = np.linalg.norm(tip[:, :3, :3] - rotation, axis=(1, 2)) / math.sqrt(2.0)
+    rot_err = np.linalg.norm(tip[:, :3, :3] - rotation[owner], axis=(1, 2)) / math.sqrt(2.0)
     hit = (pos_err < _POSE_TOL) & (rot_err < _POSE_TOL)
     rows, owner = rows[hit], owner[hit]
     # stable, so equal rows keep (rail position, branch) order
@@ -536,9 +540,10 @@ def config_collides_batch(
 
     frames_idx, local_a, local_b, radii, pairs = robot.capsule_table
     frames = fk_frames_batch(robot, qs)  # (n, F, 4, 4)
-    sel = frames[:, frames_idx]  # (n, c, 4, 4)
-    world_a = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_a) + sel[:, :, :3, 3]
-    world_b = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_b) + sel[:, :, :3, 3]
+    rot = frames[:, :, :3, :3][:, frames_idx]  # (n, c, 3, 3)
+    shift = frames[:, :, :3, 3][:, frames_idx]  # (n, c, 3)
+    world_a = np.einsum("ncij,cj->nci", rot, local_a) + shift
+    world_b = np.einsum("ncij,cj->nci", rot, local_b) + shift
     mid, half = bounding_spheres(world_a, world_b)  # (n, c, 3), (n, c)
 
     hit = np.zeros(qs.shape[0], dtype=bool)
@@ -547,11 +552,9 @@ def config_collides_batch(
         if not len(obstacles) or not len(live):
             continue
         limit = radii[:, None] + obstacles.radii[None, :] + clearance  # (c, m)
-        bound = (
-            norm3(mid[live, :, None, :] - obstacles.mid)
-            - half[live, :, None]
-            - obstacles.half
-        )  # (l, c, m)
+        bound = distance3(mid[live, :, None, :], obstacles.mid)  # (l, c, m)
+        bound -= half[live, :, None]
+        bound -= obstacles.half
         k, c, o = np.nonzero(bound < limit + CULL_MARGIN)
         rows = live[k]
         mark_contacts(
@@ -562,7 +565,10 @@ def config_collides_batch(
     live = np.flatnonzero(~hit)
     i, j = pairs[:, 0], pairs[:, 1]
     limit = radii[i] + radii[j] + clearance  # (P,)
-    bound = norm3(mid[live][:, i] - mid[live][:, j]) - half[live][:, i] - half[live][:, j]
+    mid, half = mid[live], half[live]
+    bound = distance3(mid[:, i], mid[:, j])  # (l, P)
+    bound -= half[:, i]
+    bound -= half[:, j]
     k, p = np.nonzero(bound < limit + CULL_MARGIN)
     rows, i, j = live[k], i[p], j[p]
     mark_contacts(
@@ -573,6 +579,44 @@ def config_collides_batch(
     return hit
 
 
+def build_rungs_batch(
+    robot: RobotModel,
+    waypoints: np.ndarray,
+    orientations: Sequence[tuple[np.ndarray, float]],
+    scene: CapsuleSet,
+    clearance: float,
+) -> list[list[np.ndarray] | None]:
+    """Collision-free IK configs per waypoint for each (direction, rotation)
+    orientation: its rungs, or None if any of them is empty.
+
+    An orientation's tool frame is `pose_from_direction(waypoints[0],
+    direction, rotation)`.  All orientations go through one `ik_sweep` with
+    a rotation stack.  None means some waypoint has no IK solution (then the
+    orientation is not collision-tested) or no collision-free one.  The
+    solutions of every orientation whose rungs all have IK solutions are
+    tested in one `config_collides_batch` call and split back per waypoint;
+    since rows are independent, each orientation's rungs are the same as
+    when it is built alone.
+    """
+    k = waypoints.shape[0]
+    rots = np.array(
+        [pose_from_direction(waypoints[0], d, r)[:3, :3] for d, r in orientations]
+    )
+    families = ik_sweep(robot, np.repeat(rots, k, axis=0), np.tile(waypoints, (len(rots), 1)))
+    blocks = [families[i : i + k] for i in range(0, len(families), k)]
+    reached = [all(len(fam) for fam in block) for block in blocks]
+    tested = [fam for block, ok in zip(blocks, reached) if ok for fam in block]
+    if not tested:
+        return [None] * len(blocks)
+    free = ~config_collides_batch(robot, np.concatenate(tested), scene, clearance=clearance)
+    masks = iter(np.split(free, np.cumsum([len(fam) for fam in tested])[:-1]))
+    out: list[list[np.ndarray] | None] = []
+    for block, ok in zip(blocks, reached):
+        rungs = [fam[next(masks)] for fam in block] if ok else None
+        out.append(rungs if rungs is not None and all(len(r) for r in rungs) else None)
+    return out
+
+
 def build_rungs(
     robot: RobotModel,
     waypoints: np.ndarray,
@@ -581,25 +625,8 @@ def build_rungs(
     scene: CapsuleSet,
     clearance: float,
 ) -> list[np.ndarray] | None:
-    """Collision-free IK configs per waypoint under one tool orientation, or
-    None if any rung is empty.
-
-    The tool frame is `pose_from_direction(waypoints[0], direction,
-    rotation)`.  None means some waypoint has no IK solution (then nothing is
-    collision-tested) or no collision-free one.  All solutions of the sweep
-    are tested in one `config_collides_batch` call and split back per
-    waypoint.
-    """
-    frame = pose_from_direction(waypoints[0], direction, rotation)
-    families = ik_sweep(robot, frame[:3, :3], waypoints)
-    if not all(len(fam) for fam in families):
-        return None
-    free = ~config_collides_batch(
-        robot, np.concatenate(families), scene, clearance=clearance
-    )
-    bounds = np.cumsum([len(fam) for fam in families])[:-1]
-    rungs = [fam[f] for fam, f in zip(families, np.split(free, bounds))]
-    return rungs if all(r.shape[0] for r in rungs) else None
+    """`build_rungs_batch` for one (direction, rotation) orientation."""
+    return build_rungs_batch(robot, waypoints, [(direction, rotation)], scene, clearance)[0]
 
 
 # ---------------------------------------------------------------------------

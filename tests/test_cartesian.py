@@ -14,10 +14,9 @@ from trusspath.cartesian import (
     MemoryBudgetError,
     _inner_cost_matrix,
     _minplus,
-    _pair_allowed,
     _pair_costs,
-    build_capsule,
     build_rungs,
+    capsule_from_rungs,
     chain_search,
     estimate_full_graph_size,
     expand_and_search,
@@ -28,8 +27,15 @@ from trusspath.cartesian import (
 )
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import load_bundled_model, load_bundled_robot
-from trusspath.kinematics import CapsuleSet, config_collides_batch, fk, ik_sweep
-from trusspath.geometry import CapsuleShape, pose_from_direction
+from trusspath import kinematics
+from trusspath.kinematics import (
+    CapsuleSet,
+    build_rungs_batch,
+    config_collides_batch,
+    fk,
+    ik_sweep,
+)
+from trusspath.geometry import CapsuleShape, pose_from_direction, sample_directions
 from trusspath.sequence import (
     SequencePlanner,
     plan_sequence,
@@ -92,6 +98,23 @@ def test_inner_cost_matrix_matches_enumeration():
                     assert math.isinf(got[i, j])
                 else:
                     assert got[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def _pair_allowed(a, b, limits):
+    """Which config pairs of a (n, dof) and b (m, dof) lie within the jump limits."""
+    return (np.abs(a[:, None, :] - b[None, :, :]) <= limits[None, None, :]).all(axis=2)
+
+
+def build_capsule(robot, task, direction, direction_index, rotation, config):
+    """One candidate's capsule from its own `build_rungs` call: the
+    per-candidate loop that `expand_and_search` batches."""
+    rungs = build_rungs(
+        robot, task.waypoints, direction, rotation, task.scene, clearance=config.clearance
+    )
+    if rungs is None:
+        return None
+    limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
+    return capsule_from_rungs(task.index, direction_index, rotation, rungs, robot.weights, limits)
 
 
 def test_pair_helpers():
@@ -345,6 +368,9 @@ def test_minplus_rows_equal_one_dimensional_calls():
     step[:, 2] = math.inf
     got, back = _minplus(cost, step)
     assert got.shape == back.shape == (4, 6)
+    # the minimum is the very value at the arg-min
+    total = cost[:, :, None] + step
+    assert np.array_equal(got, np.take_along_axis(total, back[:, None, :], axis=1)[:, 0, :])
     for row in range(4):
         want, want_back = _minplus(cost[row], step)
         assert np.array_equal(got[row], want)
@@ -755,3 +781,120 @@ def test_pose_probe_matches_per_waypoint_loop(robot, cube_tasks):
         witnesses.append(planner._ee_pose_exists(eid))
         assert witnesses[-1] == oracle_pose_exists(planner, eid), eid
     assert any(w is not None for w in witnesses)
+
+
+# ---------------------------------------------------------------------------
+# batched candidates against one candidate per call
+
+
+def test_build_rungs_batch_equals_one_orientation_calls(robot, cube_tasks, monkeypatch):
+    model, sequence, tasks = cube_tasks
+    directions = sequence.directions
+    pairs = [(a, float(r)) for a in range(0, len(directions), 2)
+             for r in rotation_sequence(CART_CFG.rotation_samples)]
+    queries = []
+    real_query = kinematics.config_collides_batch
+
+    def counting_query(*args, **kwargs):
+        queries.append(args)
+        return real_query(*args, **kwargs)
+
+    mixed = set()  # failure reasons seen beside a built block in one batch
+    for task in tasks[::2]:
+        for i in range(0, len(pairs), 7):
+            chunk = pairs[i : i + 7]
+            orientations = [(directions[a], rot) for a, rot in chunk]
+            monkeypatch.setattr(kinematics, "config_collides_batch", counting_query)
+            got = build_rungs_batch(
+                robot, task.waypoints, orientations, task.scene, CART_CFG.clearance
+            )
+            monkeypatch.undo()
+            # one collision query per batch, none when no block has IK on every rung
+            assert len(queries) <= 1
+            reasons, reached = [], 0
+            for (a, rot), rungs in zip(chunk, got):
+                rot_matrix = pose_from_direction(task.waypoints[0], directions[a], rot)[:3, :3]
+                reached += all(len(fam) for fam in ik_sweep(robot, rot_matrix, task.waypoints))
+                one = build_rungs(
+                    robot, task.waypoints, directions[a], rot, task.scene,
+                    clearance=CART_CFG.clearance,
+                )
+                want, why = oracle_build_rungs(
+                    robot, task.waypoints, directions[a], rot, task.scene, CART_CFG.clearance
+                )
+                assert same_rungs(rungs, one) and same_rungs(rungs, want), (task.index, a, rot)
+                if why is not None:
+                    reasons.append(why[0])
+            assert len(got) == len(chunk)
+            assert bool(queries) == (reached > 0)
+            if any(rungs is not None for rungs in got):
+                mixed.update(reasons)
+            queries.clear()
+    assert mixed == {"empty", "collision"}
+
+
+def oracle_expand(robot, tasks, config, rng, max_capsules):
+    """`expand_and_search`'s capsule columns from one `build_capsule` call per
+    candidate, stopping as soon as a column holds its budget."""
+    directions = sample_directions(config.direction_count)
+    rotations = rotation_sequence(config.rotation_samples)
+    queues = [list(cartesian._candidate_grid(t, rotations)) for t in tasks]
+    for q in queues:
+        rng.shuffle(q)
+    for q, t in zip(queues, tasks):
+        w = (t.preferred_direction, float(t.preferred_rotation))
+        q.remove(w)
+        q.insert(0, w)
+    columns, attempted = [], 0
+    for task, queue in zip(tasks, queues):
+        budget = max_capsules if max_capsules is not None else len(queue)
+        column = []
+        for a, rot in queue:
+            if len(column) >= budget:
+                break
+            attempted += 1
+            cap = build_capsule(robot, task, directions[a], a, rot, config)
+            if cap is not None:
+                column.append(cap)
+        columns.append(column)
+    return columns, attempted
+
+
+def same_capsule(a, b):
+    return (
+        (a.task, a.direction_index, a.rotation, a.waypoints)
+        == (b.task, b.direction_index, b.rotation, b.waypoints)
+        and all(
+            x.shape == y.shape and x.tobytes() == y.tobytes()
+            for x, y in ((a.entry, b.entry), (a.exit, b.exit), (a.inner_cost, b.inner_cost))
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def default_tasks(robot):
+    model = load_bundled_model("cube")
+    sequence = plan_sequence(model, robot, PlannerConfig())
+    return prepare_tasks(model, robot, sequence, PlannerConfig())
+
+
+@pytest.mark.parametrize("budget", [1, 6, None])
+@pytest.mark.parametrize("case", ["cube 24x2", "default slice"])
+def test_expand_and_search_columns_equal_per_candidate_loop(
+    robot, cube_tasks, default_tasks, budget, case
+):
+    if case == "cube 24x2":
+        tasks, config = cube_tasks[2], CART_CFG
+    else:
+        tasks, config = default_tasks[8:10], PlannerConfig()
+    got = expand_and_search(
+        robot, tasks, config, rng=np.random.default_rng(5), max_capsules=budget
+    )
+    want, attempted = oracle_expand(robot, tasks, config, np.random.default_rng(5), budget)
+    assert got.attempted == attempted
+    assert [len(col) for col in got.columns] == [len(col) for col in want]
+    for col, want_col in zip(got.columns, want):
+        assert all(same_capsule(a, b) for a, b in zip(col, want_col))
+    assert got.built_capsules == sum(len(col) for col in want)
+    if budget is None:  # whole queues: many chunks per task
+        assert got.attempted > 2 * len(tasks) * cartesian.CANDIDATE_CHUNK

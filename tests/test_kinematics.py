@@ -187,6 +187,31 @@ def test_ik_sweep_matches_two_branch_oracle_bit_for_bit():
     assert total > 1000
 
 
+def test_ik_sweep_rotation_stack_equals_one_call_per_rotation():
+    rng = np.random.default_rng(53)
+    rows = 0
+    for robot in (load_bundled_robot("arm"), load_robot(tracked_doc())):
+        q = rng.uniform(robot.lower, robot.upper)
+        tip = fk(robot, q).position
+        rotations = [
+            fk(robot, rng.uniform(robot.lower, robot.upper)).frame()[:3, :3] for _ in range(4)
+        ]
+        rotations.append(fk(robot, q).frame()[:3, :3])  # reaches every origin near the tip
+        origins = tip + rng.uniform(-40.0, 40.0, size=(9, 3))
+        origins[4] = (1e5, 0.0, 0.0)  # unreachable: an empty family per rotation
+        k = len(origins)
+        stacked = ik_sweep(
+            robot, np.repeat(rotations, k, axis=0), np.tile(origins, (len(rotations), 1))
+        )
+        assert len(stacked) == len(rotations) * k
+        for r, rotation in enumerate(rotations):
+            for got, want in zip(stacked[r * k : (r + 1) * k], ik_sweep(robot, rotation, origins)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                rows += len(got)
+    assert rows > 100
+
+
 def fd_jacobian(robot, q, eps=1e-6):
     """Central-difference geometric Jacobian: rows (v; omega)."""
     cols = []

@@ -14,6 +14,7 @@ import numpy as np
 import trusspath
 from trusspath import kinematics
 from trusspath.fixtures import load_bundled_robot
+from trusspath.geometry import pose_from_direction, sample_directions
 from trusspath.kinematics import CapsuleSet, fk_frames
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -78,3 +79,38 @@ def test_tracer_counts_through_its_wrappers_and_restores_the_originals(monkeypat
     after = bound_names(tracer_module)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_counts_a_batched_rung_build_per_pose(monkeypatch):
+    tracer_module = load_tracer(monkeypatch)
+    robot = load_bundled_robot("arm")
+    tip = fk_frames(robot, robot.home)[-1][:3, 3]
+    waypoints = tip + np.linspace(0.0, 30.0, 4)[:, None] * np.array([0.0, 1.0, 0.0])
+    directions = sample_directions(24)
+    orientations = [(directions[a], roll) for a in (0, 3, 11) for roll in (0.0, 2.0)]
+    tracer = tracer_module.Tracer(trusspath)
+    tracer.install()
+    try:
+        built = kinematics.build_rungs_batch(
+            robot, waypoints, orientations, CapsuleSet(()), clearance=2.0
+        )
+    finally:
+        tracer.uninstall()
+
+    families = [
+        kinematics.ik_sweep(robot, pose_from_direction(waypoints[0], d, r)[:3, :3], waypoints)
+        for d, r in orientations
+    ]
+    reached = [all(len(f) for f in fams) for fams in families]
+    metrics = tracer.metrics()
+    assert len(built) == len(orientations)
+    assert metrics["kinematics.ik_sweep.calls"] == 1
+    assert metrics["kinematics.ik_sweep.poses"] == len(orientations) * len(waypoints)
+    assert metrics["kinematics.ik_sweep.solutions"] == sum(
+        len(f) for fams in families for f in fams
+    )
+    assert metrics["kinematics.config_collides_batch.calls"] == 1
+    assert metrics["kinematics.config_collides_batch.configs"] == sum(
+        len(f) for fams, ok in zip(families, reached) if ok for f in fams
+    )
+    assert any(reached) and any(rungs is not None for rungs in built)

@@ -31,10 +31,23 @@ IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def tcp_stub(n):
+    """n tool poses, each with rotation rows of its own."""
     return [
-        {"origin": [float(i), 0.0, 0.0], "zaxis": [0.0, 0.0, 1.0], "rotation": IDENTITY}
+        {
+            "origin": [float(i), 0.0, 0.0],
+            "zaxis": [0.0, 0.0, 1.0],
+            "rotation": [row[:] for row in IDENTITY],
+        }
         for i in range(n)
     ]
+
+
+def test_tcp_stub_rows_are_not_shared():
+    first, second = tcp_stub(2)
+    later = tcp_stub(1)[0]
+    first["rotation"][1][0] = 5.0
+    assert second["rotation"] == later["rotation"] == IDENTITY
+    assert IDENTITY == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def subprocess_doc(sid, kind, joints, io_anchors=None):
