@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PlannerConfig
-from .geometry import CapsuleShape, sample_directions
+from .geometry import sample_directions
 from .kinematics import CapsuleSet, RobotModel, build_rungs, build_rungs_batch
 from .sequence import SequenceResult, SweepTable, rotation_sequence
 from .truss import TrussModel
@@ -92,7 +92,6 @@ def prepare_tasks(
     if sweeps is None or not sweeps.serves(model, robot.ee, sequence.directions, config):
         sweeps = SweepTable(model, robot.ee, sequence.directions, config)
     placed: list[int] = []
-    scene_caps: list[CapsuleShape] = []
     tasks: list[TaskSpec] = []
     for t in sequence.tasks:
         pts = sweeps.waypoints(t.element, t.start_node)
@@ -107,12 +106,6 @@ def prepare_tasks(
                 f"task {t.position}: sequence witness direction "
                 f"{t.direction_index} is not sweep-feasible here"
             )
-        scene = CapsuleSet(tuple(scene_caps))
-        own = CapsuleShape(
-            tuple(model.element_segment(t.element)[0]),
-            tuple(model.element_segment(t.element)[1]),
-            model.section.radius,
-        )
         tasks.append(
             TaskSpec(
                 index=t.position,
@@ -121,12 +114,11 @@ def prepare_tasks(
                 direction_indices=feasible,
                 preferred_direction=t.direction_index,
                 preferred_rotation=t.rotation,
-                scene=scene,
-                scene_after=CapsuleSet(tuple(scene_caps) + (own,)),
+                scene=model.scene(placed),
+                scene_after=model.scene(placed + [t.element]),
             )
         )
         placed.append(t.element)
-        scene_caps.append(own)
     return tasks
 
 

@@ -205,7 +205,7 @@ def _cmd_stats(args, model, robot, config) -> int:
 def _cmd_export_geometry(args, model, robot, config) -> int:
     waypoints = {}
     for e in model.elements:
-        pts = discretize_element(model, e.id, config.path_spacing).points
+        pts = discretize_element(model, e.id, config.path_spacing)
         waypoints[str(e.id)] = [[float(v) for v in row] for row in pts]
     doc = {
         "model": serialize_model(model),

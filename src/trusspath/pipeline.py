@@ -18,6 +18,7 @@ checks, not as exceptions.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,13 +30,8 @@ from .cartesian import (
     prepare_tasks,
 )
 from .config import PlannerConfig
-from .geometry import CapsuleShape, ee_sweep_collision_batch, sample_directions
-from .kinematics import (
-    CapsuleSet,
-    RobotModel,
-    config_collides_batch,
-    fk_frames_batch,
-)
+from .geometry import ee_sweep_collision_batch, sample_directions
+from .kinematics import RobotModel, config_collides_batch, fk_frames_batch
 from .postprocess import (
     PLAN_VERSION,
     SUBPROCESS_TYPES,
@@ -80,10 +76,10 @@ def input_fingerprints(
 @dataclass
 class PipelineReport:
     sequence_stats: SearchStats
-    sequence_time: float = 0.0
+    sequence_time: float = 0.0  # the search's own `stats.total_time`
     cartesian_time: float = 0.0
     transition_time: float = 0.0
-    total_time: float = 0.0
+    total_time: float = 0.0  # the three stage rows summed
     capsules_built: int = 0
     capsules_attempted: int = 0
     cartesian_cost: float = 0.0
@@ -126,6 +122,22 @@ class PipelineReport:
         return "\n".join(lines)
 
 
+def _check_coverage(model: TrussModel, order: list[int]) -> None:
+    """Raise `PipelineError` unless `order` lists every model element once."""
+    known = {e.id for e in model.elements}
+    counts = Counter(order)
+    missing = sorted(known - counts.keys())
+    repeated = sorted(eid for eid, n in counts.items() if n > 1)
+    unknown = sorted(counts.keys() - known)
+    problems = [
+        f"{what} elements {ids}"
+        for what, ids in (("missing", missing), ("repeated", repeated), ("unknown", unknown))
+        if ids
+    ]
+    if problems:
+        raise PipelineError("sequence does not cover the model: " + "; ".join(problems))
+
+
 def run_pipeline(
     model: TrussModel,
     robot: RobotModel,
@@ -135,9 +147,6 @@ def run_pipeline(
     """Plan `model` end to end; returns the plan document and a stage report."""
     config = config or PlannerConfig()
     config.validate()
-    t_all = time.monotonic()
-
-    t0 = time.monotonic()
     if sequence is None:
         sequence = plan_sequence(model, robot, config)
     elif len(sequence.directions) != config.direction_count:
@@ -145,7 +154,8 @@ def run_pipeline(
             f"sequence was planned over {len(sequence.directions)} directions "
             f"but the configuration says {config.direction_count}"
         )
-    seq_time = time.monotonic() - t0
+    else:
+        _check_coverage(model, [t.element for t in sequence.tasks])
 
     t0 = time.monotonic()
     tasks = prepare_tasks(model, robot, sequence, config)
@@ -217,10 +227,10 @@ def run_pipeline(
     }
     report = PipelineReport(
         sequence_stats=sequence.stats,
-        sequence_time=seq_time,
+        sequence_time=sequence.stats.total_time,
         cartesian_time=cart_time,
         transition_time=trans_time,
-        total_time=time.monotonic() - t_all,
+        total_time=sequence.stats.total_time + cart_time + trans_time,
         capsules_built=sparse.built_capsules,
         capsules_attempted=sparse.attempted,
         cartesian_cost=sparse.cost,
@@ -402,11 +412,8 @@ def validate_plan(
     ratio = config.prismatic_jump_limit / config.jump_limit
     fine_step = 0.5 * config.transition.step * robot.jump_limits(1.0, ratio)
     # scenes[k] holds the elements placed before task k; statics are implicit
-    placed_caps = [
-        CapsuleShape(*map(tuple, model.element_segment(t["element_id"])), radius)
-        for t in tasks
-    ]
-    scenes = [CapsuleSet(placed_caps[:k]) for k in range(len(tasks) + 1)]
+    order = [t["element_id"] for t in tasks]
+    scenes = [model.scene(order[:k]) for k in range(len(tasks) + 1)]
     for k, s, rows in subs:
         if s["kind"] == "transition":
             probe = [rows[0]]

@@ -33,21 +33,20 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
 
 from .config import PlannerConfig, finite, integer
 from .geometry import (
-    CapsuleShape,
     EEGeometry,
     GeometryError,
     ee_sweep_collision_batch,
     pose_from_direction,
     sample_directions,
 )
-from .kinematics import CapsuleSet, RobotModel, build_rungs
+from .kinematics import RobotModel, build_rungs
 from .structural import PartialStructure, analyze, check_stability, check_stiffness
 from .truss import TrussModel, discretize_element
 
@@ -165,8 +164,9 @@ def sequence_from_dict(doc: dict) -> SequenceResult:
     """Rebuild a sequence result; direction indices are re-resolved against
     the deterministic direction lattice and must agree with the stored
     vectors.  A document not shaped like `sequence_to_dict`'s output, or
-    holding a fraction where an integer belongs or a non-finite direction or
-    rotation, raises `SequenceFormatError`."""
+    holding a fraction where an integer belongs, a non-finite direction or
+    rotation, or a stats count or time that is not a non-negative number,
+    raises `SequenceFormatError`."""
     try:
         directions = sample_directions(integer(doc["direction_count"]))
         tasks = []
@@ -191,6 +191,12 @@ def sequence_from_dict(doc: dict) -> SequenceResult:
                 )
             )
         stats = SearchStats(**doc.get("stats", {}))
+        for f in fields(stats):
+            read = integer if isinstance(f.default, int) else finite
+            value = read(getattr(stats, f.name))
+            if value < 0:
+                raise ValueError(f"stats {f.name} {value!r} is negative")
+            setattr(stats, f.name, value)
     except KeyError as exc:
         raise SequenceFormatError(f"sequence document missing {exc}") from exc
     except (TypeError, ValueError, IndexError, GeometryError) as exc:
@@ -274,7 +280,7 @@ class SweepTable:
         if key not in self._paths:
             self._paths[key] = discretize_element(
                 self.model, element_id, self.config.path_spacing, start_node=start_node
-            ).points
+            )
         return self._paths[key]
 
     def pair_block(self, element_id: int, placed_id: int) -> np.ndarray:
@@ -309,10 +315,6 @@ class SequencePlanner:
         self.stats = SearchStats()
         self._ids = [e.id for e in model.elements]
         self._index = {eid: k for k, eid in enumerate(self._ids)}
-        self._capsules = {}
-        for eid in self._ids:
-            p0, p1 = model.element_segment(eid)
-            self._capsules[eid] = CapsuleShape(tuple(p0), tuple(p1), model.section.radius)
         self.sweeps = SweepTable(model, robot.ee, self.directions, config)
         # the reference route's waypoints, read by criterion 4's oracle
         self._waypoints = self.sweeps.waypoints
@@ -323,8 +325,12 @@ class SequencePlanner:
         self._placed_mask = 0  # bit self._index[eid] set while eid is placed
         self._dead: set[int] = set()  # placed masks whose level ran out
         self._placed_nodes: set[int] = {n.id for n in model.nodes if n.grounded}
-        self._scene = CapsuleSet(())  # placed elements; statics are implicit
         self._tasks: list[SequenceTask] = []
+
+    @property
+    def _scene(self):
+        """The placed elements' capsules; the workcell statics are implicit."""
+        return self.model.scene(self._placed)
 
     def _element_nodes(self, element_id: int) -> tuple[int, int]:
         e = self.model.element(element_id)
@@ -361,6 +367,7 @@ class SequencePlanner:
         start = route_start_node(self.model, element_id, self._placed)
         row = self._domain[self._index[element_id]] & self.sweeps.self_mask(element_id, start)
         pts = self.sweeps.waypoints(element_id, start)
+        scene = self._scene
         try:
             for a in np.flatnonzero(row):
                 for rot in self._rotations:
@@ -371,7 +378,7 @@ class SequencePlanner:
                             stats=self.stats,
                         )
                     rungs = build_rungs(
-                        self.robot, pts, self.directions[a], float(rot), self._scene,
+                        self.robot, pts, self.directions[a], float(rot), scene,
                         clearance=self.config.clearance,
                     )
                     if rungs is not None:
@@ -507,7 +514,6 @@ class SequencePlanner:
         a, b = self._element_nodes(eid)
         added_nodes = [n for n in (a, b) if n not in self._placed_nodes]
         self._placed_nodes.update(added_nodes)
-        self._scene = CapsuleSet(self._scene.capsules + (self._capsules[eid],))
         undo = self._prune_against(sorted(remaining), eid)
         task = SequenceTask(
             position=len(self._tasks),
@@ -534,7 +540,6 @@ class SequencePlanner:
         self._placed_mask &= ~(1 << self._index[eid])
         remaining.add(eid)
         self._tasks.pop()
-        self._scene = CapsuleSet(self._scene.capsules[:-1])
         for n in nodes_added:
             self._placed_nodes.discard(n)
 

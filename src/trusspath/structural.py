@@ -23,7 +23,6 @@ from .geometry import convex_hull_2d, point_in_hull
 from .truss import TrussModel
 
 DEFAULT_GRAVITY = (0.0, 0.0, -9810.0)  # mm/s^2
-RESIDUAL_LIMIT = 1e-8
 # mass[kg] * accel[mm/s^2] -> N needs a 1e-3 factor (kg*mm/s^2 = mN)
 _MILLI = 1e-3
 # density[kg/m^3] * volume[mm^3] -> kg needs 1e-9

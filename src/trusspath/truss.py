@@ -8,13 +8,14 @@ sequence planner as a decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .config import finite, integer, read_document
+from .geometry import CapsuleShape
 
 
 class ModelError(Exception):
@@ -26,10 +27,6 @@ class Node:
     id: int
     position: tuple[float, float, float]
     grounded: bool = False
-
-    @property
-    def xyz(self) -> np.ndarray:
-        return np.asarray(self.position, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -66,19 +63,6 @@ class SectionSpec:
                 raise ModelError(f"section {name} must be positive")
 
 
-@dataclass(frozen=True)
-class PathPoints:
-    """Discretized extrusion path of one element, ordered start -> end."""
-
-    element: int
-    start: int
-    end: int
-    points: np.ndarray  # (n, 3)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 @dataclass
 class TrussModel:
     nodes: tuple[Node, ...]
@@ -86,7 +70,6 @@ class TrussModel:
     material: MaterialSpec
     section: SectionSpec
     name: str = "truss"
-    source: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self._node_index = {n.id: i for i, n in enumerate(self.nodes)}
@@ -110,7 +93,7 @@ class TrussModel:
         return self.elements[self._element_index[element_id]]
 
     def node_position(self, node_id: int) -> np.ndarray:
-        return self.node(node_id).xyz
+        return np.asarray(self.node(node_id).position, dtype=float)
 
     def element_segment(self, element_id: int) -> np.ndarray:
         e = self.element(element_id)
@@ -131,6 +114,20 @@ class TrussModel:
         from .structural import frame_table  # structural imports this module
 
         return frame_table(self)
+
+    @cached_property
+    def element_capsules(self) -> dict[int, CapsuleShape]:
+        """Each element's collision body: its axis at the section radius."""
+        return {
+            e.id: CapsuleShape(*map(tuple, self.element_segment(e.id)), self.section.radius)
+            for e in self.elements
+        }
+
+    def scene(self, element_ids):
+        """The `CapsuleSet` of the given placed elements, in that order."""
+        from .kinematics import CapsuleSet  # kinematics sits above this module
+
+        return CapsuleSet([self.element_capsules[eid] for eid in element_ids])
 
     def grounded_node_ids(self) -> list[int]:
         return [n.id for n in self.nodes if n.grounded]
@@ -201,7 +198,7 @@ def load_model(source: str | Path | dict) -> TrussModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad material/section block: {exc}") from exc
 
-    return TrussModel(tuple(nodes), tuple(elements), material, section, name=name, source=doc)
+    return TrussModel(tuple(nodes), tuple(elements), material, section, name=name)
 
 
 def serialize_model(model: TrussModel) -> dict:
@@ -291,8 +288,8 @@ def discretize_element(
     element_id: int,
     spacing: float,
     start_node: int | None = None,
-) -> PathPoints:
-    """Uniform path points along an element, ordered start -> end.
+) -> np.ndarray:
+    """Uniform (n, 3) path points along an element, ordered start -> end.
 
     The point count is ceil(length / spacing) + 1 so the step never exceeds
     `spacing` and both endpoints are always included.  `start_node` picks the
@@ -314,5 +311,4 @@ def discretize_element(
     length = float(np.linalg.norm(p1 - p0))
     count = int(np.ceil(length / spacing)) + 1
     frac = np.linspace(0.0, 1.0, count)
-    pts = p0[None, :] + frac[:, None] * (p1 - p0)[None, :]
-    return PathPoints(element_id, s, t, pts)
+    return p0[None, :] + frac[:, None] * (p1 - p0)[None, :]

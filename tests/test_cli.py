@@ -179,10 +179,19 @@ def test_sequence_then_motion_matches_plan(plan_file, cfg_file, tmp_path, capsys
         json.dumps({"direction_count": 24, "tasks": [], "stats": {"bogus": 1}}),
         json.dumps({"direction_count": 24, "tasks": [], "stats": {"probe_reuses": 0}}),
         json.dumps({"direction_count": 24.5, "tasks": [], "stats": {}}),
+        json.dumps({"direction_count": 24, "tasks": [], "stats": {"backtracks": "many"}}),
+        json.dumps({"direction_count": 24, "tasks": [], "stats": {"backtracks": -1}}),
+        json.dumps({"direction_count": 24, "tasks": [], "stats": {"backtracks": 2.5}}),
+        json.dumps({"direction_count": 24, "tasks": [], "stats": {"backtracks": True}}),
+        json.dumps({"direction_count": 24, "tasks": [], "stats": {"total_time": -0.5}}),
+        json.dumps({"direction_count": 24, "tasks": [], "stats": {"total_time": float("nan")}}),
+        json.dumps({"direction_count": 24, "tasks": [], "stats": {"total_time": "1.0"}}),
     ],
     ids=[
         "missing", "invalid-json", "not-an-object", "no-tasks", "unknown-stats-key",
-        "retired-stats-key", "fractional-direction-count",
+        "retired-stats-key", "fractional-direction-count", "string-count",
+        "negative-count", "fractional-count", "bool-count", "negative-time", "nan-time",
+        "string-time",
     ],
 )
 def test_motion_rejects_bad_sequence_files(cfg_file, tmp_path, capsys, content):
@@ -194,6 +203,44 @@ def test_motion_rejects_bad_sequence_files(cfg_file, tmp_path, capsys, content):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def sequence_doc(tmp_path_factory, cfg_file):
+    out = tmp_path_factory.mktemp("cli_sequence") / "seq.json"
+    assert main(["sequence", *common(cfg_file), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("drop", "missing elements [22]"),
+        ("repeat", "repeated elements [0]"),
+        ("unknown", "unknown elements [999]"),
+    ],
+    ids=["drop", "repeat", "unknown"],
+)
+def test_motion_rejects_a_sequence_that_does_not_cover_the_model(
+    sequence_doc, cfg_file, tmp_path, capsys, kind, message
+):
+    doc = copy.deepcopy(sequence_doc)
+    tasks = doc["tasks"]
+    if kind == "drop":
+        tasks[:] = [t for t in tasks if t["element"] != 22]
+    else:
+        extra = dict(next(t for t in tasks if t["element"] == 0), position=len(tasks))
+        tasks.append(extra if kind == "repeat" else dict(extra, element=999))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    out = tmp_path / "plan.json"
+    capsys.readouterr()
+    rc = main(["motion", *common(cfg_file), "--from-sequence", str(seq), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sequence does not cover the model: ")
+    assert len(err.splitlines()) == 1 and message in err
     assert not out.exists()
 
 

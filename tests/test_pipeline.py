@@ -125,6 +125,16 @@ def test_report_accounting(planned):
         assert word in table
 
 
+def test_report_times_a_passed_in_sequence_by_its_own_stats(sequence, planned):
+    _, report = planned
+    assert report.sequence_time == sequence.stats.total_time > 0.0
+    assert report.total_time == (
+        report.sequence_time + report.cartesian_time + report.transition_time
+    )
+    row = next(line for line in report.table().splitlines() if line.startswith("sequence"))
+    assert f"| {report.sequence_time:9.2f} |" in row
+
+
 def test_culled_collision_tests_match_dense_oracles_on_a_cube_run(model, robot, monkeypatch):
     """Every robot-collision and extruder-sweep query that a 24 x 2 cube
     plan and its validation make gets the dense oracle's booleans."""

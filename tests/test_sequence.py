@@ -97,9 +97,9 @@ def oracle_row(model, robot, cfg, directions, element_id, placed):
     e = model.element(element_id)
     pts_min = discretize_element(
         model, element_id, cfg.path_spacing, start_node=min(e.start, e.end)
-    ).points
+    )
     routes = [
-        discretize_element(model, element_id, cfg.path_spacing, start_node=n).points
+        discretize_element(model, element_id, cfg.path_spacing, start_node=n)
         for n in (e.start, e.end)
     ]
     row = np.zeros(len(directions), dtype=bool)
@@ -217,7 +217,7 @@ def test_tower_sequence_is_printable(tower_result, robot):
         # sweeps past everything already printed
         pts = discretize_element(
             model, task.element, TOWER_CFG.path_spacing, start_node=task.start_node
-        ).points
+        )
         direction = np.array(task.direction)
         assert not ee_self_collision(
             pts, direction, task.rotation, model.section.radius, robot.ee,
@@ -477,7 +477,7 @@ def test_probe_inputs_are_a_function_of_the_placed_set(robot):
                 model, oid, sorted(placed)
             )
         assert len(planner._scene) == len(placed)
-        assert set(planner._scene.capsules) == {planner._capsules[p] for p in placed}
+        assert set(planner._scene.capsules) == {model.element_capsules[p] for p in placed}
         assert planner._placed_nodes == grounded | {
             n for p in placed for n in planner._element_nodes(p)
         }
