@@ -18,7 +18,9 @@ Exit codes: 0 success, 2 planning failed, 3 validation failed (including a
 malformed plan file), 4 bad inputs or configuration (a missing or malformed
 model, robot, config or sequence file, or an `--out` path that cannot be
 written: a missing directory is caught before any planning starts, and a
-failed write, such as a full disk, ends the run with one error line).
+failed write, such as a full disk, ends the run with one error line).  A
+sequence search that aborts (`plan`, `sequence`, `stats`) first prints the
+stats table of the work it did, its row labelled "(aborted)".
 """
 
 from __future__ import annotations
@@ -153,8 +155,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _label(config: PlannerConfig) -> str:
+    """The stats table's row label for a search under `config`."""
+    label = "layered" if config.use_decomposition else "flat"
+    return label + "+coll-cost" if config.collision_cost_ordering else label
+
+
 def _cmd_plan(args, model, robot, config) -> int:
-    plan, report = run_pipeline(model, robot, config)
+    """`plan`, and `motion` with the sequence stored at `--from-sequence`."""
+    sequence = None
+    if args.command == "motion":
+        doc = read_document(args.from_sequence, SequenceFormatError, "sequence")
+        sequence = sequence_from_dict(doc)
+    plan, report = run_pipeline(model, robot, config, sequence=sequence)
     save_plan(plan, args.out)
     print(report.table())
     print(f"plan written to {args.out}")
@@ -162,20 +175,12 @@ def _cmd_plan(args, model, robot, config) -> int:
 
 
 def _cmd_sequence(args, model, robot, config) -> int:
+    """`sequence`, and `stats`, which writes no file."""
     result = plan_sequence(model, robot, config)
-    write_document(sequence_to_dict(result), args.out)
-    label = "layered" if config.use_decomposition else "flat"
-    print(render_stats_table([(label, result.stats)]))
-    print(f"sequence written to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_motion(args, model, robot, config) -> int:
-    doc = read_document(args.from_sequence, SequenceFormatError, "sequence")
-    plan, report = run_pipeline(model, robot, config, sequence=sequence_from_dict(doc))
-    save_plan(plan, args.out)
-    print(report.table())
-    print(f"plan written to {args.out}")
+    print(render_stats_table([(_label(config), result.stats)]))
+    if args.command == "sequence":
+        write_document(sequence_to_dict(result), args.out)
+        print(f"sequence written to {args.out}")
     return EXIT_OK
 
 
@@ -184,21 +189,6 @@ def _cmd_validate(args, model, robot, config) -> int:
     print(report.table())
     if not report.passed:
         return EXIT_VALIDATION
-    return EXIT_OK
-
-
-def _cmd_stats(args, model, robot, config) -> int:
-    label = "layered" if config.use_decomposition else "flat"
-    if config.collision_cost_ordering:
-        label += "+coll-cost"
-    try:
-        result = plan_sequence(model, robot, config)
-    except SequencePlanningError as exc:
-        if exc.stats is not None:
-            print(render_stats_table([(label + " (aborted)", exc.stats)]))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLANNING
-    print(render_stats_table([(label, result.stats)]))
     return EXIT_OK
 
 
@@ -252,9 +242,9 @@ def _unwritable(out: str) -> str | None:
 _COMMANDS = {
     "plan": _cmd_plan,
     "sequence": _cmd_sequence,
-    "motion": _cmd_motion,
+    "motion": _cmd_plan,
     "validate": _cmd_validate,
-    "stats": _cmd_stats,
+    "stats": _cmd_sequence,
     "export-geometry": _cmd_export_geometry,
 }
 
@@ -268,8 +258,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         model = resolve_model(args.model)
         robot = resolve_robot(args.robot)
-        return _COMMANDS[args.command](args, model, robot, _build_config(args))
+        config = _build_config(args)
+        return _COMMANDS[args.command](args, model, robot, config)
     except _PLANNING_ERRORS as exc:
+        if isinstance(exc, SequencePlanningError) and exc.stats is not None:
+            print(render_stats_table([(_label(config) + " (aborted)", exc.stats)]))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLANNING
     except PlanFormatError as exc:

@@ -22,6 +22,7 @@ config uses degrees for human editing.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,7 +122,7 @@ class RobotModel:
     home: np.ndarray  # (dof,)
     link_capsules: tuple[LinkCapsule, ...]
     ee: EEGeometry
-    source: dict  # parsed document this model was loaded from
+    source: dict  # a copy of the parsed document, taken at load
     track: TrackSpec | None = None
     static_capsules: tuple[CapsuleShape, ...] = ()
 
@@ -716,7 +717,7 @@ def load_robot(source: str | Path | dict) -> RobotModel:
         ee=ee,
         track=track,
         static_capsules=static,
-        source=doc,
+        source=copy.deepcopy(doc),
     )
     max_frame = len(joints) + 1
     for lc in link_capsules:

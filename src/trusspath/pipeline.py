@@ -30,7 +30,7 @@ from .cartesian import (
     prepare_tasks,
 )
 from .config import PlannerConfig
-from .geometry import ee_sweep_collision_batch, sample_directions
+from .geometry import ee_sweep_collision_batch
 from .kinematics import RobotModel, config_collides_batch, fk_frames_batch
 from .postprocess import (
     PLAN_VERSION,
@@ -163,22 +163,11 @@ def run_pipeline(
     sparse = expand_and_search(
         robot, tasks, config, rng, max_capsules=config.capsule_budget
     )
-    directions = sample_directions(config.direction_count)
-    trajectories = [
-        extract_block_path(robot, task, cap, directions, ei, xi, config)
-        for task, (cap, ei, xi) in zip(tasks, sparse.picks)
-    ]
-    cart_time = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    plan_tasks: list[dict] = []
-    prev = robot.home
-    trans_cost = 0.0
-    via_home = 0
+    directions = sequence.directions
+    passes = []  # (approach, extrusion, depart) joint rows per task
     fallbacks = 0
-    for k, (task, (cap, ei, xi), traj) in enumerate(
-        zip(tasks, sparse.picks, trajectories)
-    ):
+    for task, (cap, ei, xi) in zip(tasks, sparse.picks):
+        traj = extract_block_path(robot, task, cap, directions, ei, xi, config)
         v = directions[cap.direction_index]
         out = plan_retraction(
             robot, task.waypoints[0], v, cap.rotation, traj[0],
@@ -192,7 +181,15 @@ def run_pipeline(
         )
         depart = out if out is not None else traj[-1:]
         fallbacks += int(out is None)
+        passes.append((approach, traj, depart))
+    cart_time = time.monotonic() - t0
 
+    t0 = time.monotonic()
+    plan_tasks: list[dict] = []
+    prev = robot.home
+    trans_cost = 0.0
+    via_home = 0
+    for k, (task, (approach, traj, depart)) in enumerate(zip(tasks, passes)):
         move = plan_transition(
             robot, prev, approach[0], task.scene, config,
             np.random.default_rng((config.seed, k)),

@@ -18,7 +18,7 @@ at the cost of completeness across layers.
 Every check on a candidate is a function of the placed set alone: the
 element's bitset is its self-clear union minus the blocks of the placed
 elements (undo restores it exactly), the route's start node follows from
-degree counts, the collision verdicts against the placed scene do not depend
+per-node counts, the collision verdicts against the placed scene do not depend
 on its order, and the candidate order depends only on the remaining set.
 So a placed set whose level runs out of candidates fails the same way
 however it is reached again; the search records such dead sets (nogood
@@ -210,30 +210,6 @@ def rotation_sequence(count: int) -> np.ndarray:
     return 2.0 * math.pi * np.mod(k * GOLDEN_FRACTION, 1.0)
 
 
-def route_start_node(model: TrussModel, element_id: int, placed: list[int]) -> int:
-    """Which endpoint the nozzle starts from.
-
-    A node already part of the built structure (grounded counts) must anchor
-    the pass so fresh material always bonds to something.  When both ends
-    exist, start from the better-connected one; ties go to the lower id.
-    """
-    elem = model.element(element_id)
-    degree = {elem.start: 0, elem.end: 0}
-    exists = {n: model.node(n).grounded for n in (elem.start, elem.end)}
-    for pid in placed:
-        other = model.element(pid)
-        for n in (other.start, other.end):
-            if n in degree:
-                degree[n] += 1
-                exists[n] = True
-    a, b = elem.start, elem.end
-    if exists[a] != exists[b]:
-        return a if exists[a] else b
-    if degree[a] != degree[b]:
-        return a if degree[a] > degree[b] else b
-    return min(a, b)
-
-
 class SweepTable:
     """Which lattice directions let the extruder sweep an element, cached.
 
@@ -308,6 +284,7 @@ class SweepTable:
 
 class SequencePlanner:
     def __init__(self, model: TrussModel, robot: RobotModel, config: PlannerConfig):
+        config.validate()
         self.model = model
         self.robot = robot
         self.config = config
@@ -324,7 +301,8 @@ class SequencePlanner:
         self._placed: list[int] = []
         self._placed_mask = 0  # bit self._index[eid] set while eid is placed
         self._dead: set[int] = set()  # placed masks whose level ran out
-        self._placed_nodes: set[int] = {n.id for n in model.nodes if n.grounded}
+        self._grounded = {n.id for n in model.nodes if n.grounded}
+        self._touching = {n.id: 0 for n in model.nodes}  # placed elements per node
         self._tasks: list[SequenceTask] = []
 
     @property
@@ -332,15 +310,23 @@ class SequencePlanner:
         """The placed elements' capsules; the workcell statics are implicit."""
         return self.model.scene(self._placed)
 
-    def _element_nodes(self, element_id: int) -> tuple[int, int]:
+    def _exists(self, node_id: int) -> bool:
+        return node_id in self._grounded or self._touching[node_id] > 0
+
+    def _start_node(self, element_id: int) -> int:
+        """Where the pass starts: an existing end (grounded or touched), so
+        fresh material bonds to something; then the end more placed elements
+        touch; ties go to the lower id."""
         e = self.model.element(element_id)
-        return e.start, e.end
+        return max(
+            (e.start, e.end), key=lambda n: (self._exists(n), self._touching[n], -n)
+        )
 
     # -- constraint stages ---------------------------------------------------
 
     def _connect_ok(self, element_id: int) -> bool:
-        a, b = self._element_nodes(element_id)
-        return a in self._placed_nodes or b in self._placed_nodes
+        e = self.model.element(element_id)
+        return self._exists(e.start) or self._exists(e.end)
 
     def _structural_ok(self, element_id: int) -> bool:
         t0 = time.monotonic()
@@ -364,7 +350,7 @@ class SequencePlanner:
         """
         self.stats.kinematics_checks += 1
         t0 = time.monotonic()
-        start = route_start_node(self.model, element_id, self._placed)
+        start = self._start_node(element_id)
         row = self._domain[self._index[element_id]] & self.sweeps.self_mask(element_id, start)
         pts = self.sweeps.waypoints(element_id, start)
         scene = self._scene
@@ -405,10 +391,6 @@ class SequencePlanner:
         self.stats.ee_update_time += time.monotonic() - t0
         return undo
 
-    def _undo(self, undo: list[tuple[int, np.ndarray]]) -> None:
-        for idx, cols in undo:
-            self._domain[idx, cols] = True
-
     # -- value ordering ---------------------------------------------------------
 
     def _order_values(self, peers: list[int]) -> list[int]:
@@ -444,8 +426,8 @@ class SequencePlanner:
         # an element's printable directions can never leave the union of its
         # two routes' self-clear sets, so start the bitsets there
         for eid in self._ids:
-            a, b = self._element_nodes(eid)
-            union = self.sweeps.self_mask(eid, a) | self.sweeps.self_mask(eid, b)
+            e = self.model.element(eid)
+            union = self.sweeps.self_mask(eid, e.start) | self.sweeps.self_mask(eid, e.end)
             self._domain[self._index[eid]] &= union
             if not union.any():
                 raise SequencePlanningError(
@@ -507,13 +489,11 @@ class SequencePlanner:
 
     def _place(self, eid, witness, remaining):
         direction_index, rotation = witness
-        start = route_start_node(self.model, eid, self._placed)
+        start = self._start_node(eid)
         self._placed.append(eid)
         self._placed_mask |= 1 << self._index[eid]
         remaining.discard(eid)
-        a, b = self._element_nodes(eid)
-        added_nodes = [n for n in (a, b) if n not in self._placed_nodes]
-        self._placed_nodes.update(added_nodes)
+        self._touch(eid, 1)
         undo = self._prune_against(sorted(remaining), eid)
         task = SequenceTask(
             position=len(self._tasks),
@@ -524,7 +504,7 @@ class SequencePlanner:
             start_node=start,
         )
         self._tasks.append(task)
-        record = (undo, added_nodes)
+        record = (undo,)  # [0]: the direction bits this placement cleared
         for oid in remaining:
             if not self._domain[self._index[oid]].any():
                 self._unplace(eid, record, remaining)
@@ -534,14 +514,19 @@ class SequencePlanner:
         return record
 
     def _unplace(self, eid, record, remaining):
-        undo, nodes_added = record
-        self._undo(undo)
+        for idx, cols in record[0]:
+            self._domain[idx, cols] = True
         self._placed.pop()
         self._placed_mask &= ~(1 << self._index[eid])
         remaining.add(eid)
         self._tasks.pop()
-        for n in nodes_added:
-            self._placed_nodes.discard(n)
+        self._touch(eid, -1)
+
+    def _touch(self, eid, step):
+        """Add `step` to the placed-element count of both of `eid`'s ends."""
+        e = self.model.element(eid)
+        self._touching[e.start] += step
+        self._touching[e.end] += step
 
 
 def plan_sequence(

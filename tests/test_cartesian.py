@@ -40,7 +40,6 @@ from trusspath.sequence import (
     SequencePlanner,
     plan_sequence,
     rotation_sequence,
-    route_start_node,
     sequence_from_dict,
     sequence_to_dict,
 )
@@ -699,7 +698,7 @@ def oracle_plan_retraction(
 def oracle_pose_exists(planner, element_id):
     """`SequencePlanner._ee_pose_exists` with one collision query per
     waypoint and no time limit."""
-    start = route_start_node(planner.model, element_id, planner._placed)
+    start = planner._start_node(element_id)
     row = planner._domain[planner._index[element_id]] & planner.sweeps.self_mask(
         element_id, start
     )

@@ -151,7 +151,19 @@ def test_sequence_timeout_exit_code(cfg_file, tmp_path, capsys):
     ])
     assert rc == 2
     assert not out.exists()
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert "layered (aborted)" in captured.out
+    assert captured.err.startswith("error: sequence search exceeded")
+
+
+def test_plan_timeout_prints_the_aborted_table(cfg_file, tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    argv = ["plan", *common(cfg_file), "--timeout", "1e-9", "--collision-cost"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "layered+coll-cost (aborted)" in captured.out
+    assert captured.err.startswith("error: sequence search exceeded")
 
 
 def test_sequence_then_motion_matches_plan(plan_file, cfg_file, tmp_path, capsys):

@@ -15,6 +15,8 @@ from trusspath.config import (
     integer,
     load_config,
 )
+from trusspath.fixtures import load_bundled_model, load_bundled_robot
+from trusspath.sequence import plan_sequence
 
 
 def test_defaults_are_valid():
@@ -94,6 +96,14 @@ def test_validation_bounds():
     ]:
         with pytest.raises(PlannerConfigError):
             load_config({"transition": overrides})
+
+
+def test_sequence_search_validates_its_config():
+    # plan_sequence is public too, so it may not search with a config the
+    # pipeline would have refused
+    cube, arm = load_bundled_model("cube"), load_bundled_robot("arm")
+    with pytest.raises(PlannerConfigError, match="rotation_samples"):
+        plan_sequence(cube, arm, PlannerConfig(direction_count=24, rotation_samples=0))
 
 
 def test_load_config_rejects_mistyped_values():

@@ -1,5 +1,6 @@
 """Source hygiene, checked from the syntax tree: no library module imports a
-name it never uses, and no UPPER_CASE module constant goes unread."""
+name it never uses, no UPPER_CASE module constant goes unread, and no
+function, class or method is defined that nothing references."""
 
 import ast
 import re
@@ -58,9 +59,14 @@ def test_module_uses_every_import(path):
     assert not unused, f"{path.name} imports {unused} without using them"
 
 
-def test_every_module_constant_is_read():
+def read_anywhere() -> set[str]:
+    """Names referenced by any Python file under src/, tests/ or perfbench/."""
     sources = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    read = set().union(*(references(parse(p)) for p in sources))
+    return set().union(*(references(parse(p)) for p in sources))
+
+
+def test_every_module_constant_is_read():
+    read = read_anywhere()
     unread = [
         f"{path.name}: {target.id}"
         for path in MODULES
@@ -71,3 +77,16 @@ def test_every_module_constant_is_read():
         and target.id not in read
     ]
     assert not unread, f"module constants nothing reads: {unread}"
+
+
+def test_every_definition_is_referenced():
+    read = read_anywhere()
+    unused = [
+        f"{path.name}: {node.name}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    ]
+    assert not unused, f"definitions nothing references: {unused}"

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ def test_retraction_fallbacks_are_counted(model, robot, sequence, monkeypatch):
     assert verdict.passed, verdict.table()
 
 
+def test_retraction_time_is_billed_to_the_cartesian_row(model, robot, sequence, monkeypatch):
+    # the pipeline's clock moves only while a retraction is planned
+    clock = [0.0]
+
+    def slow_retraction(*args, **kwargs):
+        clock[0] += 1.0
+        return None
+
+    monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(pipeline, "plan_retraction", slow_retraction)
+    plan, report = run_pipeline(model, robot, CFG, sequence=sequence)
+    assert report.cartesian_time == 2.0 * len(plan["tasks"])
+    assert report.transition_time == 0.0
+
+
 def test_static_capsule_is_an_obstacle_everywhere(model, robot, planned, monkeypatch):
     # a workcell static that wraps the first printed element: every pass
     # over it now touches the workcell
@@ -293,6 +309,15 @@ def test_fingerprints_bind_inputs(model, robot, planned):
     assert not checks["fingerprints"].passed
     assert "config" in checks["fingerprints"].detail
     assert not report.passed
+
+
+def test_robot_fingerprint_is_taken_at_load(model):
+    doc = json.loads(fixture_path("kr6_like.json").read_text())
+    robot = load_robot(doc)
+    before = input_fingerprints(model, robot, CFG)["robot"]
+    doc["name"] = "renamed after load"
+    assert robot.name == "kr6-like"
+    assert input_fingerprints(model, robot, CFG)["robot"] == before
 
 
 def test_validator_catches_tampered_joints(model, robot, planned):

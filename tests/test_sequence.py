@@ -23,7 +23,6 @@ from trusspath.sequence import (
     plan_sequence,
     render_stats_table,
     rotation_sequence,
-    route_start_node,
     sequence_from_dict,
     sequence_to_dict,
 )
@@ -80,16 +79,43 @@ def chain_model():
     )
 
 
-def test_route_start_node_rules():
+def route_start_node(model, element_id, placed):
+    """Oracle for the planner's route rule, recounted over `placed`: an
+    existing end (grounded or touched) first, then the end more placed
+    elements touch, then the lower id."""
+    elem = model.element(element_id)
+    degree = {elem.start: 0, elem.end: 0}
+    exists = {n: model.node(n).grounded for n in (elem.start, elem.end)}
+    for pid in placed:
+        other = model.element(pid)
+        for n in (other.start, other.end):
+            if n in degree:
+                degree[n] += 1
+                exists[n] = True
+    a, b = elem.start, elem.end
+    if exists[a] != exists[b]:
+        return a if exists[a] else b
+    if degree[a] != degree[b]:
+        return a if degree[a] > degree[b] else b
+    return min(a, b)
+
+
+def test_route_start_node_rules(robot):
     model = chain_model()
-    # grounded endpoint anchors the pass
-    assert route_start_node(model, 0, []) == 0
-    # an endpoint touched by the built structure anchors it
-    assert route_start_node(model, 1, [0]) == 1
-    # both ends exist, equal degree: lower id
-    assert route_start_node(model, 2, [0, 1, 3]) == 2
-    # both ends exist, higher degree wins
-    assert route_start_node(model, 3, [0, 1, 2]) == 1
+    planner = SequencePlanner(model, robot, FAST)
+    cases = [
+        (0, [], 0),  # grounded endpoint anchors the pass
+        (1, [0], 1),  # an endpoint touched by the built structure anchors it
+        (2, [0, 1, 3], 2),  # both ends exist, equal degree: lower id
+        (3, [0, 1, 2], 1),  # both ends exist, higher degree wins
+    ]
+    for eid, placed, want in cases:
+        assert route_start_node(model, eid, placed) == want
+        for pid in placed:
+            planner._touch(pid, 1)
+        assert planner._start_node(eid) == want
+        for pid in placed:
+            planner._touch(pid, -1)
 
 
 def oracle_row(model, robot, cfg, directions, element_id, placed):
@@ -136,8 +162,8 @@ def test_domain_propagation_matches_recompute(robot):
         model = random_truss(seed=seed)
         planner = SequencePlanner(model, robot, FAST)
         for eid in planner._ids:
-            a, b = planner._element_nodes(eid)
-            union = planner.sweeps.self_mask(eid, a) | planner.sweeps.self_mask(eid, b)
+            e = model.element(eid)
+            union = planner.sweeps.self_mask(eid, e.start) | planner.sweeps.self_mask(eid, e.end)
             planner._domain[planner._index[eid]] &= union
 
         rng = np.random.default_rng(seed + 100)
@@ -172,7 +198,7 @@ def test_place_undo_restores_state(robot):
 
     domain_before = planner._domain.copy()
     placed_before = list(planner._placed)
-    nodes_before = set(planner._placed_nodes)
+    touching_before = dict(planner._touching)
     scene_before = len(planner._scene)
     tasks_before = len(planner._tasks)
 
@@ -185,7 +211,7 @@ def test_place_undo_restores_state(robot):
     planner._unplace(second, undo, remaining)
     assert np.array_equal(planner._domain, domain_before)
     assert planner._placed == placed_before
-    assert planner._placed_nodes == nodes_before
+    assert planner._touching == touching_before
     assert len(planner._scene) == scene_before
     assert len(planner._tasks) == tasks_before
     assert second in remaining
@@ -440,13 +466,16 @@ def test_probe_inputs_are_a_function_of_the_placed_set(robot):
     # step, what a probe reads must equal its recomputation from the set
     model = load_bundled_model("cube")
     planner = SequencePlanner(model, robot, SPARSE)
+
+    def ends(eid):
+        return model.element(eid).start, model.element(eid).end
+
     union = {}
     for eid in planner._ids:
-        a, b = planner._element_nodes(eid)
+        a, b = ends(eid)
         union[eid] = planner.sweeps.self_mask(eid, a) | planner.sweeps.self_mask(eid, b)
         planner._domain[planner._index[eid]] &= union[eid]
     grounded = {n.id for n in model.nodes if n.grounded}
-
     rng = np.random.default_rng(11)
     remaining = set(planner._ids)
     stack = []
@@ -473,12 +502,12 @@ def test_probe_inputs_are_a_function_of_the_placed_set(robot):
             for pid in placed:
                 want &= ~planner.sweeps.pair_block(oid, pid)
             assert np.array_equal(planner._domain[planner._index[oid]], want), oid
-            assert route_start_node(model, oid, planner._placed) == route_start_node(
-                model, oid, sorted(placed)
-            )
+            assert planner._start_node(oid) == route_start_node(model, oid, sorted(placed))
+            built = grounded | {n for p in placed for n in ends(p)}
+            assert planner._connect_ok(oid) == bool(set(ends(oid)) & built)
         assert len(planner._scene) == len(placed)
         assert set(planner._scene.capsules) == {model.element_capsules[p] for p in placed}
-        assert planner._placed_nodes == grounded | {
-            n for p in placed for n in planner._element_nodes(p)
+        assert planner._touching == {
+            n.id: sum(n.id in ends(p) for p in placed) for n in model.nodes
         }
     assert refused > 0 and unplaced > 0
