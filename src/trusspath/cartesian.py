@@ -93,11 +93,12 @@ def prepare_tasks(
         sweeps = SweepTable(model, robot.ee, sequence.directions, config)
     placed: list[int] = []
     tasks: list[TaskSpec] = []
-    for t in sequence.tasks:
+    masks = sweeps.self_masks([(t.element, t.start_node) for t in sequence.tasks])
+    for t, own in zip(sequence.tasks, masks):
         pts = sweeps.waypoints(t.element, t.start_node)
-        row = sweeps.self_mask(t.element, t.start_node).copy()
-        for pid in placed:
-            row &= ~sweeps.pair_block(t.element, pid)
+        row = own.copy()
+        for block in sweeps.pair_blocks([(t.element, pid) for pid in placed]):
+            row &= ~block
         feasible = np.flatnonzero(row).tolist()
         if t.direction_index not in feasible:
             # the sequence stage applies identical gates, so its witness

@@ -190,10 +190,14 @@ def segment_segment_distance(
     return float(d[0])
 
 
-# A pair is ruled out without the exact kernel only when its bounding-sphere
-# bound clears the contact limit by this margin (mm), so rounding in the
-# bound can never flip a collision boolean.
+# A pair is ruled out without the exact kernel only when its lower bound
+# clears the contact limit by this margin (mm), so rounding in the bound can
+# never flip a collision boolean.
 CULL_MARGIN = 1e-6
+
+# Segment pairs per exact-kernel call: `mark_contacts` splits a longer gather
+# so the kernel's temporaries (about 1 KB per pair) stay bounded.
+EXACT_BLOCK = 2048
 
 
 def distance3(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -222,10 +226,12 @@ def bounding_spheres(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def mark_contacts(hit: np.ndarray, rows: np.ndarray, segments, limit) -> None:
     """Set `hit[rows[k]]` where the exact distance of segment pair k, with
     `segments = (p0, p1, q0, q1)` gathered flat, is below `limit` (scalar or
-    per pair).  The exact kernel is not called for an empty gather."""
-    if len(rows):
-        dist = segment_distance_batch(*segments)
-        hit[rows[dist < limit]] = True
+    per pair).  The exact kernel runs on blocks of at most `EXACT_BLOCK`
+    pairs and is not called for an empty gather."""
+    for start in range(0, len(rows), EXACT_BLOCK):
+        block = slice(start, start + EXACT_BLOCK)
+        dist = segment_distance_batch(*(seg[block] for seg in segments))
+        hit[rows[block][dist < (limit[block] if np.ndim(limit) else limit)]] = True
 
 
 def capsules_overlap(c1: CapsuleShape, c2: CapsuleShape, clearance: float = 0.0) -> bool:
@@ -362,28 +368,58 @@ def ee_sweep_collision_batch(
     segment_radius: float,
     ee: EEGeometry,
     clearance: float,
+    owner: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`ee_element_collision` for m (3, 3) tool rotations at once: (m,) bool,
-    True where the sweep along the (n, 3) path hits the capsule q0-q1.
-    `q0`/`q1` broadcast against the path, so the call with path `pts[1:]`,
-    `q0 = pts[0]` and `q1 = pts[1:]` is `ee_self_collision`.
+    """`ee_element_collision` for a stack of jobs and m (3, 3) tool rotations
+    at once: (jobs, m) bool, True where a job's sweep hits its obstacle.
 
-    Per extruder capsule, only the (rotation, path point) pairs of rotations
-    not yet hit whose bounding-sphere bound is below the contact limit plus
-    `CULL_MARGIN` go to the exact kernel, in one flat call.
+    A job is the (n, 3) path points whose `owner` index names it, with no
+    owner given all points are job 0.  Each point carries the obstacle
+    segment q0-q1 it is tested against; `q0`/`q1` broadcast against the
+    points, so one job with path `pts[1:]`, `q0 = pts[0]` and `q1 = pts[1:]`
+    is `ee_self_collision`.
+
+    Per extruder capsule, a (rotation, point) pair goes to the exact kernel
+    (`mark_contacts`) only when its job is not hit yet and the lower bound
+    `dist(mid, Q) - half` is below the contact limit plus `CULL_MARGIN`:
+    `mid` and `half` are the posed capsule's midpoint and half-length, and
+    `Q` the point's obstacle segment (Ericson, *Real-Time Collision
+    Detection*, 2005, ch. 5).  The bound is written out per axis.
     """
-    n = len(path_points)
+    n, m = len(path_points), len(rotations)
+    owner = np.zeros(n, dtype=int) if owner is None else owner
     q0, q1 = np.broadcast_to(q0, (n, 3)), np.broadcast_to(q1, (n, 3))
-    q_mid, q_half = bounding_spheres(q0, q1)  # (n, 3), (n,)
-    hit = np.zeros(len(rotations), dtype=bool)
+    hit = np.zeros((int(owner.max(initial=0)) + 1, m), dtype=bool)
+    flat = hit.reshape(-1)  # a view: job j, rotation r is flat[j * m + r]
+    # per axis: the path point from the segment start, and the segment
+    w = [path_points[:, i] - q0[:, i] for i in range(3)]
+    d = [q1[:, i] - q0[:, i] for i in range(3)]
+    dd = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    inv = np.divide(1.0, dd, out=np.zeros(n), where=dd >= _EPS)  # t = 0 on a point
     for cap in ee.capsules:
-        a = path_points + (rotations @ cap.a)[:, None, :]  # (m, n, 3)
-        b = path_points + (rotations @ cap.b)[:, None, :]
+        ra, rb = rotations @ cap.a, rotations @ cap.b  # (m, 3)
+        rm = 0.5 * (ra + rb)
+        half = 0.5 * math.dist(cap.p0, cap.p1)
         limit = cap.radius + segment_radius + clearance
-        mid, half = bounding_spheres(a, b)
-        near = distance3(mid, q_mid) - half - q_half < limit + CULL_MARGIN  # (m, n)
-        r, k = np.nonzero(near & ~hit[:, None])
-        mark_contacts(hit, r, (a[r, k], b[r, k], q0[k], q1[k]), limit)
+        gap = [w[i] + rm[:, i, None] for i in range(3)]  # (m, n): capsule mid - q0
+        t = gap[0] * d[0]
+        for i in (1, 2):
+            t += gap[i] * d[i]
+        t *= inv
+        np.clip(t, 0.0, 1.0, out=t)
+        for i in range(3):  # in place: squared offset from the nearest point of Q
+            gap[i] -= t * d[i]
+            gap[i] *= gap[i]
+        bound = gap[0]
+        bound += gap[1]
+        bound += gap[2]
+        np.sqrt(bound, out=bound)
+        bound -= half
+        near = bound < limit + CULL_MARGIN
+        near &= ~hit[owner].T
+        r, k = np.nonzero(near)
+        at = path_points[k]
+        mark_contacts(flat, owner[k] * m + r, (at + ra[r], at + rb[r], q0[k], q1[k]), limit)
     return hit
 
 

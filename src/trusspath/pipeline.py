@@ -138,6 +138,20 @@ def _check_coverage(model: TrussModel, order: list[int]) -> None:
         raise PipelineError("sequence does not cover the model: " + "; ".join(problems))
 
 
+def _subprocess(robot: RobotModel, sid: int, kind: str, rows: np.ndarray) -> dict:
+    """One plan subprocess; every kind but a transition carries tool poses."""
+    return {
+        "id": sid,
+        "kind": kind,
+        "data_kind": "joint" if kind == "transition" else "tcp",
+        "joints": rows.tolist(),
+        "tcp": None if kind == "transition" else tcp_entries(robot, rows),
+        "io_anchors": (
+            {"extruder_on": 0, "extruder_off": len(rows) - 1} if kind == "extrusion" else None
+        ),
+    }
+
+
 def run_pipeline(
     model: TrussModel,
     robot: RobotModel,
@@ -164,9 +178,9 @@ def run_pipeline(
         robot, tasks, config, rng, max_capsules=config.capsule_budget
     )
     directions = sequence.directions
-    passes = []  # (approach, extrusion, depart) joint rows per task
+    passes = []  # per task: first and last joint row, Cartesian subprocesses
     fallbacks = 0
-    for task, (cap, ei, xi) in zip(tasks, sparse.picks):
+    for k, (task, (cap, ei, xi)) in enumerate(zip(tasks, sparse.picks)):
         traj = extract_block_path(robot, task, cap, directions, ei, xi, config)
         v = directions[cap.direction_index]
         out = plan_retraction(
@@ -181,7 +195,9 @@ def run_pipeline(
         )
         depart = out if out is not None else traj[-1:]
         fallbacks += int(out is None)
-        passes.append((approach, traj, depart))
+        legs = zip(SUBPROCESS_TYPES[1:], (approach, traj, depart))
+        subs = [_subprocess(robot, 4 * k + i, kind, rows) for i, (kind, rows) in enumerate(legs, 1)]
+        passes.append((approach[0], depart[-1], subs))
     cart_time = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -189,31 +205,16 @@ def run_pipeline(
     prev = robot.home
     trans_cost = 0.0
     via_home = 0
-    for k, (task, (approach, traj, depart)) in enumerate(zip(tasks, passes)):
+    for k, (task, (start, end, subs)) in enumerate(zip(tasks, passes)):
         move = plan_transition(
-            robot, prev, approach[0], task.scene, config,
+            robot, prev, start, task.scene, config,
             np.random.default_rng((config.seed, k)),
         )
         trans_cost += move.cost
         via_home += int(move.via_home)
-
-        legs = (move.path, approach, traj, depart)
-        subs = [
-            {
-                "id": 4 * k + i,
-                "kind": kind,
-                "data_kind": "joint" if kind == "transition" else "tcp",
-                "joints": rows.tolist(),
-                "tcp": None if kind == "transition" else tcp_entries(robot, rows),
-                "io_anchors": (
-                    {"extruder_on": 0, "extruder_off": len(rows) - 1}
-                    if kind == "extrusion" else None
-                ),
-            }
-            for i, (kind, rows) in enumerate(zip(SUBPROCESS_TYPES, legs))
-        ]
+        subs = [_subprocess(robot, 4 * k, SUBPROCESS_TYPES[0], move.path), *subs]
         plan_tasks.append({"task_id": k, "element_id": task.element, "subprocesses": subs})
-        prev = depart[-1]
+        prev = end
     trans_time = time.monotonic() - t0
 
     plan = {
@@ -441,7 +442,7 @@ def validate_plan(
             if ee_sweep_collision_batch(
                 origins[1:], rotation[None], origins[0], origins[1:],
                 radius, robot.ee, config.clearance,
-            )[0]:
+            )[0, 0]:
                 collision_errors.append(
                     f"subprocess {s['id']}: extruder body crosses its own bead"
                 )

@@ -210,6 +210,11 @@ def rotation_sequence(count: int) -> np.ndarray:
     return 2.0 * math.pi * np.mod(k * GOLDEN_FRACTION, 1.0)
 
 
+# Path points per sweep-kernel call: the table splits a stacked request into
+# groups of at most this many, so a fill's memory does not grow with the model.
+SWEEP_GROUP_POINTS = 256
+
+
 class SweepTable:
     """Which lattice directions let the extruder sweep an element, cached.
 
@@ -218,7 +223,9 @@ class SweepTable:
     placed element's block does not depend on the travel direction, so pair
     blocks use the element's route from its lower-id node; the self mask
     does depend on it and is cached per route.  Entries are computed on
-    first use, one (element, placed element) pair at a time.
+    first use: a request for many entries stacks the paths of its misses
+    and fills them with one sweep-kernel call per `SWEEP_GROUP_POINTS`
+    path points.
     """
 
     def __init__(
@@ -259,27 +266,55 @@ class SweepTable:
             )
         return self._paths[key]
 
-    def pair_block(self, element_id: int, placed_id: int) -> np.ndarray:
-        """Directions of `element_id` whose sweep hits placed `placed_id`."""
-        key = (element_id, placed_id)
-        if key not in self._blocks:
-            e = self.model.element(element_id)
-            pts = self.waypoints(element_id, min(e.start, e.end))
-            self._blocks[key] = self._hits(pts, *self.model.element_segment(placed_id))
-        return self._blocks[key]
+    def pair_blocks(self, pairs: list[tuple[int, int]]) -> list[np.ndarray]:
+        """Per (element, placed element) pair, the directions of the element
+        whose sweep hits the placed one."""
+        jobs = {}
+        for key in pairs:
+            if key not in self._blocks:
+                e = self.model.element(key[0])
+                pts = self.waypoints(key[0], min(e.start, e.end))
+                jobs[key] = (pts, *self.model.element_segment(key[1]))
+        self._blocks.update(zip(jobs, self._hits(list(jobs.values()))))
+        return [self._blocks[key] for key in pairs]
+
+    def self_masks(self, routes: list[tuple[int, int]]) -> list[np.ndarray]:
+        """Per (element, start node) route, the directions whose extruder
+        body clears the element's own fresh bead."""
+        jobs = {}
+        for key in routes:
+            if key not in self._self:
+                pts = self.waypoints(*key)
+                jobs[key] = (pts[1:], pts[0], pts[1:])
+        self._self.update(zip(jobs, ~self._hits(list(jobs.values()))))
+        return [self._self[key] for key in routes]
 
     def self_mask(self, element_id: int, start_node: int) -> np.ndarray:
-        """Directions whose extruder body clears the element's own fresh bead
-        when printing from `start_node`."""
-        key = (element_id, start_node)
-        if key not in self._self:
-            pts = self.waypoints(element_id, start_node)
-            self._self[key] = ~self._hits(pts[1:], pts[0], pts[1:])
-        return self._self[key]
+        return self.self_masks([(element_id, start_node)])[0]
 
-    def _hits(self, pts: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    def _hits(self, jobs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+        """(len(jobs), m) sweep hits of (path, q0, q1) jobs, stacked and cut
+        into groups of `SWEEP_GROUP_POINTS` points; a job cut in two gets
+        the union of its parts."""
+        hit = np.zeros((len(jobs), len(self._rotations)), dtype=bool)
+        if not jobs:
+            return hit
+        points = np.concatenate([pts for pts, _, _ in jobs])
+        owner = np.repeat(np.arange(len(jobs)), [len(pts) for pts, _, _ in jobs])
+        q0, q1 = (
+            np.concatenate([np.broadcast_to(job[i], job[0].shape) for job in jobs])
+            for i in (1, 2)
+        )
         radius, clearance = self.model.section.radius, self.config.clearance
-        return ee_sweep_collision_batch(pts, self._rotations, q0, q1, radius, self.ee, clearance)
+        for start in range(0, len(points), SWEEP_GROUP_POINTS):
+            group = slice(start, start + SWEEP_GROUP_POINTS)
+            first = owner[group][0]
+            part = ee_sweep_collision_batch(
+                points[group], self._rotations, q0[group], q1[group],
+                radius, self.ee, clearance, owner=owner[group] - first,
+            )
+            hit[first : first + len(part)] |= part
+        return hit
 
 
 class SequencePlanner:
@@ -380,9 +415,9 @@ class SequencePlanner:
         t0 = time.monotonic()
         self.stats.ee_update_checks += 1
         undo = []
-        for eid in element_ids:
+        blocks = self.sweeps.pair_blocks([(eid, placed_id) for eid in element_ids])
+        for eid, block in zip(element_ids, blocks):
             row = self._domain[self._index[eid]]
-            block = self.sweeps.pair_block(eid, placed_id)
             self.stats.ee_update_pair_checks += 1
             cleared = np.flatnonzero(row & block)
             if cleared.size:
@@ -404,9 +439,8 @@ class SequencePlanner:
             self.stats.collision_cost_checks += 1
             others = [p for p in peers if p != eid]
             survive = 0
-            for oid in others:
+            for oid, block in zip(others, self.sweeps.pair_blocks([(o, eid) for o in others])):
                 row = self._domain[self._index[oid]]
-                block = self.sweeps.pair_block(oid, eid)
                 survive += int(np.count_nonzero(row & ~block))
             scored.append((-survive, eid))
         scored.sort()
@@ -425,9 +459,10 @@ class SequencePlanner:
     def _search(self, deadline: float) -> SequenceResult:
         # an element's printable directions can never leave the union of its
         # two routes' self-clear sets, so start the bitsets there
-        for eid in self._ids:
-            e = self.model.element(eid)
-            union = self.sweeps.self_mask(eid, e.start) | self.sweeps.self_mask(eid, e.end)
+        elements = [self.model.element(eid) for eid in self._ids]
+        masks = self.sweeps.self_masks([(e.id, n) for e in elements for n in (e.start, e.end)])
+        for eid, first, second in zip(self._ids, masks[::2], masks[1::2]):
+            union = first | second
             self._domain[self._index[eid]] &= union
             if not union.any():
                 raise SequencePlanningError(

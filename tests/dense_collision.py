@@ -2,8 +2,9 @@
 
 `dense_config_collides_batch` and `dense_ee_sweep_collision_batch` are
 `kinematics.config_collides_batch` and `geometry.ee_sweep_collision_batch`
-as they were before the bounding-sphere cull: every segment pair goes to
-the exact kernel.  Tests compare their booleans with the library's.
+without their culls: every segment pair goes to the exact kernel, and the
+sweep's stacked jobs are decided one at a time.  Tests compare their
+booleans with the library's.
 """
 
 import numpy as np
@@ -55,11 +56,15 @@ def dense_ee_sweep_collision_batch(
     segment_radius: float,
     ee: EEGeometry,
     clearance: float,
+    owner: np.ndarray | None = None,
 ) -> np.ndarray:
-    hit = np.zeros(len(rotations), dtype=bool)
+    n = len(path_points)
+    owner = np.zeros(n, dtype=int) if owner is None else owner
+    hit = np.zeros((int(owner.max(initial=0)) + 1, len(rotations)), dtype=bool)
     for cap in ee.capsules:
         a = path_points + (rotations @ cap.a)[:, None, :]  # (m, n, 3)
         b = path_points + (rotations @ cap.b)[:, None, :]
-        dist = segment_distance_batch(a, b, q0, q1)
-        hit |= np.any(dist < cap.radius + segment_radius + clearance, axis=1)
+        close = segment_distance_batch(a, b, q0, q1) < cap.radius + segment_radius + clearance
+        for job in range(len(hit)):
+            hit[job] |= close[:, owner == job].any(axis=1)
     return hit

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from dense_collision import dense_ee_sweep_collision_batch
+from trusspath import geometry
 from trusspath.geometry import (
+    EXACT_BLOCK,
     CapsuleShape,
     EEGeometry,
     GeometryError,
@@ -16,6 +19,7 @@ from trusspath.geometry import (
     ee_element_collision,
     ee_self_collision,
     ee_sweep_collision_batch,
+    mark_contacts,
     point_in_hull,
     point_segment_distance,
     pose_from_direction,
@@ -269,7 +273,7 @@ def test_sweep_batch_matches_per_direction_checks():
             for clearance in (0.0, 2.0, 25.0):
                 got = ee_sweep_collision_batch(
                     pts, rotations, seg[0], seg[1], 2.0, ee, clearance=clearance
-                )
+                )[0]
                 want = [
                     ee_element_collision(pts, d, 0.0, seg, 2.0, ee, clearance=clearance)
                     for d in directions
@@ -277,7 +281,7 @@ def test_sweep_batch_matches_per_direction_checks():
                 assert got.tolist() == want
                 got_self = ee_sweep_collision_batch(
                     pts[1:], rotations, pts[0], pts[1:], 2.0, ee, clearance=clearance
-                )
+                )[0]
                 want_self = [
                     ee_self_collision(pts, d, 0.0, 2.0, ee, clearance=clearance)
                     for d in directions
@@ -285,6 +289,108 @@ def test_sweep_batch_matches_per_direction_checks():
                 assert got_self.tolist() == want_self
                 outcomes.update(want + want_self)
     assert outcomes == {True, False}
+
+
+LEANING_EE = EEGeometry((CapsuleShape((10.0, 5.0, -30.0), (-20.0, 15.0, -120.0), 8.0),))
+
+
+@pytest.mark.parametrize("ee", [default_ee_geometry(), LEANING_EE], ids=["default", "leaning"])
+def test_sweep_cull_keeps_contacts_a_hair_inside(ee):
+    # obstacles 1e-7 mm either side of contact, end-on past each end of each
+    # extruder capsule and alongside it, at several poses: every contact is
+    # found, and the stacked jobs decide what the dense kernel decides
+    directions = sample_directions(40)
+    rotations = np.array(
+        [pose_from_direction(np.zeros(3), d, 0.7)[:3, :3] for d in directions]
+    )
+    radius, clearance = 2.0, 2.0
+    point = np.array([30.0, -20.0, 10.0])
+    jobs, contacts = [], []
+    for r in (0, 13, 27, 39):
+        for cap in ee.capsules:
+            a, b = point + rotations[r] @ cap.a, point + rotations[r] @ cap.b
+            axis = (b - a) / np.linalg.norm(b - a)
+            side = np.cross(axis, [0.3, -0.5, 0.8])
+            side /= np.linalg.norm(side)
+            limit = cap.radius + radius + clearance
+            for step in (-1e-7, 1e-7):
+                gap = limit + step
+                jobs += [
+                    (b + gap * axis, b + (gap + 60.0) * axis),  # past end b
+                    (a - gap * axis, a - (gap + 60.0) * axis),  # past end a
+                    (a + gap * side, b + gap * side),  # alongside
+                    (b + gap * side, b + gap * side + 40.0 * axis),  # beside end b
+                ]
+                contacts += [r if step < 0 else None] * 4
+    q0, q1 = (np.array([job[i] for job in jobs]) for i in (0, 1))
+    owner = np.arange(len(jobs))
+    points = np.repeat(point[None], len(jobs), axis=0)
+    got = ee_sweep_collision_batch(points, rotations, q0, q1, radius, ee, clearance, owner=owner)
+    for job, r in enumerate(contacts):
+        want = dense_ee_sweep_collision_batch(
+            points[:1], rotations, q0[job], q1[job], radius, ee, clearance
+        )[0]
+        assert np.array_equal(got[job], want), job
+        if r is not None:
+            assert got[job, r], job
+    assert not got[[j for j, r in enumerate(contacts) if r is None]].all()
+
+
+def test_sweep_jobs_stack_like_single_calls():
+    # a stack of jobs, self-bead jobs with per-point obstacles among them,
+    # gives each job the booleans of its own call
+    rng = np.random.default_rng(2005)
+    directions = sample_directions(30)
+    rotations = np.array(
+        [pose_from_direction(np.zeros(3), d, 0.0)[:3, :3] for d in directions]
+    )
+    jobs = []
+    for k in range(12):
+        pts = np.linspace(rng.uniform(-60.0, 60.0, 3), rng.uniform(-60.0, 60.0, 3), 2 + k)
+        if k % 3:
+            seg = rng.uniform(-150.0, 150.0, (2, 3))
+            jobs.append((pts, np.broadcast_to(seg[0], pts.shape), np.broadcast_to(seg[1], pts.shape)))
+        else:
+            jobs.append((pts[1:], np.broadcast_to(pts[0], pts[1:].shape), pts[1:]))
+    stacked = [np.concatenate([job[i] for job in jobs]) for i in range(3)]
+    owner = np.repeat(np.arange(len(jobs)), [len(job[0]) for job in jobs])
+    for ee in (default_ee_geometry(), LEANING_EE):
+        got = ee_sweep_collision_batch(
+            stacked[0], rotations, stacked[1], stacked[2], 2.0, ee, 25.0, owner=owner
+        )
+        assert got.shape == (len(jobs), len(rotations))
+        for job, (pts, q0, q1) in zip(got, jobs):
+            assert np.array_equal(job, ee_sweep_collision_batch(pts, rotations, q0, q1, 2.0, ee, 25.0)[0])
+        assert got.any() and not got.all()
+
+
+def test_mark_contacts_blocks_equal_one_call(monkeypatch):
+    # a gather several blocks long: the blocked kernel gives the booleans,
+    # and the distances, of one unblocked call bit for bit
+    rng = np.random.default_rng(4)
+    count = 3 * EXACT_BLOCK + 517
+    segments = [rng.uniform(-50.0, 50.0, (count, 3)) for _ in range(4)]
+    segments[1][::97] = segments[0][::97]  # some degenerate segments
+    limit = rng.uniform(5.0, 40.0, count)
+    rows = rng.integers(0, 5000, count)
+    whole = segment_distance_batch(*segments)
+    want = np.zeros(5000, dtype=bool)
+    want[rows[whole < limit]] = True
+
+    kernel, parts = geometry.segment_distance_batch, []
+
+    def recording(*args):
+        parts.append(kernel(*args))
+        return parts[-1]
+
+    monkeypatch.setattr(geometry, "segment_distance_batch", recording)
+    hit = np.zeros(5000, dtype=bool)
+    mark_contacts(hit, rows, segments, limit)
+    assert [len(p) for p in parts] == [EXACT_BLOCK] * 3 + [517]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert np.array_equal(hit, want) and want.any() and not want.all()
+    mark_contacts(hit, rows[:0], [seg[:0] for seg in segments], limit[:0])
+    assert len(parts) == 4  # an empty gather calls no kernel
 
 
 def test_convex_hull_square_and_interior():

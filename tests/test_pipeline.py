@@ -159,10 +159,11 @@ def test_culled_collision_tests_match_dense_oracles_on_a_cube_run(model, robot, 
     plan, _ = run_pipeline(model, robot, CFG)
     assert validate_plan(plan, model, robot, CFG).passed
     for name, (_, oracle) in oracles.items():
-        assert len(queries[name]) > 100, name
+        # rows decided: configs of a robot query, jobs of a stacked sweep
+        assert sum(len(result) for _, _, result in queries[name]) > 100, name
         for args, kwargs, result in queries[name]:
             assert np.array_equal(result, oracle(*args, **kwargs)), name
-        hits = np.concatenate([result for _, _, result in queries[name]])
+        hits = np.concatenate([result.ravel() for _, _, result in queries[name]])
         assert hits.any() and not hits.all(), name
 
 
@@ -188,6 +189,23 @@ def test_retraction_time_is_billed_to_the_cartesian_row(model, robot, sequence, 
     monkeypatch.setattr(pipeline, "plan_retraction", slow_retraction)
     plan, report = run_pipeline(model, robot, CFG, sequence=sequence)
     assert report.cartesian_time == 2.0 * len(plan["tasks"])
+    assert report.transition_time == 0.0
+
+
+def test_tool_poses_are_billed_to_the_cartesian_row(model, robot, sequence, monkeypatch):
+    # the pipeline's clock moves only while tool poses are computed: the
+    # approach, extrusion and depart legs carry them, a transition does not
+    clock = [0.0]
+    tcp = pipeline.tcp_entries
+
+    def slow_tcp(*args):
+        clock[0] += 1.0
+        return tcp(*args)
+
+    monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(pipeline, "tcp_entries", slow_tcp)
+    plan, report = run_pipeline(model, robot, CFG, sequence=sequence)
+    assert report.cartesian_time == 3.0 * len(plan["tasks"])
     assert report.transition_time == 0.0
 
 

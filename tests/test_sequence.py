@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from dense_collision import dense_ee_sweep_collision_batch
+from trusspath import sequence as sequence_module
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import (
     DEFAULT_MATERIAL,
@@ -15,11 +17,18 @@ from trusspath.fixtures import (
     load_bundled_robot,
     random_truss,
 )
-from trusspath.geometry import ee_element_collision, ee_self_collision
+from trusspath.geometry import (
+    ee_element_collision,
+    ee_self_collision,
+    ee_sweep_collision_batch,
+    sample_directions,
+)
 from trusspath.sequence import (
+    SWEEP_GROUP_POINTS,
     SequenceFormatError,
     SequencePlanner,
     SequencePlanningError,
+    SweepTable,
     plan_sequence,
     render_stats_table,
     rotation_sequence,
@@ -390,7 +399,7 @@ def test_search_runs_deeper_than_the_recursion_limit(robot, monkeypatch):
     monkeypatch.setattr(planner, "_structural_ok", lambda eid: True)
     monkeypatch.setattr(planner, "_ee_pose_exists", lambda eid: (0, 0.0))
     monkeypatch.setattr(planner, "_prune_against", lambda ids, pid: [])
-    monkeypatch.setattr(planner.sweeps, "self_mask", lambda eid, start: clear)
+    monkeypatch.setattr(planner.sweeps, "self_masks", lambda routes: [clear] * len(routes))
     result = planner.plan()
     assert [t.element for t in result.tasks] == list(range(n))
     assert result.stats.backtracks == 0
@@ -499,8 +508,8 @@ def test_probe_inputs_are_a_function_of_the_placed_set(robot):
         assert planner._placed_mask == sum(1 << planner._index[p] for p in placed)
         for oid in sorted(remaining):
             want = union[oid].copy()
-            for pid in placed:
-                want &= ~planner.sweeps.pair_block(oid, pid)
+            for block in planner.sweeps.pair_blocks([(oid, pid) for pid in placed]):
+                want &= ~block
             assert np.array_equal(planner._domain[planner._index[oid]], want), oid
             assert planner._start_node(oid) == route_start_node(model, oid, sorted(placed))
             built = grounded | {n for p in placed for n in ends(p)}
@@ -511,3 +520,133 @@ def test_probe_inputs_are_a_function_of_the_placed_set(robot):
             n.id: sum(n.id in ends(p) for p in placed) for n in model.nodes
         }
     assert refused > 0 and unplaced > 0
+
+
+def cube_jobs(table):
+    """The sweep jobs of the cube: (pair, (path, q0, q1)) for every ordered
+    (element, placed element) pair and (route, (path, q0, q1)) for every
+    self-bead route, as `SweepTable` poses them."""
+    model = table.model
+    pairs, routes = [], []
+    for e in model.elements:
+        pts = table.waypoints(e.id, min(e.start, e.end))
+        for p in model.elements:
+            if p.id != e.id:
+                pairs.append(((e.id, p.id), (pts, *model.element_segment(p.id))))
+        for n in (e.start, e.end):
+            route = table.waypoints(e.id, n)
+            routes.append(((e.id, n), (route[1:], route[0], route[1:])))
+    return pairs, routes
+
+
+def stacked_hits(table, jobs):
+    """One stacked kernel call over `jobs`, unsplit."""
+    points, q0, q1 = (
+        np.concatenate([np.broadcast_to(job[i], job[0].shape) for job in jobs]) for i in range(3)
+    )
+    owner = np.repeat(np.arange(len(jobs)), [len(job[0]) for job in jobs])
+    radius, clearance = table.model.section.radius, table.config.clearance
+    return ee_sweep_collision_batch(
+        points, table._rotations, q0, q1, radius, table.ee, clearance, owner=owner
+    )
+
+
+def test_stacked_sweeps_equal_the_dense_oracle_on_every_cube_job(robot):
+    # all 506 ordered pairs, stacked per placed element, and all 46 routes in
+    # one stack, at 72 directions: each job gets the dense kernel's booleans
+    config = PlannerConfig(direction_count=72)
+    table = SweepTable(load_bundled_model("cube"), robot.ee, sample_directions(72), config)
+    pairs, routes = cube_jobs(table)
+    assert (len(pairs), len(routes)) == (506, 46)
+    stacks = [[job for (_, pid), job in pairs if pid == p] for p in sorted({k[1] for k, _ in pairs})]
+    stacks.append([job for _, job in routes])
+    radius, clearance = table.model.section.radius, config.clearance
+    outcomes = set()
+    for jobs in stacks:
+        for row, (pts, q0, q1) in zip(stacked_hits(table, jobs), jobs):
+            want = dense_ee_sweep_collision_batch(
+                pts, table._rotations, q0, q1, radius, robot.ee, clearance
+            )[0]
+            assert np.array_equal(row, want)
+            outcomes.update(row.tolist())
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("group", [7, SWEEP_GROUP_POINTS])
+def test_batch_filled_sweep_table_equals_one_entry_fills(robot, monkeypatch, group):
+    # with groups cut inside jobs (7 points) or across them (the default)
+    model = load_bundled_model("cube")
+    directions = sample_directions(SPARSE.direction_count)
+    single = SweepTable(model, robot.ee, directions, SPARSE)
+    pairs, routes = ([key for key, _ in jobs] for jobs in cube_jobs(single))
+    want_blocks = [single.pair_blocks([key])[0] for key in pairs]
+    want_masks = [single.self_mask(*key) for key in routes]
+    monkeypatch.setattr(sequence_module, "SWEEP_GROUP_POINTS", group)
+    batched = SweepTable(model, robot.ee, directions, SPARSE)
+    for got, want in zip(batched.pair_blocks(pairs), want_blocks):
+        assert np.array_equal(got, want)
+    for got, want in zip(batched.self_masks(routes), want_masks):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [PlannerConfig(), SPARSE, SPARSE.replace(collision_cost_ordering=True)],
+    ids=["72x16", "24x2", "24x2+coll-cost"],
+)
+def test_search_does_not_depend_on_sweep_fill_batching(robot, monkeypatch, config):
+    # a table that fills one entry per kernel call, as a per-pair fill does,
+    # gives the same tasks and the same counters
+    model = load_bundled_model("cube")
+    batched = plan_sequence(model, robot, config)
+    fill = SweepTable._hits
+
+    def one_job_per_call(table, jobs):
+        hit = np.zeros((len(jobs), len(table._rotations)), dtype=bool)
+        for row, job in zip(hit, jobs):
+            row[:] = fill(table, [job])[0]
+        return hit
+
+    monkeypatch.setattr(SweepTable, "_hits", one_job_per_call)
+    single = plan_sequence(model, robot, config)
+    assert single.tasks == batched.tasks
+
+    def counters(stats):
+        return {k: v for k, v in stats.as_dict().items() if not k.endswith("_time")}
+
+    assert counters(single.stats) == counters(batched.stats)
+
+
+def test_a_placement_fills_its_blocks_in_grouped_calls(robot, monkeypatch):
+    # the call-count guard: one placement's blocks, and the search's start
+    # masks, cost at most one kernel call per SWEEP_GROUP_POINTS path points,
+    # and a second request for the same entries costs none
+    model = load_bundled_model("cube")
+    planner = SequencePlanner(model, robot, SPARSE)
+    kernel, calls = sequence_module.ee_sweep_collision_batch, []
+
+    def counting(points, *args, **kwargs):
+        calls.append(len(points))
+        return kernel(points, *args, **kwargs)
+
+    monkeypatch.setattr(sequence_module, "ee_sweep_collision_batch", counting)
+    placed, others = planner._ids[0], planner._ids[1:]
+    planner._prune_against(others, placed)
+    points = sum(
+        len(planner.sweeps.waypoints(e, min(model.element(e).start, model.element(e).end)))
+        for e in others
+    )
+    assert 1 < len(calls) <= math.ceil(points / SWEEP_GROUP_POINTS)
+    assert sum(calls) == points
+    calls.clear()
+    planner._prune_against(others, placed)
+    planner.sweeps.pair_blocks([(e, placed) for e in others])
+    assert not calls
+
+    routes = [(e.id, n) for e in model.elements for n in (e.start, e.end)]
+    planner.sweeps.self_masks(routes)
+    points = sum(len(planner.sweeps.waypoints(*route)) - 1 for route in routes)
+    assert len(calls) <= math.ceil(points / SWEEP_GROUP_POINTS)
+    calls.clear()
+    planner.sweeps.self_masks(routes)
+    assert not calls
