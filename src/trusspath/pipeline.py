@@ -122,20 +122,17 @@ class PipelineReport:
         return "\n".join(lines)
 
 
-def _check_coverage(model: TrussModel, order: list[int]) -> None:
-    """Raise `PipelineError` unless `order` lists every model element once."""
+def _coverage(model: TrussModel, order: list[int]) -> dict[str, str]:
+    """What keeps `order` from listing every model element exactly once:
+    "missing", "repeated" and "unknown" ids, each kind present only if any."""
     known = {e.id for e in model.elements}
     counts = Counter(order)
-    missing = sorted(known - counts.keys())
-    repeated = sorted(eid for eid, n in counts.items() if n > 1)
-    unknown = sorted(counts.keys() - known)
-    problems = [
-        f"{what} elements {ids}"
-        for what, ids in (("missing", missing), ("repeated", repeated), ("unknown", unknown))
-        if ids
-    ]
-    if problems:
-        raise PipelineError("sequence does not cover the model: " + "; ".join(problems))
+    found = {
+        "missing": sorted(known - counts.keys()),
+        "repeated": sorted(eid for eid, n in counts.items() if n > 1),
+        "unknown": sorted(counts.keys() - known),
+    }
+    return {what: f"{what} elements {ids}" for what, ids in found.items() if ids}
 
 
 def _subprocess(robot: RobotModel, sid: int, kind: str, rows: np.ndarray) -> dict:
@@ -169,7 +166,9 @@ def run_pipeline(
             f"but the configuration says {config.direction_count}"
         )
     else:
-        _check_coverage(model, [t.element for t in sequence.tasks])
+        problems = "; ".join(_coverage(model, [t.element for t in sequence.tasks]).values())
+        if problems:
+            raise PipelineError("sequence does not cover the model: " + problems)
 
     t0 = time.monotonic()
     tasks = prepare_tasks(model, robot, sequence, config)
@@ -351,9 +350,10 @@ def validate_plan(
     )
 
     # the remaining checks look each task's element up in the model
-    unknown = sorted({t["element_id"] for t in tasks} - {e.id for e in model.elements})
-    if unknown:
-        _check(report, "structure", False, f"elements {unknown} are not in the model")
+    order = [t["element_id"] for t in tasks]
+    problems = _coverage(model, order)
+    if "unknown" in problems:
+        _check(report, "structure", False, problems["unknown"] + " are not in the model")
         return report
 
     # tool consistency: forward kinematics must reproduce the tcp data and
@@ -410,7 +410,6 @@ def validate_plan(
     ratio = config.prismatic_jump_limit / config.jump_limit
     fine_step = 0.5 * config.transition.step * robot.jump_limits(1.0, ratio)
     # scenes[k] holds the elements placed before task k; statics are implicit
-    order = [t["element_id"] for t in tasks]
     scenes = [model.scene(order[:k]) for k in range(len(tasks) + 1)]
     for k, s, rows in subs:
         if s["kind"] == "transition":
@@ -455,11 +454,14 @@ def validate_plan(
         else "; ".join(collision_errors[:4]),
     )
 
-    # structural admissibility of the element order
+    # structural admissibility of the element order; an order that lists an
+    # element twice has no prefixes to check
     built_nodes = {n.id for n in model.nodes if n.grounded}
     placed: list[int] = []
     structure_errors = []
-    for t in tasks:
+    if problems:
+        structure_errors.append("plan does not cover the model: " + "; ".join(problems.values()))
+    for t in tasks if "repeated" not in problems else []:
         elem = model.element(t["element_id"])
         # the route rule: a pass starts at a node that already exists
         first = next(s["tcp"][0]["origin"] for s in t["subprocesses"] if s["kind"] == "extrusion")
@@ -481,10 +483,6 @@ def validate_plan(
             )
         if not check_stability(partial, result=result):
             structure_errors.append(f"task {t['task_id']}: prefix is unstable")
-    if len(placed) != len(set(placed)) or set(placed) != {
-        e.id for e in model.elements
-    }:
-        structure_errors.append("plan does not cover every element exactly once")
     _check(
         report,
         "structure",

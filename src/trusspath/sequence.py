@@ -24,9 +24,9 @@ So a placed set whose level runs out of candidates fails the same way
 however it is reached again; the search records such dead sets (nogood
 recording) and refuses any placement that would reach one.  This holds only
 up to summation order for a stiffness verdict within rounding of the
-tolerance, because `analyze` sums element stiffness in placement order.  The
-probe's wall-clock guard only aborts the search, so no timer decides an
-answer.
+tolerance, because `analyze` scatter-adds the frame table's element rows in
+placement order.  The probe's wall-clock guard only aborts the search, so no
+timer decides an answer.
 """
 
 from __future__ import annotations
@@ -162,11 +162,11 @@ def sequence_to_dict(result: SequenceResult) -> dict:
 
 def sequence_from_dict(doc: dict) -> SequenceResult:
     """Rebuild a sequence result; direction indices are re-resolved against
-    the deterministic direction lattice and must agree with the stored
-    vectors.  A document not shaped like `sequence_to_dict`'s output, or
-    holding a fraction where an integer belongs, a non-finite direction or
-    rotation, or a stats count or time that is not a non-negative number,
-    raises `SequenceFormatError`."""
+    the deterministic direction lattice.  A document not shaped like
+    `sequence_to_dict`'s output, or holding a fraction where an integer
+    belongs, a non-finite direction or rotation, a direction that disagrees
+    with its index, or a stats count or time that is not a non-negative
+    number, raises `SequenceFormatError`."""
     try:
         directions = sample_directions(integer(doc["direction_count"]))
         tasks = []
@@ -176,7 +176,7 @@ def sequence_from_dict(doc: dict) -> SequenceResult:
                 raise IndexError(f"direction index {index} is off the lattice")
             direction = tuple(finite(v) for v in t["direction"])
             if np.abs(directions[index] - direction).max() > 1e-9:
-                raise SequencePlanningError(
+                raise SequenceFormatError(
                     f"task {t['position']}: stored direction does not match "
                     f"index {index} of a {len(directions)}-direction lattice"
                 )

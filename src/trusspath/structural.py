@@ -4,7 +4,8 @@ Each strut is one 3D frame element with the classical 12x12 stiffness matrix
 (axial + torsion + bending in two planes).  Nodes carry 6 DOF; grounded nodes
 are fully clamped.  Self weight is lumped half-and-half onto the element's end
 nodes.  Units: mm, N, MPa; gravity defaults to -z at 9810 mm/s^2, and the
-two checks below always analyse under that default.
+two checks below always analyse under that default.  Everything here reads
+the model's frame table, one row per element, through a prefix's row list.
 
 The two fabrication checks are:
   check_stiffness  -- max nodal translation under self weight below tolerance
@@ -15,6 +16,7 @@ The two fabrication checks are:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,12 +43,16 @@ class PartialStructure:
     element_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen = set()
-        for eid in self.element_ids:
-            self.model.element(eid)  # raises KeyError on unknown ids
-            if eid in seen:
-                raise StructuralError(f"element {eid} listed twice in prefix")
-            seen.add(eid)
+        rows = self.rows  # raises KeyError on unknown ids
+        if len(set(self.element_ids)) < len(rows):
+            twice = next(e for k, e in enumerate(self.element_ids) if e in self.element_ids[:k])
+            raise StructuralError(f"element {twice} listed twice in prefix")
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The prefix's rows of the model's frame table, in placement order."""
+        row = self.model.frame_table.row
+        return np.array([row[eid] for eid in self.element_ids], dtype=int)
 
 
 @dataclass
@@ -119,17 +125,25 @@ def element_rotation(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameTable:
-    """What `analyze` needs of each element that depends on the model alone,
-    keyed by element id; `TrussModel.frame_table` builds it once per model."""
+    """What the structural checks need of the model, one row per element in
+    model order, nodes ranked by ascending id (the order of `analyze`'s
+    results); `TrussModel.frame_table` builds it once per model."""
 
-    stiffness: dict[int, np.ndarray]  # (12, 12) stiffness in global axes
-    mass: dict[int, float]  # kg
-    midpoint: dict[int, np.ndarray]  # (3,)
+    row: dict[int, int]  # element id -> row
+    ends: np.ndarray  # (E, 2) start and end node ranks
+    node_ids: np.ndarray  # (N,) ascending
+    grounded: np.ndarray  # (N,) bool
+    xy: np.ndarray  # (N, 2) plan position
+    stiffness: np.ndarray  # (E, 12, 12) in global axes
+    mass: np.ndarray  # (E,) kg
+    midpoint: np.ndarray  # (E, 3)
 
 
 def frame_table(model: TrussModel) -> FrameTable:
     mat, sec = model.material, model.section
-    stiffness, mass, midpoint = {}, {}, {}
+    nodes = sorted(model.nodes, key=lambda n: n.id)
+    rank = {n.id: i for i, n in enumerate(nodes)}
+    stiffness = []
     for e in model.elements:
         p0 = model.node_position(e.start)
         p1 = model.node_position(e.end)
@@ -141,49 +155,50 @@ def frame_table(model: TrussModel) -> FrameTable:
         T = np.zeros((12, 12))
         for b in range(4):
             T[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = rot
-        stiffness[e.id] = T.T @ k_local @ T
-        mass[e.id] = element_mass(model, e.id)
-        midpoint[e.id] = model.element_midpoint(e.id)
-    return FrameTable(stiffness, mass, midpoint)
+        stiffness.append(T.T @ k_local @ T)
+    return FrameTable(
+        row={e.id: i for i, e in enumerate(model.elements)},
+        ends=np.array([(rank[e.start], rank[e.end]) for e in model.elements]),
+        node_ids=np.array([n.id for n in nodes]),
+        grounded=np.array([n.grounded for n in nodes]),
+        xy=np.array([n.position[:2] for n in nodes], dtype=float),
+        stiffness=np.array(stiffness),
+        mass=np.array([element_mass(model, e.id) for e in model.elements]),
+        midpoint=np.array([model.element_midpoint(e.id) for e in model.elements]),
+    )
 
 
 def analyze(
     partial: PartialStructure,
     gravity: Sequence[float] = DEFAULT_GRAVITY,
 ) -> StiffnessResult:
-    """Solve the clamped self-weight problem for a prefix of elements."""
-    model = partial.model
+    """Solve the clamped self-weight problem for a prefix of elements.  K and
+    f are one scatter-add each, summing every entry in placement order."""
     if not partial.element_ids:
         raise StructuralError("cannot analyze an empty prefix")
+    table = partial.model.frame_table
+    rows = partial.rows
+    ends = table.ends[rows]
     g = np.asarray(gravity, dtype=float)
 
-    node_ids = sorted(
-        {model.element(eid).start for eid in partial.element_ids}
-        | {model.element(eid).end for eid in partial.element_ids}
-    )
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    ndof = 6 * len(node_ids)
-    K = np.zeros((ndof, ndof))
-    f = np.zeros(ndof)
+    # the prefix's nodes by ascending id, and each end's 6 DOFs among them
+    present = np.zeros(len(table.node_ids), dtype=bool)
+    present[ends] = True
+    nodes = np.flatnonzero(present)
+    node_ids = table.node_ids[nodes].tolist()
+    grounded = table.grounded[nodes]
+    ndof = 6 * len(nodes)
+    dofs = 6 * (np.cumsum(present) - 1)[ends][:, :, None] + np.arange(6)  # (n, 2, 6)
+    slots = dofs.reshape(-1, 12)
+    K = np.bincount(
+        (slots[:, :, None] * ndof + slots[:, None, :]).ravel(),
+        table.stiffness[rows].ravel(),
+        ndof * ndof,
+    ).reshape(ndof, ndof)
+    half_weight = 0.5 * table.mass[rows][:, None] * g * _MILLI  # N vectors
+    f = np.bincount(dofs[:, :, :3].ravel(), np.repeat(half_weight, 2, axis=0).ravel(), ndof)
 
-    table = model.frame_table
-    for eid in partial.element_ids:
-        e = model.element(eid)
-        dofs = np.r_[
-            6 * index[e.start] + np.arange(6), 6 * index[e.end] + np.arange(6)
-        ]
-        K[np.ix_(dofs, dofs)] += table.stiffness[eid]
-
-        half_weight = 0.5 * table.mass[eid] * g * _MILLI  # N vector
-        f[6 * index[e.start] : 6 * index[e.start] + 3] += half_weight
-        f[6 * index[e.end] : 6 * index[e.end] + 3] += half_weight
-
-    fixed = np.zeros(ndof, dtype=bool)
-    for nid in node_ids:
-        if model.node(nid).grounded:
-            fixed[6 * index[nid] : 6 * index[nid] + 6] = True
-    free = ~fixed
-
+    free = ~np.repeat(grounded, 6)
     u = np.zeros(ndof)
     singular = False
     residual = 0.0
@@ -208,18 +223,17 @@ def analyze(
                 uf = np.zeros(free.sum())
         u[free] = uf
 
-    reaction_vec = K @ u - f
-    displacements = {nid: u[6 * index[nid] : 6 * index[nid] + 6].copy() for nid in node_ids}
+    reaction_vec = (K @ u - f).reshape(-1, 6)
+    displacements = {nid: d.copy() for nid, d in zip(node_ids, u.reshape(-1, 6))}
     reactions = {
-        nid: reaction_vec[6 * index[nid] : 6 * index[nid] + 6].copy()
-        for nid in node_ids
-        if model.node(nid).grounded
+        nid: r.copy() for nid, r, fixed in zip(node_ids, reaction_vec, grounded) if fixed
     }
+    # one 1-D norm per node: a row-wise norm can round differently
     translations = np.array([np.linalg.norm(d[:3]) for d in displacements.values()])
     return StiffnessResult(
         displacements=displacements,
         reactions=reactions,
-        max_translation=float(translations.max()) if translations.size else 0.0,
+        max_translation=float(translations.max()),
         residual=residual,
         singular=singular,
     )
@@ -241,27 +255,18 @@ def check_stiffness(
 
 def center_of_gravity(partial: PartialStructure) -> np.ndarray:
     table = partial.model.frame_table
-    total = 0.0
-    acc = np.zeros(3)
-    for eid in partial.element_ids:
-        m = table.mass[eid]
-        acc += m * table.midpoint[eid]
-        total += m
-    return acc / total
+    mass = table.mass[partial.rows]
+    # running sums add in placement order; `sum` would add pairwise
+    acc = np.cumsum(mass[:, None] * table.midpoint[partial.rows], axis=0)[-1]
+    return acc / np.cumsum(mass)[-1]
 
 
 def support_hull(partial: PartialStructure) -> np.ndarray:
     """Convex hull (xy) of grounded nodes touched by the prefix."""
-    model = partial.model
-    pts = []
-    for eid in partial.element_ids:
-        e = model.element(eid)
-        for nid in (e.start, e.end):
-            if model.node(nid).grounded:
-                pts.append(model.node_position(nid)[:2])
-    if not pts:
-        return np.zeros((0, 2))
-    return convex_hull_2d(np.array(pts))
+    table = partial.model.frame_table
+    ends = table.ends[partial.rows].ravel()
+    pts = table.xy[ends[table.grounded[ends]]]
+    return convex_hull_2d(pts) if len(pts) else np.zeros((0, 2))
 
 
 def check_stability(
@@ -289,10 +294,6 @@ def check_stability(
         return False
     # reaction z < 0 would mean the support pulls the structure down, i.e.
     # the joint is in tension; unanchored printing cannot transmit that.
-    mass = partial.model.frame_table.mass
-    total_weight = sum(mass[eid] for eid in partial.element_ids)
-    force_tol = max(1e-12, 1e-9 * total_weight * 9810.0 * _MILLI)
-    for reaction in res.reactions.values():
-        if reaction[2] < -force_tol:
-            return False
-    return True
+    total_mass = np.cumsum(partial.model.frame_table.mass[partial.rows])[-1]
+    force_tol = max(1e-12, 1e-9 * total_mass * -DEFAULT_GRAVITY[2] * _MILLI)
+    return not any(r[2] < -force_tol for r in res.reactions.values())

@@ -109,8 +109,8 @@ class TrussModel:
 
     @cached_property
     def frame_table(self):
-        """Per-element frame stiffness, mass and midpoint, built once per
-        model (see `structural.frame_table`)."""
+        """The structural checks' element rows, built once per model (see
+        `structural.FrameTable`)."""
         from .structural import frame_table  # structural imports this module
 
         return frame_table(self)

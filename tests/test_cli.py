@@ -86,6 +86,14 @@ def test_validate_reports_malformed_plans(plan_file, cfg_file, tmp_path, capsys)
     assert "structure" in out and "elements [999] are not in the model" in out
 
     doc = json.loads(plan_file.read_text())
+    doc["tasks"][1]["element_id"] = doc["tasks"][0]["element_id"]
+    repeated = tmp_path / "repeated_element.json"
+    repeated.write_text(json.dumps(doc))
+    assert main(["validate", *common(cfg_file), "--plan", str(repeated)]) == 3
+    out = capsys.readouterr().out
+    assert "structure" in out and f"repeated elements [{doc['tasks'][0]['element_id']}]" in out
+
+    doc = json.loads(plan_file.read_text())
     doc["dof"] -= 1
     for t in doc["tasks"]:
         for s in t["subprocesses"]:
@@ -253,6 +261,21 @@ def test_motion_rejects_a_sequence_that_does_not_cover_the_model(
     err = capsys.readouterr().err
     assert err.startswith("error: sequence does not cover the model: ")
     assert len(err.splitlines()) == 1 and message in err
+    assert not out.exists()
+
+
+def test_motion_rejects_a_direction_off_its_lattice_index(sequence_doc, cfg_file, tmp_path, capsys):
+    doc = copy.deepcopy(sequence_doc)
+    doc["tasks"][0]["direction"] = [-v for v in doc["tasks"][0]["direction"]]
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    out = tmp_path / "plan.json"
+    capsys.readouterr()
+    rc = main(["motion", *common(cfg_file), "--from-sequence", str(seq), "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: task 0: stored direction does not match index ")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -431,6 +431,23 @@ def test_unknown_element_fails_the_structure_check(model, robot, planned):
     assert not report.passed
 
 
+def test_repeated_element_fails_the_structure_check(model, robot, planned):
+    # task 1 lists task 0's element again: a failed check, not an exception
+    doc, _ = planned
+    bad = copy.deepcopy(doc)
+    first, dropped = doc["tasks"][0]["element_id"], doc["tasks"][1]["element_id"]
+    bad["tasks"][1]["element_id"] = first
+    report = validate_plan(bad, model, robot, CFG)
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    structure = check_map(report)["structure"]
+    assert not structure.passed
+    assert structure.detail == (
+        f"plan does not cover the model: missing elements [{dropped}]; "
+        f"repeated elements [{first}]"
+    )
+    assert not report.passed
+
+
 def drop_last_joint(doc):
     """A well-formed copy of `doc` whose rows have one joint fewer."""
     bad = copy.deepcopy(doc)

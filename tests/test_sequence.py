@@ -335,7 +335,7 @@ def test_sequence_dict_round_trip(tower_result):
             sequence_from_dict(bad)
 
     doc["tasks"][0]["direction"] = [1.0, 0.0, 0.0]
-    with pytest.raises(SequencePlanningError, match="does not match"):
+    with pytest.raises(SequenceFormatError, match="does not match"):
         sequence_from_dict(doc)
 
 

@@ -8,6 +8,7 @@ from trusspath.config import PlannerConfig
 from trusspath.fixtures import (
     DEFAULT_MATERIAL,
     DEFAULT_SECTION,
+    bracing_tower,
     load_bundled_model,
     load_bundled_robot,
 )
@@ -334,12 +335,12 @@ def same_bits(a, b):
 def test_frame_table_analysis_is_bit_identical_to_per_call_assembly(monkeypatch):
     # every prefix the search without dead placed sets analyses on the cube
     # at 24 directions x 2 rolls (78 backtracks), plus random prefixes, many
-    # of them floating
+    # of them floating, of the cube (9 nodes) and of the 84-element tower
     model = load_bundled_model("cube")
     prefixes = []
 
     def recording(partial, *args, **kwargs):
-        prefixes.append(partial.element_ids)
+        prefixes.append((partial.model, partial.element_ids))
         return analyze(partial, *args, **kwargs)
 
     monkeypatch.setattr(sequence, "analyze", recording)
@@ -349,13 +350,18 @@ def test_frame_table_analysis_is_bit_identical_to_per_call_assembly(monkeypatch)
     stats = planner.plan().stats
     assert len(prefixes) == stats.stiffness_checks == 292
     rng = np.random.default_rng(7)
-    ids = [e.id for e in model.elements]
-    for _ in range(150):
-        size = int(rng.integers(1, len(ids) + 1))
-        prefixes.append(tuple(int(e) for e in rng.permutation(ids)[:size]))
+    tower = bracing_tower(stories=7)
+    assert tower.n_elements == 84
+    for random_model in (model, tower):
+        ids = [e.id for e in random_model.elements]
+        for _ in range(150):
+            size = int(rng.integers(1, len(ids) + 1))
+            prefixes.append(
+                (random_model, tuple(int(e) for e in rng.permutation(ids)[:size]))
+            )
 
     singular = 0
-    for prefix in prefixes:
+    for model, prefix in prefixes:
         partial = PartialStructure(model, prefix)
         got, want = analyze(partial), oracle_analyze(partial)
         assert got.singular == want.singular, prefix
