@@ -243,51 +243,47 @@ def capsules_overlap(c1: CapsuleShape, c2: CapsuleShape, clearance: float = 0.0)
 # tool frames
 
 
-def pose_from_direction(
-    point: np.ndarray, direction: np.ndarray, rotation: float
-) -> np.ndarray:
-    """Tool frame for an extrusion pose.
+def tool_rotations(directions: np.ndarray, rolls: float | np.ndarray) -> np.ndarray:
+    """Tool rotations, (k, 3, 3), for (direction, roll) pairs: a (3,) or
+    (k, 3) direction stack and one roll per direction, or one for all.
 
-    `direction` is the free-space direction the extruder body occupies,
-    pointing from the nozzle tip towards the mount.  The tool z axis is the
-    extrusion axis and therefore points the opposite way.  `rotation` spins
-    the frame about z relative to a fixed reference x axis, so (direction,
-    rotation) names exactly one frame.
+    A direction is the free-space side the extruder body occupies, from the
+    nozzle tip towards the mount; tool z (column 2), the extrusion axis,
+    points the other way.  Tool x is `world z x tool z` (world x within
+    about 2.5 degrees of vertical), normalised and spun by the roll about z.
+    Lengths come from `distance3` and rolls from `math`, the rest is
+    elementwise: a row has its one-pair call's bits on any BLAS build.
     """
-    v = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm < _EPS:
+    v = np.atleast_2d(np.asarray(directions, dtype=float))
+    length = distance3(v, np.zeros(3))
+    if (length < _EPS).any():
         raise GeometryError("direction must be non-zero")
-    z = -v / norm
-    x0, y0 = _reference_tangents(z)
-    x = math.cos(rotation) * x0 + math.sin(rotation) * y0
-    y = np.cross(z, x)
+    z = -v / length[:, None]
+    x0 = np.cross(np.where(np.abs(z[:, 2:]) < 0.999, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), z)
+    x0 /= distance3(x0, np.zeros(3))[:, None]
+    roll = np.broadcast_to(rolls, len(v)).tolist()
+    cos = np.array([math.cos(r) for r in roll])[:, None]
+    sin = np.array([math.sin(r) for r in roll])[:, None]
+    x = cos * x0 + sin * np.cross(z, x0)
+    return np.stack([x, np.cross(z, x), z], axis=2)
+
+
+def pose_from_direction(point: np.ndarray, direction: np.ndarray, rotation: float) -> np.ndarray:
+    """Tool frame for an extrusion pose: `tool_rotations` of one (direction,
+    rotation) pair, placed at `point`."""
     frame = np.eye(4)
-    frame[:3, 0] = x
-    frame[:3, 1] = y
-    frame[:3, 2] = z
-    frame[:3, 3] = np.asarray(point, dtype=float)
+    frame[:3, :3] = tool_rotations(direction, rotation)[0]
+    frame[:3, 3] = point
     return frame
 
 
 def direction_rotation_from_frame(frame: np.ndarray) -> tuple[np.ndarray, float]:
     """Invert pose_from_direction: recover (direction, rotation) from a frame."""
     z = frame[:3, 2]
-    x0, y0 = _reference_tangents(z)
+    reference = tool_rotations(-z, 0.0)[0]
     x = frame[:3, 0]
-    rotation = math.atan2(float(x @ y0), float(x @ x0)) % (2.0 * math.pi)
-    return -z.copy(), rotation
-
-
-def _reference_tangents(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Reference axis switches away from world z only when the tool axis is
-    # within ~2.5 degrees of vertical, so the frame stays continuous in the
-    # the regions the planner actually samples.
-    ref = np.array([0.0, 0.0, 1.0]) if abs(z[2]) < 0.999 else np.array([1.0, 0.0, 0.0])
-    x0 = np.cross(ref, z)
-    x0 /= np.linalg.norm(x0)
-    y0 = np.cross(z, x0)
-    return x0, y0
+    rotation = math.atan2(float(x @ reference[:, 1]), float(x @ reference[:, 0]))
+    return -z.copy(), rotation % (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +310,7 @@ def ee_element_collision(
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
         raise GeometryError("path_points must be a non-empty (n, 3) array")
     seg = np.asarray(segment, dtype=float)
-    rot = pose_from_direction(np.zeros(3), direction, rotation)[:3, :3]
+    rot = tool_rotations(direction, rotation)[0]
     q0, q1 = seg[0], seg[1]
     for cap in ee.capsules:
         a = pts + rot @ cap.a
@@ -349,7 +345,7 @@ def ee_self_collision(
         raise GeometryError("path_points must be a non-empty (n, 3) array")
     if pts.shape[0] < 2:
         return False
-    rot = pose_from_direction(np.zeros(3), direction, rotation)[:3, :3]
+    rot = tool_rotations(direction, rotation)[0]
     tail = pts[1:]
     for cap in ee.capsules:
         a = tail + rot @ cap.a

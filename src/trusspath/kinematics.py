@@ -43,6 +43,7 @@ from .geometry import (
     distance3,
     mark_contacts,
     pose_from_direction,
+    tool_rotations,
 )
 
 _EXPECTED_ALPHA = np.deg2rad([-90.0, 0.0, -90.0, 90.0, -90.0, 0.0])
@@ -533,9 +534,9 @@ def config_collides_batch(
 
     Three passes run in turn (scene, static capsules, self pairs), and each
     tests only the configs that no earlier pass has hit.  Within a pass a
-    pair goes to the exact `segment_distance_batch` kernel, in one flat
-    call, only when its bounding-sphere bound is below the contact limit
-    plus `CULL_MARGIN`; every pair near contact is still decided exactly.
+    pair goes to the exact kernel (`mark_contacts`, in blocks of
+    `EXACT_BLOCK` pairs) only when its bounding-sphere bound is below the
+    contact limit plus `CULL_MARGIN`; pairs near contact are decided exactly.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
 
@@ -590,19 +591,16 @@ def build_rungs_batch(
     """Collision-free IK configs per waypoint for each (direction, rotation)
     orientation: its rungs, or None if any of them is empty.
 
-    An orientation's tool frame is `pose_from_direction(waypoints[0],
-    direction, rotation)`.  All orientations go through one `ik_sweep` with
-    a rotation stack.  None means some waypoint has no IK solution (then the
-    orientation is not collision-tested) or no collision-free one.  The
-    solutions of every orientation whose rungs all have IK solutions are
-    tested in one `config_collides_batch` call and split back per waypoint;
-    since rows are independent, each orientation's rungs are the same as
-    when it is built alone.
+    All orientations' tool rotations come from one `tool_rotations` call and
+    go through one `ik_sweep` as a stack.  None means some waypoint has no
+    IK solution (then the orientation is not collision-tested) or no
+    collision-free one.  The solutions of every orientation whose rungs all
+    have IK solutions are tested in one `config_collides_batch` call and
+    split back per waypoint; since rows are independent, each orientation's
+    rungs are the same as when it is built alone.
     """
     k = waypoints.shape[0]
-    rots = np.array(
-        [pose_from_direction(waypoints[0], d, r)[:3, :3] for d, r in orientations]
-    )
+    rots = tool_rotations([d for d, _ in orientations], [r for _, r in orientations])
     families = ik_sweep(robot, np.repeat(rots, k, axis=0), np.tile(waypoints, (len(rots), 1)))
     blocks = [families[i : i + k] for i in range(0, len(families), k)]
     reached = [all(len(fam) for fam in block) for block in blocks]
@@ -664,6 +662,9 @@ def load_robot(source: str | Path | dict) -> RobotModel:
         )
         _check_solvable_family(joints)
 
+        for key in ("base_pose", "tool", "home"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise TypeError(f"'{key}' is not a JSON object")
         base = doc.get("base_pose", {})
         base_pose = make_transform(
             [finite(v) for v in base.get("origin", (0.0, 0.0, 0.0))],

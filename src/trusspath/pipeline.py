@@ -332,13 +332,13 @@ def validate_plan(
 
     # joint validity: limits everywhere, jump limits inside tcp subprocesses
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
-    bad_limit = 0
+    within = [  # per subprocess, which rows are within joint limits
+        ((rows >= robot.lower - LIMIT_TOLERANCE) & (rows <= robot.upper + LIMIT_TOLERANCE)).all(1)
+        for _, _, rows in subs
+    ]
+    bad_limit = sum(int((~inside).sum()) for inside in within)
     bad_jump = 0
     for _, s, rows in subs:
-        inside = (rows >= robot.lower - LIMIT_TOLERANCE) & (
-            rows <= robot.upper + LIMIT_TOLERANCE
-        )
-        bad_limit += int(rows.shape[0] - inside.all(axis=1).sum())
         if s["data_kind"] == "tcp" and rows.shape[0] > 1:
             step = np.abs(np.diff(rows, axis=0))
             bad_jump += int((step > limits + LIMIT_TOLERANCE).any(axis=1).sum())
@@ -411,12 +411,16 @@ def validate_plan(
     fine_step = 0.5 * config.transition.step * robot.jump_limits(1.0, ratio)
     # scenes[k] holds the elements placed before task k; statics are implicit
     scenes = [model.scene(order[:k]) for k in range(len(tasks) + 1)]
-    for k, s, rows in subs:
+    for (k, s, rows), inside in zip(subs, within):
         if s["kind"] == "transition":
+            # an edge is interpolated only between rows within joint limits,
+            # so the probe's size is bounded by the limits, not by the file
             probe = [rows[0]]
-            for a, b in zip(rows[:-1], rows[1:]):
-                n = max(2, int(np.ceil((np.abs(b - a) / fine_step).max())) + 1)
+            for a, b, ok in zip(rows[:-1], rows[1:], inside[:-1] & inside[1:]):
+                n = max(2, int(np.ceil((np.abs(b - a) / fine_step).max())) + 1) if ok else 2
                 probe.extend(np.linspace(a, b, n)[1:])
+            if not inside.all():
+                collision_errors.append(f"subprocess {s['id']} (transition): not probed past limits")
             hits = config_collides_batch(
                 robot, np.array(probe), scenes[k], clearance=config.clearance
             )

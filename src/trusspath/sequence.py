@@ -43,8 +43,8 @@ from .geometry import (
     EEGeometry,
     GeometryError,
     ee_sweep_collision_batch,
-    pose_from_direction,
     sample_directions,
+    tool_rotations,
 )
 from .kinematics import RobotModel, build_rungs
 from .structural import PartialStructure, analyze, check_stability, check_stiffness
@@ -238,10 +238,8 @@ class SweepTable:
         self.model = model
         self.ee = ee
         self.config = config
-        # roll-0 tool rotation per direction, as ee_element_collision poses it
-        self._rotations = np.array(
-            [pose_from_direction(np.zeros(3), d, 0.0)[:3, :3] for d in directions]
-        )
+        # the sweep is posed at roll 0, whatever roll a pass is planned at
+        self._rotations = tool_rotations(directions, 0.0)
         self._paths: dict[tuple[int, int], np.ndarray] = {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._self: dict[tuple[int, int], np.ndarray] = {}

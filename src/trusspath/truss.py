@@ -149,9 +149,10 @@ def load_model(source: str | Path | dict) -> TrussModel:
         name = Path(source).stem
     else:
         name = str(doc.get("name", "truss"))
-    for key in ("nodes", "elements", "material", "section"):
-        if key not in doc:
-            raise ModelError(f"model document missing '{key}'")
+    for key, kind in (("nodes", list), ("elements", list), ("material", dict), ("section", dict)):
+        if not isinstance(doc.get(key), kind):
+            json_kind = "list" if kind is list else "object"
+            raise ModelError(f"model document missing '{key}', a JSON {json_kind}")
 
     nodes = []
     for row in doc["nodes"]:

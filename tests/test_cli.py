@@ -4,10 +4,14 @@ import copy
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import trusspath
 from trusspath import cli
 from trusspath.cli import main
 from trusspath.fixtures import load_bundled_model, load_bundled_robot
@@ -140,6 +144,33 @@ def test_non_numbers_in_input_documents_exit_4(tmp_path, capsys, kind, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "is not a number" in err
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("model", "nodes", 5),
+        ("model", "elements", None),
+        ("robot", "base_pose", 5),
+        ("robot", "tool", [1]),
+        ("robot", "home", "x"),
+    ],
+    ids=["nodes-number", "elements-null", "base_pose-number", "tool-list", "home-string"],
+)
+def test_wrong_shaped_blocks_in_input_documents_exit_4(tmp_path, capsys, kind, key, value):
+    if kind == "model":
+        doc = serialize_model(load_bundled_model("cube"))
+    else:
+        doc = copy.deepcopy(load_bundled_robot("arm").source)
+    doc[key] = value
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    names = {"model": "cube", "robot": "arm", kind: str(path)}
+    rc = main(["stats", "--model", names["model"], "--robot", names["robot"]])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"'{key}'" in err
 
 
 def test_bad_inputs_exit_code(cfg_file, tmp_path, capsys):
@@ -363,3 +394,39 @@ def test_stats_reports_aborted_run(cfg_file, capsys):
     captured = capsys.readouterr()
     assert "aborted" in captured.out
     assert "error" in captured.err
+
+
+BLAS = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+
+
+@pytest.mark.skipif(
+    "DYNAMIC_ARCH" not in BLAS.get("openblas configuration", ""),
+    reason="numpy is not linked to a DYNAMIC_ARCH OpenBLAS: OPENBLAS_CORETYPE selects nothing",
+)
+def test_plan_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the cube at 24 directions x 2 rolls with the wall-clock guards raised,
+    # planned under the BLAS kernel OpenBLAS picks for this CPU and under
+    # Haswell's (on a CPU whose own pick is Haswell the two runs coincide).
+    # numpy's own CPU dispatch (NPY_DISABLE_CPU_FEATURES) is still expected
+    # to change the plan through the IK's arctan2/arccos (open in ROADMAP
+    # item 4), so that switch is not compared here
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        **CFG_DOC,
+        "kinematics_timeout": 600.0,
+        "transition": {"direct_timeout": 600.0, "fallback_timeout": 600.0},
+    }))
+    src = str(Path(trusspath.__file__).resolve().parents[1])
+    plans = []
+    for coretype in (None, "Haswell"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / f"plan-{coretype}.json"
+        subprocess.run(
+            [sys.executable, "-m", "trusspath.cli", "plan", *common(str(cfg)), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        plans.append(out.read_bytes())
+    assert plans[0] == plans[1]

@@ -178,6 +178,69 @@ def test_rotation_spins_about_tool_z():
     assert cosang == pytest.approx(math.cos(math.pi / 3), abs=1e-12)
 
 
+def per_call_pose_from_direction(point, direction, rotation):
+    """The one-frame builder `tool_rotations` replaced, with its two 1-D
+    `np.linalg.norm` calls: the oracle for the tool-frame convention."""
+    v = np.asarray(direction, dtype=float)
+    z = -v / np.linalg.norm(v)
+    ref = np.array([0.0, 0.0, 1.0]) if abs(z[2]) < 0.999 else np.array([1.0, 0.0, 0.0])
+    x0 = np.cross(ref, z)
+    x0 /= np.linalg.norm(x0)
+    y0 = np.cross(z, x0)
+    x = math.cos(rotation) * x0 + math.sin(rotation) * y0
+    frame = np.eye(4)
+    frame[:3, :3] = np.column_stack([x, np.cross(z, x), z])
+    frame[:3, 3] = point
+    return frame
+
+
+def oracle_directions(rng, count):
+    """Random directions at random scales, plus pairs either side of the
+    `|z| = 0.999` reference switch, upward and downward."""
+    directions = rng.normal(size=(count, 3)) * rng.uniform(0.01, 100.0, (count, 1))
+    near = []
+    for zeta in (0.999 - 1e-9, 0.999 + 1e-9, 0.9985, 0.9995):
+        for sign in (1.0, -1.0):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            r = math.sqrt(1.0 - zeta * zeta)
+            near.append((r * math.cos(phi), r * math.sin(phi), sign * zeta))
+    return np.vstack([directions, near, [(0.0, 0.0, 1.0), (0.0, 0.0, -2.0)]])
+
+
+def test_tool_rotations_stack_has_the_bits_of_one_pair_calls():
+    rng = np.random.default_rng(22)
+    directions = oracle_directions(rng, 300)
+    rolls = rng.uniform(-7.0, 7.0, len(directions))
+    stack = geometry.tool_rotations(directions, rolls)
+    assert stack.shape == (len(directions), 3, 3)
+    for d, r, rot in zip(directions, rolls, stack):
+        assert np.array_equal(geometry.tool_rotations(d, r)[0], rot)
+        assert np.array_equal(pose_from_direction(np.ones(3), d, r)[:3, :3], rot)
+    # one roll for all equals that roll repeated
+    assert np.array_equal(
+        geometry.tool_rotations(directions, 0.7),
+        geometry.tool_rotations(directions, np.full(len(directions), 0.7)),
+    )
+
+
+def test_tool_rotations_match_the_per_call_oracle():
+    rng = np.random.default_rng(23)
+    directions = oracle_directions(rng, 500)
+    rolls = rng.uniform(0.0, 2.0 * math.pi, len(directions))
+    stack = geometry.tool_rotations(directions, rolls)
+    point = rng.uniform(-100.0, 100.0, 3)
+    for d, r, rot in zip(directions, rolls, stack):
+        want = per_call_pose_from_direction(point, d, r)
+        assert np.abs(rot - want[:3, :3]).max() <= 1e-15
+        got = pose_from_direction(point, d, r)
+        assert np.array_equal(got[:3, 3], point) and np.array_equal(got[3], want[3])
+
+
+def test_tool_rotations_reject_a_zero_direction():
+    with pytest.raises(GeometryError):
+        geometry.tool_rotations([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 0.0)
+
+
 def test_capsules_overlap():
     c1 = CapsuleShape((0, 0, 0), (10, 0, 0), 2.0)
     c2 = CapsuleShape((0, 5, 0), (10, 5, 0), 2.0)

@@ -353,6 +353,35 @@ def test_validator_catches_tampered_joints(model, robot, planned):
     assert not report.passed
 
 
+def test_clearance_probe_is_bounded_by_the_joint_limits(model, robot, planned, monkeypatch):
+    # a transition row far outside the limits must not size the probe: the
+    # edges into and out of it are not interpolated, and the subprocess is
+    # listed as not probed
+    sizes = []
+
+    def counting_stub(robot, configs, scene, clearance):
+        sizes.append(len(configs))
+        return np.zeros(len(configs), dtype=bool)
+
+    monkeypatch.setattr(pipeline, "config_collides_batch", counting_stub)
+    doc, _ = planned
+    report = validate_plan(doc, model, robot, CFG)
+    assert check_map(report)["clearance"].passed
+    clean = max(sizes)
+    bad = copy.deepcopy(doc)
+    sub = next(
+        s for t in bad["tasks"] for s in t["subprocesses"]
+        if s["kind"] == "transition" and len(s["joints"]) > 2
+    )
+    sub["joints"][1][0] = 1e4
+    sizes.clear()
+    checks = check_map(validate_plan(bad, model, robot, CFG))
+    assert max(sizes) <= clean
+    assert not checks["joint validity"].passed
+    assert not checks["clearance"].passed
+    assert f"subprocess {sub['id']} (transition): not probed" in checks["clearance"].detail
+
+
 def test_validator_checks_each_subprocess_by_position_not_id(model, robot, planned):
     # an out-of-limits row in a transition that carries its approach's id:
     # keyed by id, the approach's rows would be checked twice and the
