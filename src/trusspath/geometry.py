@@ -259,13 +259,21 @@ def tool_rotations(directions: np.ndarray, rolls: float | np.ndarray) -> np.ndar
     if (length < _EPS).any():
         raise GeometryError("direction must be non-zero")
     z = -v / length[:, None]
-    x0 = np.cross(np.where(np.abs(z[:, 2:]) < 0.999, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), z)
+    x0 = _cross3(np.where(np.abs(z[:, 2:]) < 0.999, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), z)
     x0 /= distance3(x0, np.zeros(3))[:, None]
     roll = np.broadcast_to(rolls, len(v)).tolist()
     cos = np.array([math.cos(r) for r in roll])[:, None]
     sin = np.array([math.sin(r) for r in roll])[:, None]
-    x = cos * x0 + sin * np.cross(z, x0)
-    return np.stack([x, np.cross(z, x), z], axis=2)
+    x = cos * x0 + sin * _cross3(z, x0)
+    return np.stack([x, _cross3(z, x), z], axis=2)
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (k, 3) stacks: the products and
+    differences `np.cross` forms, without its axis handling."""
+    a1, a2, a3 = a.T
+    b1, b2, b3 = b.T
+    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=1)
 
 
 def pose_from_direction(point: np.ndarray, direction: np.ndarray, rotation: float) -> np.ndarray:
@@ -432,10 +440,11 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise GeometryError("need a non-empty (n, 2) array of points")
-    uniq = np.unique(pts, axis=0)  # sorts lexicographically
-    if uniq.shape[0] == 1:
-        return uniq
-    ordered = [tuple(p) for p in uniq]
+    # deduplicated and sorted lexicographically; `np.unique(..., axis=0)`
+    # would do the same but imports `numpy.ma` on its first call
+    ordered = sorted(set(map(tuple, pts.tolist())))
+    if len(ordered) == 1:
+        return np.array(ordered)
 
     def half(seq):
         chain: list[tuple[float, float]] = []

@@ -12,7 +12,10 @@ model, robot, and configuration, and re-derives every claim the plan makes
 (format, fingerprints, continuity, joint validity, tool consistency,
 clearance, structural admissibility, each pass starting at a built node)
 without consulting any planner state.  Planner bugs show up here as failed
-checks, not as exceptions.
+checks, not as exceptions.  The tool poses are recomputed with one
+forward-kinematics call per task, and clearance with one robot-collision
+query per build-order prefix: n + 1 queries for an n-task plan, since the
+depart of task k is tested against the scene of task k + 1.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -272,6 +276,18 @@ def _check(report: ValidationReport, name: str, passed: bool, detail: str) -> No
     report.checks.append(CheckResult(name, passed, detail))
 
 
+def _transition_probe(rows: np.ndarray, inside: np.ndarray, fine_step: np.ndarray) -> np.ndarray:
+    """The configs a transition's clearance is tested at: its rows, each edge
+    between two rows within joint limits (`inside`) interpolated at
+    `fine_step`.  An edge out of limits is not, so the probe's size is
+    bounded by the limits, not by the file."""
+    probe = [rows[0]]
+    for a, b, ok in zip(rows[:-1], rows[1:], inside[:-1] & inside[1:]):
+        n = max(2, int(np.ceil((np.abs(b - a) / fine_step).max())) + 1) if ok else 2
+        probe.extend(np.linspace(a, b, n)[1:])
+    return np.array(probe)
+
+
 def validate_plan(
     plan: dict,
     model: TrussModel,
@@ -356,31 +372,38 @@ def validate_plan(
         _check(report, "structure", False, problems["unknown"] + " are not in the model")
         return report
 
-    # tool consistency: forward kinematics must reproduce the tcp data and
-    # each extrusion must span exactly its element
+    # tool consistency: forward kinematics must reproduce the tcp data (one
+    # call per task over its three tcp subprocesses) and each extrusion must
+    # span exactly its element
     worst_tcp = 0.0
     coverage_errors = []
-    for k, s, rows in subs:
-        if s["data_kind"] != "tcp":
-            continue
-        frames = fk_frames_batch(robot, rows)[:, -1]
-        origins = np.array([e["origin"] for e in s["tcp"]])
-        zaxes = np.array([e["zaxis"] for e in s["tcp"]])
-        rots = np.array([e["rotation"] for e in s["tcp"]])
+    spans = {}  # per task: its extrusion's tcp origins
+    for k, group in groupby(subs, key=lambda sub: sub[0]):
+        group = [(s, rows) for _, s, rows in group if s["data_kind"] == "tcp"]
+        frames = fk_frames_batch(robot, np.concatenate([rows for _, rows in group]))[:, -1]
+        poses = [e for s, _ in group for e in s["tcp"]]
+        origins = np.array([e["origin"] for e in poses])
+        zaxes = np.array([e["zaxis"] for e in poses])
+        rots = np.array([e["rotation"] for e in poses])
         worst_tcp = max(
             worst_tcp,
             float(np.abs(frames[:, :3, 3] - origins).max()),
             float(np.abs(frames[:, :3, 2] - zaxes).max()),
             float(np.abs(frames[:, :3, :3] - rots).max()),
         )
-        if s["kind"] == "extrusion":
+        stop = 0
+        for s, rows in group:
+            stop += len(rows)
+            if s["kind"] != "extrusion":
+                continue
+            spans[k] = origins[stop - len(rows):stop]
             t = tasks[k]
             elem = model.element(t["element_id"])
             a = model.node(elem.start).position
             b = model.node(elem.end).position
             length = float(np.linalg.norm(np.asarray(b) - np.asarray(a)))
             expect_rows = int(np.ceil(length / config.path_spacing)) + 1
-            ends = origins[[0, -1]]
+            ends = spans[k][[0, -1]]
             fwd = max(
                 float(np.abs(ends[0] - a).max()), float(np.abs(ends[1] - b).max())
             )
@@ -391,9 +414,9 @@ def validate_plan(
                 coverage_errors.append(
                     f"task {t['task_id']} does not span element {elem.id}"
                 )
-            if origins.shape[0] != expect_rows:
+            if len(rows) != expect_rows:
                 coverage_errors.append(
-                    f"task {t['task_id']} has {origins.shape[0]} waypoints, "
+                    f"task {t['task_id']} has {len(rows)} waypoints, "
                     f"expected {expect_rows}"
                 )
     _check(
@@ -404,46 +427,43 @@ def validate_plan(
         + ("" if not coverage_errors else "; " + "; ".join(coverage_errors)),
     )
 
-    # clearance: rebuild each task's scene from the plan's own order
+    # clearance: rebuild each scene from the plan's own order and test every
+    # subprocess against it, one robot-collision query per scene.  Scene j
+    # holds the elements placed before task j (statics are implicit); it is
+    # the scene of task j's transition, approach and extrusion and of task
+    # j-1's depart, which in document order sit next to each other
     radius = model.section.radius
-    collision_errors = []
     ratio = config.prismatic_jump_limit / config.jump_limit
     fine_step = 0.5 * config.transition.step * robot.jump_limits(1.0, ratio)
-    # scenes[k] holds the elements placed before task k; statics are implicit
-    scenes = [model.scene(order[:k]) for k in range(len(tasks) + 1)]
-    for (k, s, rows), inside in zip(subs, within):
-        if s["kind"] == "transition":
-            # an edge is interpolated only between rows within joint limits,
-            # so the probe's size is bounded by the limits, not by the file
-            probe = [rows[0]]
-            for a, b, ok in zip(rows[:-1], rows[1:], inside[:-1] & inside[1:]):
-                n = max(2, int(np.ceil((np.abs(b - a) / fine_step).max())) + 1) if ok else 2
-                probe.extend(np.linspace(a, b, n)[1:])
-            if not inside.all():
-                collision_errors.append(f"subprocess {s['id']} (transition): not probed past limits")
-            hits = config_collides_batch(
-                robot, np.array(probe), scenes[k], clearance=config.clearance
-            )
-        else:
-            # the robot's capsules include the extruder's on the tool frame,
-            # so this also tests the extruder against every placed element at
-            # the pose the joints actually reach
-            check_scene = scenes[k + 1] if s["kind"] == "retraction-depart" else scenes[k]
-            hits = config_collides_batch(
-                robot, rows, check_scene, clearance=config.clearance
-            )
-        if hits.any():
+    colliding = []  # per subprocess, in document order: its colliding configs
+    scene_index = [k + (s["kind"] == "retraction-depart") for k, s, _ in subs]
+    for j, group in groupby(zip(scene_index, subs, within), key=lambda item: item[0]):
+        # the robot's capsules include the extruder's on the tool frame, so
+        # this also tests the extruder against every placed element at the
+        # pose the joints actually reach
+        probes = [
+            _transition_probe(rows, inside, fine_step) if s["kind"] == "transition" else rows
+            for _, (_, s, rows), inside in group
+        ]
+        hits = config_collides_batch(
+            robot, np.concatenate(probes), model.scene(order[:j]), clearance=config.clearance
+        )
+        stops = np.cumsum([len(probe) for probe in probes])
+        colliding += [int(h.sum()) for h in np.split(hits, stops[:-1])]
+    collision_errors = []
+    for (k, s, _), inside, count in zip(subs, within, colliding):
+        if s["kind"] == "transition" and not inside.all():
+            collision_errors.append(f"subprocess {s['id']} (transition): not probed past limits")
+        if count:
             collision_errors.append(
-                f"subprocess {s['id']} ({s['kind']}): "
-                f"{int(hits.sum())} colliding configs"
+                f"subprocess {s['id']} ({s['kind']}): {count} colliding configs"
             )
         if s["kind"] == "extrusion":
             # the bead grows from the first waypoint; the tool keeps the
             # pass's own rotation, roll included
-            origins = np.array([e["origin"] for e in s["tcp"]])
             rotation = np.array(s["tcp"][0]["rotation"])
             if ee_sweep_collision_batch(
-                origins[1:], rotation[None], origins[0], origins[1:],
+                spans[k][1:], rotation[None], spans[k][0], spans[k][1:],
                 radius, robot.ee, config.clearance,
             )[0, 0]:
                 collision_errors.append(

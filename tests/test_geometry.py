@@ -491,3 +491,57 @@ def test_convex_hull_matches_angle_oracle():
         # hull vertices must be input points
         for v in hull:
             assert np.min(np.linalg.norm(pts - v, axis=1)) < 1e-9
+
+
+def unique_convex_hull_2d(points):
+    """The hull as it was built with `np.unique(..., axis=0)` doing the
+    dedupe and the lexicographic sort: the oracle for `convex_hull_2d`."""
+    uniq = np.unique(np.asarray(points, dtype=float), axis=0)
+    if uniq.shape[0] == 1:
+        return uniq
+    ordered = [tuple(p) for p in uniq]
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and geometry._cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    hull = half(ordered)[:-1] + half(reversed(ordered))[:-1]
+    if len(hull) < 2:
+        hull = [ordered[0], ordered[-1]]
+    return np.array(hull)
+
+
+def hull_inputs():
+    rng = np.random.default_rng(25)
+    for n in (2, 3, 5, 12, 40, 200):
+        yield pytest.param(rng.uniform(-10.0, 10.0, size=(n, 2)), id=f"random {n}")
+    grid = rng.integers(-3, 4, size=(60, 2)).astype(float)
+    yield pytest.param(grid, id="duplicated")
+    yield pytest.param(np.concatenate([grid, grid[::-1]]), id="duplicated twice")
+    t = rng.uniform(-2.0, 2.0, size=9)
+    yield pytest.param(np.stack([t, 0.5 * t + 1.0], axis=1), id="collinear")
+    yield pytest.param(np.stack([t, np.zeros(9)], axis=1), id="collinear on x")
+    yield pytest.param(np.stack([np.full(9, 3.0), t], axis=1), id="collinear on y")
+    yield pytest.param(np.array([[1.0, 2.0]]), id="single point")
+    yield pytest.param(np.array([[1.0, 2.0]] * 4), id="single point repeated")
+    signed = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+    yield pytest.param(signed, id="signed zeros")
+    yield pytest.param(signed[::-1], id="signed zeros reversed")
+    yield pytest.param(
+        np.concatenate([signed, [[1.0, -0.0], [-0.0, 1.0], [1.0, 1.0]]]), id="signed square"
+    )
+    yield pytest.param(
+        np.concatenate([[[-0.0, 2.0], [2.0, -0.0]], signed, [[0.0, 2.0]]]), id="signed triangle"
+    )
+
+
+@pytest.mark.parametrize("pts", hull_inputs())
+def test_convex_hull_equals_the_unique_oracle(pts):
+    hull = convex_hull_2d(pts)
+    expected = unique_convex_hull_2d(pts)
+    assert hull.dtype == expected.dtype
+    np.testing.assert_array_equal(hull, expected)

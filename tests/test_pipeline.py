@@ -3,12 +3,17 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dense_collision import dense_config_collides_batch, dense_ee_sweep_collision_batch
+import trusspath
 from trusspath import geometry, kinematics, pipeline, sequence as sequence_module, transition
 from trusspath.cartesian import CartesianPlanningError
 from trusspath.config import PlannerConfig
@@ -589,3 +594,220 @@ def test_validator_enforces_the_route_rule(model, robot, sequence):
         in checks["structure"].detail
     )
     assert all(c.passed for name, c in checks.items() if name != "structure")
+
+
+def per_subprocess_checks(plan, model, robot, config):
+    """The tool-consistency and clearance checks as `validate_plan` made them
+    one subprocess at a time: one forward-kinematics call per tcp
+    subprocess and one robot-collision query per subprocess, each against a
+    scene looked up by the subprocess's own task and kind.  The oracle for
+    the batched checks; returns {check name: (passed, detail)}."""
+    tasks = plan["tasks"]
+    subs = [
+        (k, s, np.array(s["joints"], dtype=float))
+        for k, t in enumerate(tasks)
+        for s in t["subprocesses"]
+    ]
+    tol = pipeline.LIMIT_TOLERANCE
+    within = [
+        ((rows >= robot.lower - tol) & (rows <= robot.upper + tol)).all(1) for _, _, rows in subs
+    ]
+    order = [t["element_id"] for t in tasks]
+
+    worst_tcp = 0.0
+    coverage_errors = []
+    for k, s, rows in subs:
+        if s["data_kind"] != "tcp":
+            continue
+        frames = kinematics.fk_frames_batch(robot, rows)[:, -1]
+        origins = np.array([e["origin"] for e in s["tcp"]])
+        zaxes = np.array([e["zaxis"] for e in s["tcp"]])
+        rots = np.array([e["rotation"] for e in s["tcp"]])
+        worst_tcp = max(
+            worst_tcp,
+            float(np.abs(frames[:, :3, 3] - origins).max()),
+            float(np.abs(frames[:, :3, 2] - zaxes).max()),
+            float(np.abs(frames[:, :3, :3] - rots).max()),
+        )
+        if s["kind"] == "extrusion":
+            t = tasks[k]
+            elem = model.element(t["element_id"])
+            a = model.node(elem.start).position
+            b = model.node(elem.end).position
+            length = float(np.linalg.norm(np.asarray(b) - np.asarray(a)))
+            expect_rows = int(np.ceil(length / config.path_spacing)) + 1
+            ends = origins[[0, -1]]
+            fwd = max(float(np.abs(ends[0] - a).max()), float(np.abs(ends[1] - b).max()))
+            rev = max(float(np.abs(ends[0] - b).max()), float(np.abs(ends[1] - a).max()))
+            if min(fwd, rev) > pipeline.TCP_TOLERANCE:
+                coverage_errors.append(f"task {t['task_id']} does not span element {elem.id}")
+            if origins.shape[0] != expect_rows:
+                coverage_errors.append(
+                    f"task {t['task_id']} has {origins.shape[0]} waypoints, expected {expect_rows}"
+                )
+    checks = {
+        "tool consistency": (
+            worst_tcp <= pipeline.TCP_TOLERANCE and not coverage_errors,
+            f"worst pose error {worst_tcp:.2e}"
+            + ("" if not coverage_errors else "; " + "; ".join(coverage_errors)),
+        )
+    }
+
+    collision_errors = []
+    ratio = config.prismatic_jump_limit / config.jump_limit
+    fine_step = 0.5 * config.transition.step * robot.jump_limits(1.0, ratio)
+    scenes = [model.scene(order[:k]) for k in range(len(tasks) + 1)]
+    for (k, s, rows), inside in zip(subs, within):
+        if s["kind"] == "transition":
+            probe = [rows[0]]
+            for a, b, ok in zip(rows[:-1], rows[1:], inside[:-1] & inside[1:]):
+                n = max(2, int(np.ceil((np.abs(b - a) / fine_step).max())) + 1) if ok else 2
+                probe.extend(np.linspace(a, b, n)[1:])
+            if not inside.all():
+                collision_errors.append(f"subprocess {s['id']} (transition): not probed past limits")
+            probe = np.array(probe)
+            hits = config_collides_batch(robot, probe, scenes[k], clearance=config.clearance)
+        else:
+            scene = scenes[k + 1] if s["kind"] == "retraction-depart" else scenes[k]
+            hits = config_collides_batch(robot, rows, scene, clearance=config.clearance)
+        if hits.any():
+            collision_errors.append(
+                f"subprocess {s['id']} ({s['kind']}): {int(hits.sum())} colliding configs"
+            )
+        if s["kind"] == "extrusion":
+            origins = np.array([e["origin"] for e in s["tcp"]])
+            rotation = np.array(s["tcp"][0]["rotation"])
+            if geometry.ee_sweep_collision_batch(
+                origins[1:], rotation[None], origins[0], origins[1:],
+                model.section.radius, robot.ee, config.clearance,
+            )[0, 0]:
+                collision_errors.append(
+                    f"subprocess {s['id']}: extruder body crosses its own bead"
+                )
+    checks["clearance"] = (
+        not collision_errors,
+        "all subprocesses clear the partial structure"
+        if not collision_errors
+        else "; ".join(collision_errors[:4]),
+    )
+    return checks
+
+
+@pytest.fixture(scope="module")
+def touching(model, robot, planned):
+    """(k, q): the middle extrusion row q of the first task k whose extruder
+    touches the element it is printing there and nothing else placed."""
+    doc, _ = planned
+    order = [t["element_id"] for t in doc["tasks"]]
+    for k, t in enumerate(doc["tasks"][:-2]):
+        joints = t["subprocesses"][2]["joints"]
+        q = np.array([joints[len(joints) // 2]])
+        before, after = (
+            config_collides_batch(robot, q, model.scene(order[:j]), CFG.clearance)[0]
+            for j in (k, k + 1)
+        )
+        if after and not before:
+            return k, q[0].tolist()
+    pytest.fail("no extrusion row touches its own element")
+
+
+def put_row(sub, q):
+    """Replace the middle joint row of `sub` with `q`, or insert `q` after
+    the first row of a two-row transition."""
+    rows = sub["joints"]
+    if sub["kind"] == "transition" and len(rows) < 3:
+        rows.insert(1, q)
+    else:
+        rows[len(rows) // 2] = q
+
+
+TAMPERED = {
+    # task k + 1's scene holds task k's element, which q touches
+    "transition into a placed element": [(1, 0)],
+    "approach into a placed element": [(1, 1)],
+    "extrusion into a placed element": [(1, 2)],
+    "depart into a placed element": [(1, 3)],
+    "depart touching the element just printed": [(0, 3)],
+    "approach touching the element about to be printed": [(0, 1)],
+    "transition out of limits": ["limits"],
+    "all at once": [(1, 0), (1, 1), (1, 2), (1, 3), (0, 3), (0, 1), "limits"],
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED)
+def test_batched_checks_equal_the_per_subprocess_oracle(model, robot, planned, touching, case):
+    doc, _ = planned
+    k, q = touching
+    bad = copy.deepcopy(doc)
+    for edit in TAMPERED[case]:
+        if edit == "limits":
+            put_row(bad["tasks"][-1]["subprocesses"][0], [50.0] * robot.dof)
+        else:
+            put_row(bad["tasks"][k + edit[0]]["subprocesses"][edit[1]], q)
+    checks = check_map(validate_plan(bad, model, robot, CFG))
+    oracle = per_subprocess_checks(bad, model, robot, CFG)
+    for name, (passed, detail) in oracle.items():
+        assert checks[name].detail == detail, name
+        assert checks[name].passed == passed, name
+    clearance = checks["clearance"]
+    if case == "approach touching the element about to be printed":
+        assert clearance.passed
+    elif case == "transition out of limits":
+        sid = bad["tasks"][-1]["subprocesses"][0]["id"]
+        assert clearance.detail.startswith(f"subprocess {sid} (transition): not probed")
+    elif case != "all at once":
+        task, index = TAMPERED[case][0]
+        sub = bad["tasks"][k + task]["subprocesses"][index]
+        assert clearance.detail.startswith(f"subprocess {sub['id']} ({sub['kind']}): ")
+        assert clearance.detail.endswith("colliding configs")
+    else:
+        assert len(clearance.detail.split("; ")) == 4
+
+
+def test_validator_queries_once_per_scene_and_poses_once_per_task(
+    model, robot, planned, monkeypatch
+):
+    calls = {"config_collides_batch": 0, "fk_frames_batch": 0}
+    for name in calls:
+        original = getattr(pipeline, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    doc, _ = planned
+    assert validate_plan(doc, model, robot, CFG).passed
+    assert calls == {
+        "config_collides_batch": len(doc["tasks"]) + 1,
+        "fk_frames_batch": len(doc["tasks"]),
+    }
+
+
+PLAN_AND_VALIDATE = """
+import sys
+from trusspath.config import PlannerConfig
+from trusspath.fixtures import load_bundled_model, load_bundled_robot
+from trusspath.pipeline import run_pipeline, validate_plan
+from trusspath.postprocess import load_plan, save_plan
+
+config = PlannerConfig(direction_count=24, rotation_samples=2)
+model, robot = load_bundled_model("cube"), load_bundled_robot("arm")
+plan, _ = run_pipeline(model, robot, config)
+save_plan(plan, sys.argv[1])
+assert validate_plan(load_plan(sys.argv[1]), model, robot, config).passed
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_planning_and_validation_never_import_numpy_ma(tmp_path):
+    # `numpy.ma` is imported lazily, by `np.unique(..., axis=0)` among
+    # others, and its first import costs milliseconds and most of a MB
+    src = str(Path(trusspath.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", PLAN_AND_VALIDATE, str(tmp_path / "plan.json")],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert out.stdout.strip() == "False"
