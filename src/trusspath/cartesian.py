@@ -26,11 +26,15 @@ rung) all run on it, so ties always go to the lowest index and an earlier
 capsule.  Each relaxation computes a rung pair's joint differences once and
 takes both the step cost and the jump mask from them.
 
-Every rung comes from `kinematics.build_rungs_batch`.  The capsule sampler
-and the full-graph baseline hand it a task's candidates in chunks of at most
-`CANDIDATE_CHUNK`, so a chunk costs one IK sweep and one collision query;
-block path recovery and the retraction slides use its one-orientation case,
-`build_rungs`.
+Every rung comes from `kinematics.build_rungs_batch`.  Every scene of the
+stage is a prefix of one build order, so a task carries that one ordered
+scene and its prefix length, and orientations of many tasks share a call,
+each against its own prefix.  The capsule sampler runs in rounds: each round
+takes every open task's next chunk of at most `CANDIDATE_CHUNK` candidates,
+and the round's chunks are stacked into calls of at most `STACK_ORIGINS` IK
+origins.  The picked blocks' rungs and the first choice of every retraction
+slide are rebuilt the same way (`rebuild_picks`); a slide tries its other
+directions one `build_rungs` call each, only when its first choice fails.
 """
 
 from __future__ import annotations
@@ -47,9 +51,14 @@ from .sequence import SequenceResult, SweepTable, rotation_sequence
 from .truss import TrussModel
 
 _INF = float("inf")
-# Most orientation candidates one `build_rungs_batch` call takes.  Bounds the
-# collision query's temporaries when a task's whole queue is explored.
+# Most orientation candidates a task hands the capsule sampler per round.  A
+# chunk never exceeds the task's remaining capsule budget, so the capsules
+# built are those of one candidate per call.
 CANDIDATE_CHUNK = 6
+# Most IK origins (waypoints over all orientations) one stacked
+# `build_rungs_batch` call takes.  Bounds the sweep's and the collision
+# query's temporaries however many tasks a round stacks.
+STACK_ORIGINS = 256
 
 
 class CartesianPlanningError(Exception):
@@ -74,8 +83,11 @@ class TaskSpec:
     direction_indices: list[int]  # sweep-feasible against the placed prefix
     preferred_direction: int
     preferred_rotation: float
-    scene: CapsuleSet  # placed prefix (collision tests add the workcell statics)
-    scene_after: CapsuleSet  # same plus this task's own element
+    # the whole build order's scene, one object shared by every task
+    # (collision tests add the workcell statics); this pass sees its first
+    # `prefix` elements, the ones placed before it
+    ordered: CapsuleSet
+    prefix: int
 
 
 def prepare_tasks(
@@ -84,13 +96,15 @@ def prepare_tasks(
     sequence: SequenceResult,
     config: PlannerConfig,
 ) -> list[TaskSpec]:
-    """Recreate per-task scenes and feasible direction sets from a sequence.
+    """Recreate per-task waypoints and feasible direction sets from a
+    sequence, with the sequence's one ordered scene.
 
     Reuses the sequence search's sweep table when it was built for the same
     model, extruder, lattice, path spacing and clearance."""
     sweeps = sequence.sweeps
     if sweeps is None or not sweeps.serves(model, robot.ee, sequence.directions, config):
         sweeps = SweepTable(model, robot.ee, sequence.directions, config)
+    ordered = model.scene([t.element for t in sequence.tasks])
     placed: list[int] = []
     tasks: list[TaskSpec] = []
     masks = sweeps.self_masks([(t.element, t.start_node) for t in sequence.tasks])
@@ -115,8 +129,8 @@ def prepare_tasks(
                 direction_indices=feasible,
                 preferred_direction=t.direction_index,
                 preferred_rotation=t.rotation,
-                scene=model.scene(placed),
-                scene_after=model.scene(placed + [t.element]),
+                ordered=ordered,
+                prefix=len(placed),
             )
         )
         placed.append(t.element)
@@ -234,46 +248,90 @@ def capsule_from_rungs(
     return capsule if capsule.feasible else None
 
 
-def _block_rungs(
+def _stacked_rungs(
     robot: RobotModel,
-    task: TaskSpec,
-    candidates: list[tuple[int, float]],
+    scene: CapsuleSet,
+    jobs: list[tuple[np.ndarray, np.ndarray, float, int]],
+    clearance: float,
+):
+    """Rungs (or None) of each (waypoints, direction, roll, prefix) job, in
+    job order, against its prefix of the ordered `scene`.  Consecutive jobs
+    share a `build_rungs_batch` call up to `STACK_ORIGINS` IK origins (a
+    call takes at least one job); calls are made as the results are read."""
+    start = 0
+    while start < len(jobs):
+        stop, origins = start + 1, len(jobs[start][0])
+        while stop < len(jobs) and origins + len(jobs[stop][0]) <= STACK_ORIGINS:
+            origins += len(jobs[stop][0])
+            stop += 1
+        part = jobs[start:stop]
+        yield from build_rungs_batch(
+            robot, [w for w, _, _, _ in part], [(d, r) for _, d, r, _ in part],
+            scene, clearance, upto=[u for _, _, _, u in part],
+        )
+        start = stop
+
+
+def retraction_points(
+    node: np.ndarray, direction: np.ndarray, config: PlannerConfig
+) -> np.ndarray:
+    """The tip positions of a retraction slide: `retraction_length` out of
+    `node` along `direction`, in steps of at most `path_spacing`."""
+    length = config.retraction_length
+    k = max(1, math.ceil(length / config.path_spacing))
+    offsets = np.linspace(length / k, length, k)
+    return node[None, :] + direction[None, :] * offsets[:, None]
+
+
+def rebuild_picks(
+    robot: RobotModel,
+    tasks: list[TaskSpec],
+    picks: list[tuple[Capsule, int, int]],
     directions: np.ndarray,
     config: PlannerConfig,
-) -> list[list[np.ndarray] | None]:
-    """Rungs (or None) of each (direction index, roll) candidate of a task."""
-    return build_rungs_batch(
-        robot, task.waypoints, [(directions[a], rot) for a, rot in candidates],
-        task.scene, clearance=config.clearance,
-    )
+) -> list[tuple[list[np.ndarray], list[np.ndarray] | None, list[np.ndarray] | None]]:
+    """Per task: its picked block's rungs, then the first-choice rungs (or
+    None) of its approach and depart slides, all from stacked calls.
+
+    A slide's first choice runs along the pass's own tool direction.  The
+    approach leaves the first waypoint among the elements placed before the
+    pass; the depart leaves the last one with the pass's element placed.
+    """
+    jobs = []
+    for task, (cap, _, _) in zip(tasks, picks):
+        v = directions[cap.direction_index]
+        jobs += [
+            (task.waypoints, v, cap.rotation, task.prefix),
+            (retraction_points(task.waypoints[0], v, config), v, cap.rotation, task.prefix),
+            (retraction_points(task.waypoints[-1], v, config), v, cap.rotation, task.prefix + 1),
+        ]
+    built = list(_stacked_rungs(robot, tasks[0].ordered, jobs, config.clearance)) if tasks else []
+    out = []
+    for k, task in enumerate(tasks):
+        block, approach, depart = built[3 * k : 3 * k + 3]
+        if block is None:
+            raise CartesianPlanningError(
+                f"task {task.index}: chosen orientation block vanished on rebuild"
+            )
+        out.append((block, approach, depart))
+    return out
 
 
 def extract_block_path(
     robot: RobotModel,
     task: TaskSpec,
-    capsule: Capsule,
-    directions,
+    rungs: list[np.ndarray],
     entry_index: int,
     exit_index: int,
     config: PlannerConfig,
 ) -> np.ndarray:
-    """Rebuild the chosen block's rungs and recover the optimal interior path.
+    """The optimal interior path of a chosen block through its rebuilt rungs
+    (`rebuild_picks`), from first-rung config `entry_index` to last-rung
+    config `exit_index`.
 
     Ties are broken towards the lowest rung index so extraction is
     deterministic and always reproduces `inner_cost[entry, exit]`.
     """
-    rungs = build_rungs(
-        robot,
-        task.waypoints,
-        directions[capsule.direction_index],
-        capsule.rotation,
-        task.scene,
-        clearance=config.clearance,
-    )
-    if rungs is None:
-        raise CartesianPlanningError(
-            f"task {task.index}: chosen orientation block vanished on rebuild"
-        )
     weights = robot.weights
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
 
@@ -370,6 +428,9 @@ def expand_and_search(
     budget of capsules (default: everything, which makes the result exact
     over all feasible orientation blocks).  Growing the budget can only add
     capsules, so reported cost is monotone non-increasing in the budget.
+    The walks advance in rounds, one chunk per open task, and a round's
+    chunks are built in stacked calls; each task's chunks, and so its
+    column, are those of walking it alone.
     """
     rng = rng or np.random.default_rng(config.seed)
     directions = sample_directions(config.direction_count)
@@ -386,25 +447,30 @@ def expand_and_search(
 
     weights = robot.weights
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
-    columns: list[list[Capsule]] = []
-    attempted = 0
-    for task, queue in zip(tasks, queues):
-        budget = max_capsules if max_capsules is not None else len(queue)
-        column: list[Capsule] = []
-        done = 0
-        while done < len(queue) and len(column) < budget:
+    budgets = [max_capsules if max_capsules is not None else len(q) for q in queues]
+    columns: list[list[Capsule]] = [[] for _ in tasks]
+    done = [0] * len(tasks)
+    while True:
+        jobs, owners = [], []
+        for i, (task, queue, column) in enumerate(zip(tasks, queues, columns)):
+            if done[i] == len(queue) or len(column) == budgets[i]:
+                continue
             # a chunk the budget could fill can't overshoot it: every
             # candidate in it would have been attempted one at a time
-            chunk = queue[done : done + min(budget - len(column), CANDIDATE_CHUNK)]
-            done += len(chunk)
-            for (a, rot), rungs in zip(chunk, _block_rungs(robot, task, chunk, directions, config)):
-                if rungs is None:
-                    continue
-                cap = capsule_from_rungs(task.index, a, rot, rungs, weights, limits)
-                if cap is not None:
-                    column.append(cap)
-        attempted += done
-        columns.append(column)
+            chunk = queue[done[i] : done[i] + min(budgets[i] - len(column), CANDIDATE_CHUNK)]
+            done[i] += len(chunk)
+            jobs += [(task.waypoints, directions[a], rot, task.prefix) for a, rot in chunk]
+            owners += [(i, a, rot) for a, rot in chunk]
+        if not jobs:
+            break
+        built = _stacked_rungs(robot, tasks[0].ordered, jobs, config.clearance)
+        for (i, a, rot), rungs in zip(owners, built):
+            if rungs is None:
+                continue
+            cap = capsule_from_rungs(tasks[i].index, a, rot, rungs, weights, limits)
+            if cap is not None:
+                columns[i].append(cap)
+    attempted = sum(done)
 
     cost, picks = chain_search(columns, robot.weights, robot.home)
     built = sum(len(column) for column in columns)
@@ -465,12 +531,8 @@ def full_ladder_graph(
     for t in tasks:
         grid = _candidate_grid(t, rotations)
         blocks = []
-        built = (
-            rungs
-            for i in range(0, len(grid), CANDIDATE_CHUNK)
-            for rungs in _block_rungs(robot, t, grid[i : i + CANDIDATE_CHUNK], directions, config)
-        )
-        for rungs in built:
+        jobs = [(t.waypoints, directions[a], rot, t.prefix) for a, rot in grid]
+        for rungs in _stacked_rungs(robot, t.ordered, jobs, config.clearance):
             if rungs is None:
                 continue
             n_vertices += sum(r.shape[0] for r in rungs)
@@ -538,6 +600,9 @@ def plan_retraction(
     config: PlannerConfig,
     directions: np.ndarray,
     preferred: int,
+    *,
+    upto: int | None = None,
+    built: dict[int, list[np.ndarray] | None] | None = None,
 ) -> np.ndarray | None:
     """Straight tip slide away from a node with the tool orientation frozen.
 
@@ -550,20 +615,26 @@ def plan_retraction(
     remaining directions by index; None means no candidate admits a full
     chain and the caller should fall back to a degenerate single-config
     segment.
+
+    `upto` limits `scene` to its first `upto` obstacles, as in
+    `config_collides_batch`.  `built` holds rungs already built against that
+    scene, by direction index (None: the direction has none); any other
+    direction is built with `build_rungs` when its turn comes.
     """
-    length = config.retraction_length
-    k = max(1, math.ceil(length / config.path_spacing))
+    built = built or {}
     weights = robot.weights
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
 
     order = [preferred] + [i for i in range(len(directions)) if i != preferred]
-    offsets = np.linspace(length / k, length, k)
     for a in order:
-        pts = node[None, :] + directions[a][None, :] * offsets[:, None]
-        rungs = build_rungs(
-            robot, pts, orientation_direction, rotation, scene,
-            clearance=config.clearance,
-        )
+        if a in built:
+            rungs = built[a]
+        else:
+            rungs = build_rungs(
+                robot, retraction_points(node, directions[a], config),
+                orientation_direction, rotation, scene,
+                clearance=config.clearance, upto=upto,
+            )
         if rungs is None:
             continue
         ladder = [anchor[None, :]] + rungs

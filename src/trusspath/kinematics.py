@@ -475,7 +475,14 @@ def ik_sweep(
     rows, owner = rows[hit], owner[hit]
     # stable, so equal rows keep (rail position, branch) order
     order = np.lexsort((*rows.T[::-1], owner))
-    return np.split(rows[order], np.cumsum(np.bincount(owner, minlength=n))[:-1])
+    return _pieces(rows[order], np.bincount(owner, minlength=n))
+
+
+def _pieces(items, sizes) -> list:
+    """Consecutive slices of `items` with the given lengths: the views
+    `np.split` returns for an array, without its per-piece overhead."""
+    stops = np.cumsum(sizes).tolist()
+    return [items[a:b] for a, b in zip([0, *stops[:-1]], stops)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +530,8 @@ def config_collides_batch(
     qs: np.ndarray,
     scene: CapsuleSet,
     clearance: float,
+    *,
+    upto: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized collision test; True rows collide.
 
@@ -531,6 +540,13 @@ def config_collides_batch(
     always part of the scene, so callers pass only what they add to them.
     Rows are independent: testing configs in one call or in several gives
     the same booleans.  `clearance` is added to every capsule pair.
+
+    `upto` gives each row a prefix of one ordered scene: row i sees only
+    the obstacles `[0, upto[i])` (and the statics), so rows of many
+    partial structures of one build order share a call.  Each pair is
+    decided on its own, so a row's boolean is the one a call with the
+    `CapsuleSet` of its prefix gives.  Only the first `max(upto)`
+    obstacles enter the bound array.
 
     Three passes run in turn (scene, static capsules, self pairs), and each
     tests only the configs that no earlier pass has hit.  Within a pass a
@@ -549,20 +565,27 @@ def config_collides_batch(
     mid, half = bounding_spheres(world_a, world_b)  # (n, c, 3), (n, c)
 
     hit = np.zeros(qs.shape[0], dtype=bool)
-    for obstacles in (scene, robot.static_scene):
+    for obstacles, seen in ((scene, upto), (robot.static_scene, None)):
         live = np.flatnonzero(~hit)
-        if not len(obstacles) or not len(live):
+        m = len(obstacles)
+        if seen is not None:
+            seen = np.broadcast_to(seen, hit.shape)
+            live = live[seen[live] > 0]
+            m = min(m, int(seen.max(initial=0)))
+        if not m or not len(live):
             continue
-        limit = radii[:, None] + obstacles.radii[None, :] + clearance  # (c, m)
-        bound = distance3(mid[live, :, None, :], obstacles.mid)  # (l, c, m)
+        o_a, o_b, o_mid = obstacles.a[:m], obstacles.b[:m], obstacles.mid[:m]
+        limit = radii[:, None] + obstacles.radii[None, :m] + clearance  # (c, m)
+        bound = distance3(mid[live, :, None, :], o_mid)  # (l, c, m)
         bound -= half[live, :, None]
-        bound -= obstacles.half
-        k, c, o = np.nonzero(bound < limit + CULL_MARGIN)
+        bound -= obstacles.half[:m]
+        close = bound < limit + CULL_MARGIN
+        if seen is not None:
+            close &= np.arange(m) < seen[live, None, None]
+        k, c, o = np.nonzero(close)
         rows = live[k]
         mark_contacts(
-            hit, rows,
-            (world_a[rows, c], world_b[rows, c], obstacles.a[o], obstacles.b[o]),
-            limit[c, o],
+            hit, rows, (world_a[rows, c], world_b[rows, c], o_a[o], o_b[o]), limit[c, o]
         )
     live = np.flatnonzero(~hit)
     i, j = pairs[:, 0], pairs[:, 1]
@@ -583,14 +606,19 @@ def config_collides_batch(
 
 def build_rungs_batch(
     robot: RobotModel,
-    waypoints: np.ndarray,
+    waypoints: Sequence[np.ndarray],
     orientations: Sequence[tuple[np.ndarray, float]],
     scene: CapsuleSet,
     clearance: float,
+    *,
+    upto: Sequence[int] | None = None,
 ) -> list[list[np.ndarray] | None]:
     """Collision-free IK configs per waypoint for each (direction, rotation)
     orientation: its rungs, or None if any of them is empty.
 
+    `waypoints` holds one (k, 3) array per orientation, so orientations of
+    different passes share a call; `upto`, if given, holds one prefix of
+    the ordered `scene` per orientation (see `config_collides_batch`).
     All orientations' tool rotations come from one `tool_rotations` call and
     go through one `ik_sweep` as a stack.  None means some waypoint has no
     IK solution (then the orientation is not collision-tested) or no
@@ -599,16 +627,22 @@ def build_rungs_batch(
     split back per waypoint; since rows are independent, each orientation's
     rungs are the same as when it is built alone.
     """
-    k = waypoints.shape[0]
+    sizes = [len(w) for w in waypoints]
     rots = tool_rotations([d for d, _ in orientations], [r for _, r in orientations])
-    families = ik_sweep(robot, np.repeat(rots, k, axis=0), np.tile(waypoints, (len(rots), 1)))
-    blocks = [families[i : i + k] for i in range(0, len(families), k)]
+    families = ik_sweep(robot, np.repeat(rots, sizes, axis=0), np.concatenate(waypoints))
+    blocks = _pieces(families, sizes)
     reached = [all(len(fam) for fam in block) for block in blocks]
     tested = [fam for block, ok in zip(blocks, reached) if ok for fam in block]
     if not tested:
         return [None] * len(blocks)
-    free = ~config_collides_batch(robot, np.concatenate(tested), scene, clearance=clearance)
-    masks = iter(np.split(free, np.cumsum([len(fam) for fam in tested])[:-1]))
+    seen = None
+    if upto is not None:
+        counts = [sum(map(len, block)) for block, ok in zip(blocks, reached) if ok]
+        seen = np.repeat([u for u, ok in zip(upto, reached) if ok], counts)
+    free = ~config_collides_batch(
+        robot, np.concatenate(tested), scene, clearance=clearance, upto=seen
+    )
+    masks = iter(_pieces(free, [len(fam) for fam in tested]))
     out: list[list[np.ndarray] | None] = []
     for block, ok in zip(blocks, reached):
         rungs = [fam[next(masks)] for fam in block] if ok else None
@@ -623,9 +657,14 @@ def build_rungs(
     rotation: float,
     scene: CapsuleSet,
     clearance: float,
+    *,
+    upto: int | None = None,
 ) -> list[np.ndarray] | None:
     """`build_rungs_batch` for one (direction, rotation) orientation."""
-    return build_rungs_batch(robot, waypoints, [(direction, rotation)], scene, clearance)[0]
+    return build_rungs_batch(
+        robot, [waypoints], [(direction, rotation)], scene, clearance,
+        upto=None if upto is None else [upto],
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ model, robot, and configuration, and re-derives every claim the plan makes
 clearance, structural admissibility, each pass starting at a built node)
 without consulting any planner state.  Planner bugs show up here as failed
 checks, not as exceptions.  The tool poses are recomputed with one
-forward-kinematics call per task, and clearance with one robot-collision
-query per build-order prefix: n + 1 queries for an n-task plan, since the
-depart of task k is tested against the scene of task k + 1.
+forward-kinematics call per task.  Every joint row's clearance is tested
+against its own prefix of one scene, the plan's whole build order: the
+depart of task k sees the first k + 1 elements, every other subprocess of
+task k the first k.  The rows of all subprocesses are stacked and cut into
+robot-collision queries of at most `CLEARANCE_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .cartesian import (
     extract_block_path,
     plan_retraction,
     prepare_tasks,
+    rebuild_picks,
 )
 from .config import PlannerConfig
 from .geometry import ee_sweep_collision_batch
@@ -53,6 +56,9 @@ from .truss import TrussModel, serialize_model
 SEAM_TOLERANCE = 1e-9
 TCP_TOLERANCE = 1e-6
 LIMIT_TOLERANCE = 1e-9
+# Most joint rows one clearance query of the validator takes; bounds the
+# query's temporaries however long the plan is.
+CLEARANCE_ROWS = 128
 
 
 class PipelineError(Exception):
@@ -181,20 +187,25 @@ def run_pipeline(
         robot, tasks, config, rng, max_capsules=config.capsule_budget
     )
     directions = sequence.directions
+    rebuilt = rebuild_picks(robot, tasks, sparse.picks, directions, config)
     passes = []  # per task: first and last joint row, Cartesian subprocesses
     fallbacks = 0
-    for k, (task, (cap, ei, xi)) in enumerate(zip(tasks, sparse.picks)):
-        traj = extract_block_path(robot, task, cap, directions, ei, xi, config)
+    for k, (task, (cap, ei, xi), (rungs, first_in, first_out)) in enumerate(
+        zip(tasks, sparse.picks, rebuilt)
+    ):
+        traj = extract_block_path(robot, task, rungs, ei, xi, config)
         v = directions[cap.direction_index]
         out = plan_retraction(
             robot, task.waypoints[0], v, cap.rotation, traj[0],
-            task.scene, config, directions, cap.direction_index,
+            task.ordered, config, directions, cap.direction_index,
+            upto=task.prefix, built={cap.direction_index: first_in},
         )
         approach = out[::-1] if out is not None else traj[:1]
         fallbacks += int(out is None)
         out = plan_retraction(
             robot, task.waypoints[-1], v, cap.rotation, traj[-1],
-            task.scene_after, config, directions, cap.direction_index,
+            task.ordered, config, directions, cap.direction_index,
+            upto=task.prefix + 1, built={cap.direction_index: first_out},
         )
         depart = out if out is not None else traj[-1:]
         fallbacks += int(out is None)
@@ -208,9 +219,10 @@ def run_pipeline(
     prev = robot.home
     trans_cost = 0.0
     via_home = 0
+    order = [task.element for task in tasks]
     for k, (task, (start, end, subs)) in enumerate(zip(tasks, passes)):
         move = plan_transition(
-            robot, prev, start, task.scene, config,
+            robot, prev, start, model.scene(order[:k]), config,
             np.random.default_rng((config.seed, k)),
         )
         trans_cost += move.cost
@@ -427,29 +439,33 @@ def validate_plan(
         + ("" if not coverage_errors else "; " + "; ".join(coverage_errors)),
     )
 
-    # clearance: rebuild each scene from the plan's own order and test every
-    # subprocess against it, one robot-collision query per scene.  Scene j
-    # holds the elements placed before task j (statics are implicit); it is
-    # the scene of task j's transition, approach and extrusion and of task
-    # j-1's depart, which in document order sit next to each other
+    # clearance: rebuild the scene of the plan's own order and test every
+    # subprocess's rows against their prefix of it (statics are implicit):
+    # task k's transition, approach and extrusion see the elements placed
+    # before it, its depart also its own element.  The robot's capsules
+    # include the extruder's on the tool frame, so this also tests the
+    # extruder against every placed element at the pose the joints reach
     radius = model.section.radius
     ratio = config.prismatic_jump_limit / config.jump_limit
     fine_step = 0.5 * config.transition.step * robot.jump_limits(1.0, ratio)
-    colliding = []  # per subprocess, in document order: its colliding configs
-    scene_index = [k + (s["kind"] == "retraction-depart") for k, s, _ in subs]
-    for j, group in groupby(zip(scene_index, subs, within), key=lambda item: item[0]):
-        # the robot's capsules include the extruder's on the tool frame, so
-        # this also tests the extruder against every placed element at the
-        # pose the joints actually reach
-        probes = [
-            _transition_probe(rows, inside, fine_step) if s["kind"] == "transition" else rows
-            for _, (_, s, rows), inside in group
-        ]
-        hits = config_collides_batch(
-            robot, np.concatenate(probes), model.scene(order[:j]), clearance=config.clearance
+    probes = [
+        _transition_probe(rows, inside, fine_step) if s["kind"] == "transition" else rows
+        for (_, s, rows), inside in zip(subs, within)
+    ]
+    seen = np.repeat(
+        [k + (s["kind"] == "retraction-depart") for k, s, _ in subs],
+        [len(probe) for probe in probes],
+    )
+    configs, scene = np.concatenate(probes), model.scene(order)
+    hits = np.concatenate([
+        config_collides_batch(
+            robot, configs[i : i + CLEARANCE_ROWS], scene,
+            clearance=config.clearance, upto=seen[i : i + CLEARANCE_ROWS],
         )
-        stops = np.cumsum([len(probe) for probe in probes])
-        colliding += [int(h.sum()) for h in np.split(hits, stops[:-1])]
+        for i in range(0, len(configs), CLEARANCE_ROWS)
+    ])
+    stops = np.cumsum([len(probe) for probe in probes])
+    colliding = [int(h.sum()) for h in np.split(hits, stops[:-1])]  # per subprocess
     collision_errors = []
     for (k, s, _), inside, count in zip(subs, within, colliding):
         if s["kind"] == "transition" and not inside.all():

@@ -2,8 +2,9 @@
 
 `dense_config_collides_batch` and `dense_ee_sweep_collision_batch` are
 `kinematics.config_collides_batch` and `geometry.ee_sweep_collision_batch`
-without their culls: every segment pair goes to the exact kernel, and the
-sweep's stacked jobs are decided one at a time.  Tests compare their
+without their culls: every segment pair goes to the exact kernel, a row's
+scene prefix is a mask over all pairs, and the sweep's stacked jobs are
+decided one at a time.  Tests compare their
 booleans with the library's.
 """
 
@@ -18,7 +19,11 @@ def dense_config_collides_batch(
     qs: np.ndarray,
     scene: CapsuleSet,
     clearance: float,
+    *,
+    upto: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Row i sees the scene obstacles `[0, upto[i])` (all of them when
+    `upto` is None) and every static capsule."""
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
 
     frames_idx, local_a, local_b, radii, pairs = robot.capsule_table
@@ -29,7 +34,7 @@ def dense_config_collides_batch(
     world_b = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_b) + sel[:, :, :3, 3]
 
     hit = np.zeros(n, dtype=bool)
-    for obstacles in (scene, robot.static_scene):
+    for obstacles, seen in ((scene, upto), (robot.static_scene, None)):
         if not len(obstacles):
             continue
         dist = segment_distance_batch(
@@ -39,7 +44,10 @@ def dense_config_collides_batch(
             obstacles.b[None, None, :, :],
         )  # (n, c, m)
         limit = radii[None, :, None] + obstacles.radii[None, None, :] + clearance
-        hit |= np.any(dist < limit, axis=(1, 2))
+        close = dist < limit
+        if seen is not None:
+            close &= np.arange(len(obstacles)) < np.broadcast_to(seen, n)[:, None, None]
+        hit |= np.any(close, axis=(1, 2))
     i, j = pairs[:, 0], pairs[:, 1]
     dist = segment_distance_batch(
         world_a[:, i], world_b[:, i], world_a[:, j], world_b[:, j]

@@ -1,5 +1,6 @@
 """Ladder blocks, capsule summaries, chain search, and retraction moves."""
 
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -104,11 +105,16 @@ def _pair_allowed(a, b, limits):
     return (np.abs(a[:, None, :] - b[None, :, :]) <= limits[None, None, :]).all(axis=2)
 
 
-def build_capsule(robot, task, direction, direction_index, rotation, config):
-    """One candidate's capsule from its own `build_rungs` call: the
-    per-candidate loop that `expand_and_search` batches."""
+def scene_before(model, sequence, k):
+    """The scene of task k: the elements placed before it, `model.scene(order[:k])`."""
+    return model.scene([t.element for t in sequence.tasks][:k])
+
+
+def build_capsule(robot, task, scene, direction, direction_index, rotation, config):
+    """One candidate's capsule from its own `build_rungs` call in the task's
+    own `scene`: the per-candidate loop that `expand_and_search` batches."""
     rungs = build_rungs(
-        robot, task.waypoints, direction, rotation, task.scene, clearance=config.clearance
+        robot, task.waypoints, direction, rotation, scene, clearance=config.clearance
     )
     if rungs is None:
         return None
@@ -323,29 +329,26 @@ def test_chain_search_breaks_ties_like_the_per_source_loop():
     assert tied >= 30
 
 
-def test_extract_block_path_breaks_ties_like_the_rung_loop(monkeypatch):
+def test_extract_block_path_breaks_ties_like_the_rung_loop():
     rng = np.random.default_rng(67)
     weights = np.array([1.0, 2.0])
     limits = np.array([2.0, 2.0])
     robot = SimpleNamespace(weights=weights, jump_limits=lambda *_: limits)
-    task = SimpleNamespace(index=0, waypoints=None, scene=None)
-    rungs = []
-    monkeypatch.setattr(cartesian, "build_rungs", lambda *_, **__: rungs)
+    task = SimpleNamespace(index=0)
     tied = checked = 0
     for _ in range(150):
-        rungs[:] = [
+        rungs = [
             rng.integers(-2, 3, size=(int(rng.integers(1, 5)), 2)).astype(float)
             for _ in range(int(rng.integers(2, 6)))
         ]
         inner = _inner_cost_matrix(rungs, weights, limits)
-        cap = Capsule(0, 0, 0.0, rungs[0], rungs[-1], inner, len(rungs))
         for i, j in itertools.product(range(len(rungs[0])), range(len(rungs[-1]))):
             want = oracle_block_path(rungs, weights, limits, i, j)
             if want is None:
                 with pytest.raises(CartesianPlanningError, match="unreachable"):
-                    extract_block_path(robot, task, cap, [None], i, j, CART_CFG)
+                    extract_block_path(robot, task, rungs, i, j, CART_CFG)
                 continue
-            got = extract_block_path(robot, task, cap, [None], i, j, CART_CFG)
+            got = extract_block_path(robot, task, rungs, i, j, CART_CFG)
             assert np.array_equal(got, want)
             checked += 1
             paths = itertools.product(*[range(len(r)) for r in rungs[1:-1]])
@@ -407,9 +410,11 @@ def test_build_rungs_and_extract_block_path(robot, cube_tasks):
     model, sequence, tasks = cube_tasks
     task = tasks[0]
     directions = sequence.directions
+    scene = scene_before(model, sequence, 0)
     cap = build_capsule(
         robot,
         task,
+        scene,
         directions[task.preferred_direction],
         task.preferred_direction,
         task.preferred_rotation,
@@ -420,7 +425,11 @@ def test_build_rungs_and_extract_block_path(robot, cube_tasks):
 
     finite = np.argwhere(np.isfinite(cap.inner_cost))
     i, j = map(int, finite[len(finite) // 2])
-    path = extract_block_path(robot, task, cap, directions, i, j, CART_CFG)
+    rungs = build_rungs(
+        robot, task.waypoints, directions[task.preferred_direction], task.preferred_rotation,
+        scene, clearance=CART_CFG.clearance,
+    )
+    path = extract_block_path(robot, task, rungs, i, j, CART_CFG)
     assert path.shape == (task.waypoints.shape[0], robot.dof)
     assert np.allclose(path[0], cap.entry[i])
     assert np.allclose(path[-1], cap.exit[j])
@@ -501,9 +510,11 @@ def test_plan_retraction_slides_straight_out(robot, cube_tasks):
     model, sequence, tasks = cube_tasks
     task = tasks[0]
     directions = sequence.directions
+    scene, scene_after = scene_before(model, sequence, 0), scene_before(model, sequence, 1)
     cap = build_capsule(
         robot,
         task,
+        scene,
         directions[task.preferred_direction],
         task.preferred_direction,
         task.preferred_rotation,
@@ -511,7 +522,11 @@ def test_plan_retraction_slides_straight_out(robot, cube_tasks):
     )
     finite = np.argwhere(np.isfinite(cap.inner_cost))
     i, j = map(int, finite[0])
-    block = extract_block_path(robot, task, cap, directions, i, j, CART_CFG)
+    rungs = build_rungs(
+        robot, task.waypoints, directions[task.preferred_direction], task.preferred_rotation,
+        scene, clearance=CART_CFG.clearance,
+    )
+    block = extract_block_path(robot, task, rungs, i, j, CART_CFG)
     anchor = block[-1]
     node = task.waypoints[-1]
 
@@ -521,7 +536,7 @@ def test_plan_retraction_slides_straight_out(robot, cube_tasks):
         directions[task.preferred_direction],
         task.preferred_rotation,
         anchor,
-        task.scene_after,
+        scene_after,
         CART_CFG,
         directions,
         task.preferred_direction,
@@ -548,14 +563,13 @@ def test_plan_retraction_slides_straight_out(robot, cube_tasks):
         pose = fk(robot, q)
         assert np.linalg.norm(pose.position - (node + directions[used_direction] * off)) < 1e-6
     hits = config_collides_batch(
-        robot, path[1:], task.scene_after, clearance=CART_CFG.clearance
+        robot, path[1:], scene_after, clearance=CART_CFG.clearance
     )
     assert not hits.any()
 
 
 def test_prepare_tasks_rejects_tampered_witness(robot, cube_tasks):
     model, sequence, tasks = cube_tasks
-    import dataclasses
 
     # point the last task's witness straight down into the built structure
     down = len(sequence.directions) - 1
@@ -727,13 +741,14 @@ def test_build_rungs_matches_per_waypoint_loop(robot, cube_tasks):
              for r in rotation_sequence(CART_CFG.rotation_samples)]
     reasons = set()
     for task in tasks:
+        scene = scene_before(model, sequence, task.index)
         for a, rot in pairs:
             got = build_rungs(
-                robot, task.waypoints, directions[a], rot, task.scene,
+                robot, task.waypoints, directions[a], rot, scene,
                 clearance=CART_CFG.clearance,
             )
             want, why = oracle_build_rungs(
-                robot, task.waypoints, directions[a], rot, task.scene, CART_CFG.clearance
+                robot, task.waypoints, directions[a], rot, scene, CART_CFG.clearance
             )
             assert same_rungs(got, want), (task.index, a, rot)
             if why is not None:
@@ -747,12 +762,14 @@ def test_plan_retraction_matches_per_waypoint_loop(robot, cube_tasks):
     model, sequence, tasks = cube_tasks
     directions = sequence.directions
     for task in tasks:
+        scene_after = scene_before(model, sequence, task.index + 1)
         rungs = build_rungs(
             robot, task.waypoints, directions[task.preferred_direction],
-            task.preferred_rotation, task.scene, clearance=CART_CFG.clearance,
+            task.preferred_rotation, scene_before(model, sequence, task.index),
+            clearance=CART_CFG.clearance,
         )
         anchor, node = rungs[-1][0], task.waypoints[-1]
-        scenes = [task.scene_after]
+        scenes = [scene_after]
         if task.index == 0:  # boxed in: every candidate direction fails
             scenes.append(
                 CapsuleSet((CapsuleShape(tuple(node - 1.0), tuple(node + 1.0), 400.0),))
@@ -764,8 +781,93 @@ def test_plan_retraction_matches_per_waypoint_loop(robot, cube_tasks):
                     task.preferred_rotation, anchor, scene, CART_CFG, directions, preferred,
                 )
                 want = oracle_plan_retraction(*args)
-                assert (want is None) == (scene is not task.scene_after)
+                assert (want is None) == (scene is not scene_after)
                 assert same_rungs(plan_retraction(*args), want), (task.index, preferred)
+
+
+def test_stacked_first_choice_falls_back_like_the_per_waypoint_loop(robot, cube_tasks):
+    """First-choice slides built in one stack, each against its own prefix
+    of the ordered scene, then handed to `plan_retraction`: when the first
+    choice fails it must land where the per-waypoint loop does."""
+    model, sequence, tasks = cube_tasks
+    directions = sequence.directions
+    cases, jobs = [], []
+    for task in tasks:
+        v, rot = directions[task.preferred_direction], task.preferred_rotation
+        rungs = build_rungs(
+            robot, task.waypoints, v, rot, scene_before(model, sequence, task.index),
+            clearance=CART_CFG.clearance,
+        )
+        for preferred in range(0, len(directions), 4):
+            for anchor, node, upto in (
+                (rungs[0][0], task.waypoints[0], task.prefix),
+                (rungs[-1][0], task.waypoints[-1], task.prefix + 1),
+            ):
+                points = cartesian.retraction_points(node, directions[preferred], CART_CFG)
+                jobs.append((points, v, rot, upto))
+                cases.append((task, preferred, anchor, node, upto))
+    stacked = list(cartesian._stacked_rungs(robot, tasks[0].ordered, jobs, CART_CFG.clearance))
+    outcomes = set()  # (first choice has rungs, first choice chains, some slide found)
+    for (task, preferred, anchor, node, upto), first in zip(cases, stacked):
+        args = (
+            robot, node, directions[task.preferred_direction], task.preferred_rotation, anchor,
+        )
+        got = plan_retraction(
+            *args, task.ordered, CART_CFG, directions, preferred,
+            upto=upto, built={preferred: first},
+        )
+        want = oracle_plan_retraction(
+            *args, scene_before(model, sequence, upto), CART_CFG, directions, preferred
+        )
+        assert same_rungs(got, want), (task.index, preferred, upto)
+        alone = plan_retraction(
+            *args, task.ordered, CART_CFG, directions[[preferred]], 0,
+            upto=upto, built={0: first},
+        )
+        outcomes.add((first is not None, alone is not None, want is not None))
+    # first choices that chain, that have rungs but no chain from the
+    # anchor, and that have no rungs, each falling back to another direction
+    assert {(True, True, True), (True, False, True), (False, False, True)} <= outcomes
+
+
+def test_rebuild_picks_builds_each_rung_set_against_its_own_prefix(robot, cube_tasks):
+    model, sequence, tasks = cube_tasks
+    directions = sequence.directions
+    picks = expand_and_search(robot, tasks, CART_CFG, max_capsules=1).picks
+    rebuilt = cartesian.rebuild_picks(robot, tasks, picks, directions, CART_CFG)
+    for task, (cap, _, _), got in zip(tasks, picks, rebuilt):
+        v, k = directions[cap.direction_index], task.index
+        want = [
+            build_rungs(robot, points, v, cap.rotation, scene, clearance=CART_CFG.clearance)
+            for points, scene in (
+                (task.waypoints, scene_before(model, sequence, k)),
+                (
+                    cartesian.retraction_points(task.waypoints[0], v, CART_CFG),
+                    scene_before(model, sequence, k),
+                ),
+                (
+                    cartesian.retraction_points(task.waypoints[-1], v, CART_CFG),
+                    scene_before(model, sequence, k + 1),
+                ),
+            )
+        ]
+        assert all(same_rungs(a, b) for a, b in zip(got, want)), k
+
+    # a lone pass whose own element sits inside the extruder's barrel at the
+    # end of the depart slide: only the depart sees it
+    task = tasks[0]
+    v = directions[task.preferred_direction]
+    node = task.waypoints[-1]
+    element = CapsuleShape(tuple(node + 80.0 * v), tuple(node + 90.0 * v), 5.0)
+    lone = dataclasses.replace(task, ordered=CapsuleSet((element,)), prefix=0)
+    cap = Capsule(
+        task.index, task.preferred_direction, task.preferred_rotation,
+        np.zeros((1, robot.dof)), np.zeros((1, robot.dof)), np.zeros((1, 1)), 2,
+    )
+    block, approach, depart = cartesian.rebuild_picks(
+        robot, [lone], [(cap, 0, 0)], directions, CART_CFG
+    )[0]
+    assert block is not None and approach is not None and depart is None
 
 
 def test_pose_probe_matches_per_waypoint_loop(robot, cube_tasks):
@@ -800,12 +902,13 @@ def test_build_rungs_batch_equals_one_orientation_calls(robot, cube_tasks, monke
 
     mixed = set()  # failure reasons seen beside a built block in one batch
     for task in tasks[::2]:
+        scene = scene_before(model, sequence, task.index)
         for i in range(0, len(pairs), 7):
             chunk = pairs[i : i + 7]
             orientations = [(directions[a], rot) for a, rot in chunk]
             monkeypatch.setattr(kinematics, "config_collides_batch", counting_query)
             got = build_rungs_batch(
-                robot, task.waypoints, orientations, task.scene, CART_CFG.clearance
+                robot, [task.waypoints] * len(chunk), orientations, scene, CART_CFG.clearance
             )
             monkeypatch.undo()
             # one collision query per batch, none when no block has IK on every rung
@@ -815,11 +918,11 @@ def test_build_rungs_batch_equals_one_orientation_calls(robot, cube_tasks, monke
                 rot_matrix = pose_from_direction(task.waypoints[0], directions[a], rot)[:3, :3]
                 reached += all(len(fam) for fam in ik_sweep(robot, rot_matrix, task.waypoints))
                 one = build_rungs(
-                    robot, task.waypoints, directions[a], rot, task.scene,
+                    robot, task.waypoints, directions[a], rot, scene,
                     clearance=CART_CFG.clearance,
                 )
                 want, why = oracle_build_rungs(
-                    robot, task.waypoints, directions[a], rot, task.scene, CART_CFG.clearance
+                    robot, task.waypoints, directions[a], rot, scene, CART_CFG.clearance
                 )
                 assert same_rungs(rungs, one) and same_rungs(rungs, want), (task.index, a, rot)
                 if why is not None:
@@ -832,9 +935,10 @@ def test_build_rungs_batch_equals_one_orientation_calls(robot, cube_tasks, monke
     assert mixed == {"empty", "collision"}
 
 
-def oracle_expand(robot, tasks, config, rng, max_capsules):
+def oracle_expand(robot, tasks, scenes, config, rng, max_capsules):
     """`expand_and_search`'s capsule columns from one `build_capsule` call per
-    candidate, stopping as soon as a column holds its budget."""
+    candidate in its task's scene, stopping as soon as a column holds its
+    budget."""
     directions = sample_directions(config.direction_count)
     rotations = rotation_sequence(config.rotation_samples)
     queues = [list(cartesian._candidate_grid(t, rotations)) for t in tasks]
@@ -845,14 +949,14 @@ def oracle_expand(robot, tasks, config, rng, max_capsules):
         q.remove(w)
         q.insert(0, w)
     columns, attempted = [], 0
-    for task, queue in zip(tasks, queues):
+    for task, scene, queue in zip(tasks, scenes, queues):
         budget = max_capsules if max_capsules is not None else len(queue)
         column = []
         for a, rot in queue:
             if len(column) >= budget:
                 break
             attempted += 1
-            cap = build_capsule(robot, task, directions[a], a, rot, config)
+            cap = build_capsule(robot, task, scene, directions[a], a, rot, config)
             if cap is not None:
                 column.append(cap)
         columns.append(column)
@@ -874,7 +978,7 @@ def same_capsule(a, b):
 def default_tasks(robot):
     model = load_bundled_model("cube")
     sequence = plan_sequence(model, robot, PlannerConfig())
-    return prepare_tasks(model, robot, sequence, PlannerConfig())
+    return model, sequence, prepare_tasks(model, robot, sequence, PlannerConfig())
 
 
 @pytest.mark.parametrize("budget", [1, 6, None])
@@ -883,13 +987,17 @@ def test_expand_and_search_columns_equal_per_candidate_loop(
     robot, cube_tasks, default_tasks, budget, case
 ):
     if case == "cube 24x2":
-        tasks, config = cube_tasks[2], CART_CFG
+        (model, sequence, tasks), config = cube_tasks, CART_CFG
     else:
-        tasks, config = default_tasks[8:10], PlannerConfig()
+        (model, sequence, tasks), config = default_tasks, PlannerConfig()
+        tasks = tasks[8:10]
+    scenes = [scene_before(model, sequence, task.index) for task in tasks]
     got = expand_and_search(
         robot, tasks, config, rng=np.random.default_rng(5), max_capsules=budget
     )
-    want, attempted = oracle_expand(robot, tasks, config, np.random.default_rng(5), budget)
+    want, attempted = oracle_expand(
+        robot, tasks, scenes, config, np.random.default_rng(5), budget
+    )
     assert got.attempted == attempted
     assert [len(col) for col in got.columns] == [len(col) for col in want]
     for col, want_col in zip(got.columns, want):

@@ -433,6 +433,50 @@ def test_culled_collision_test_decides_near_contact_exactly(where):
     assert outcomes == {True, False}
 
 
+def test_prefix_rows_equal_calls_on_their_own_prefix_scene():
+    """Row i with `upto[i] = u` against a call on `CapsuleSet(scene.capsules[:u])`,
+    for the query and its dense oracle.  The ordered scene holds two
+    obstacles end on to a robot capsule of one free config, 1e-7 mm inside
+    and outside the contact limit; that config is queried at every prefix,
+    so each obstacle is hidden from some of its rows and seen by others."""
+    robot, elements, qs = independence_set(np.random.default_rng(45))
+    frames_idx, local_a, local_b, radii, _ = robot.capsule_table
+    clearance, radius = 2.0, 5.0
+    q = qs[~dense_config_collides_batch(robot, qs, elements, clearance)][0]
+    frames = fk_frames(robot, q)[frames_idx]
+    a, b = (
+        np.einsum("cij,cj->ci", frames[:, :3, :3], p) + frames[:, :3, 3] for p in (local_a, local_b)
+    )
+    u = (b[-1] - a[-1]) / np.linalg.norm(b[-1] - a[-1])
+    near = []
+    for delta in (-1e-7, 1e-7):
+        gap = radii[-1] + radius + clearance + delta
+        near.append(CapsuleShape(tuple(b[-1] + gap * u), tuple(b[-1] + (gap + 50.0) * u), radius))
+    capsules = list(elements.capsules)
+    inside, outside = 3, 9
+    capsules.insert(inside, near[0])
+    capsules.insert(outside, near[1])
+    scene = CapsuleSet(capsules)
+
+    rng = np.random.default_rng(46)
+    prefixes = np.arange(len(scene) + 1)
+    configs = np.concatenate([np.repeat(q[None], len(prefixes), axis=0), qs])
+    upto = np.concatenate([prefixes, rng.integers(0, len(scene) + 1, size=len(qs))])
+    upto[len(prefixes) : len(prefixes) + 2] = (0, len(scene))
+    got = config_collides_batch(robot, configs, scene, clearance, upto=upto)
+    dense = dense_config_collides_batch(robot, configs, scene, clearance, upto=upto)
+    for query, stacked in ((config_collides_batch, got), (dense_config_collides_batch, dense)):
+        one_by_one = [
+            query(robot, c[None], CapsuleSet(scene.capsules[:k]), clearance)[0]
+            for c, k in zip(configs, upto)
+        ]
+        assert np.array_equal(stacked, one_by_one)
+    assert np.array_equal(got, dense)
+    # the config touches only the obstacle 1e-7 mm inside contact
+    assert np.array_equal(got[: len(prefixes)], prefixes > inside)
+    assert got[len(prefixes) :].any() and not got[len(prefixes) :].all()
+
+
 def test_clearance_widens_collisions():
     robot = load_bundled_robot("arm")
     tip = fk(robot, robot.home).position

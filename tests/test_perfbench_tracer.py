@@ -2,14 +2,23 @@
 
 `perfbench/tracer.py` replaces traced functions by name in every trusspath
 module that binds them.  A traced name that is renamed or deleted would
-otherwise break only a `--trace 1` benchmark run; this test breaks first.
+otherwise break only a `--trace 1` benchmark run; these tests break first.
+A traced function that a round never calls is as bad: its extra counters
+(`plan_retraction.fallbacks`, for one) then drop out of the traced result
+line, so the traced benchmark runs here too and its line is checked against
+the per-layer names `BENCHMARK.json` declares.
 """
 
+import importlib
 import importlib.util
+import json
+import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import trusspath
 from trusspath import kinematics
@@ -17,7 +26,34 @@ from trusspath.fixtures import load_bundled_robot
 from trusspath.geometry import pose_from_direction, sample_directions
 from trusspath.kinematics import CapsuleSet, fk_frames
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+# Every trusspath module binding each traced function; the tracer wraps the
+# function in each of them, so a call through any of them is counted
+BOUND = {
+    "segment_distance_batch": {"geometry"},
+    "ee_element_collision": {"geometry"},
+    "ee_self_collision": {"geometry"},
+    "ik_sweep": {"kinematics"},
+    "config_collides_batch": {"kinematics", "pipeline", "transition"},
+    "analyze": {"pipeline", "sequence", "structural"},
+    "prepare_tasks": {"cartesian", "pipeline"},
+    "expand_and_search": {"cartesian", "pipeline"},
+    "build_rungs": {"cartesian", "kinematics", "sequence"},
+    "chain_search": {"cartesian"},
+    "extract_block_path": {"cartesian", "pipeline"},
+    "plan_retraction": {"cartesian", "pipeline"},
+    "plan_transition": {"pipeline", "transition"},
+    "rrt_connect": {"transition"},
+    "shortcut": {"transition"},
+    "tcp_entries": {"pipeline", "postprocess"},
+    "save_plan": {"", "cli", "postprocess"},
+    "plan_sequence": {"", "cli", "pipeline", "sequence"},
+    "run_pipeline": {"", "cli", "pipeline"},
+    "validate_plan": {"", "cli", "pipeline"},
+}
 
 
 def load_tracer(monkeypatch):
@@ -92,7 +128,7 @@ def test_tracer_counts_a_batched_rung_build_per_pose(monkeypatch):
     tracer.install()
     try:
         built = kinematics.build_rungs_batch(
-            robot, waypoints, orientations, CapsuleSet(()), clearance=2.0
+            robot, [waypoints] * len(orientations), orientations, CapsuleSet(()), clearance=2.0
         )
     finally:
         tracer.uninstall()
@@ -114,3 +150,41 @@ def test_tracer_counts_a_batched_rung_build_per_pose(monkeypatch):
         len(f) for fams, ok in zip(families, reached) if ok for f in fams
     )
     assert any(reached) and any(rungs is not None for rungs in built)
+
+
+def test_every_traced_name_is_bound_where_the_tracer_expects_it(monkeypatch):
+    tracer_module = load_tracer(monkeypatch)
+    modules = {"": trusspath} | {
+        info.name: importlib.import_module(f"trusspath.{info.name}")
+        for info in pkgutil.iter_modules(trusspath.__path__)
+    }
+    bound = {}
+    for layer, func, _ in tracer_module.TRACED:
+        original = getattr(modules[layer], func)
+        bound[func] = {name for name, m in modules.items() if getattr(m, func, None) is original}
+    assert bound == BOUND
+
+
+def strict_json(line):
+    """`json.loads` that refuses NaN and Infinity, as a strict reader would."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_benchmark_round_reports_every_per_layer_metric(workload):
+    run = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", "0", "--seconds", "0", "--trace", "1",
+        ],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "FAIL:" not in run.stderr
+    result = strict_json(run.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["correct"] is True
+    assert set(result["metrics"]) == {m["name"] for m in BENCHMARK["per_layer"]}

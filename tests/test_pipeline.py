@@ -14,8 +14,15 @@ import pytest
 
 from dense_collision import dense_config_collides_batch, dense_ee_sweep_collision_batch
 import trusspath
-from trusspath import geometry, kinematics, pipeline, sequence as sequence_module, transition
-from trusspath.cartesian import CartesianPlanningError
+from trusspath import (
+    cartesian,
+    geometry,
+    kinematics,
+    pipeline,
+    sequence as sequence_module,
+    transition,
+)
+from trusspath.cartesian import CartesianPlanningError, retraction_points
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import (
     bracing_tower,
@@ -28,6 +35,7 @@ from trusspath.geometry import (
     EEGeometry,
     direction_rotation_from_frame,
     ee_self_collision,
+    sample_directions,
 )
 from trusspath.kinematics import CapsuleSet, config_collides_batch, load_robot
 from trusspath.pipeline import (
@@ -37,7 +45,7 @@ from trusspath.pipeline import (
     validate_plan,
 )
 from trusspath.postprocess import load_plan, save_plan
-from trusspath.sequence import SequencePlanner, plan_sequence
+from trusspath.sequence import SequencePlanner, plan_sequence, rotation_sequence
 from trusspath.truss import load_model, serialize_model
 
 CFG = PlannerConfig(direction_count=24, rotation_samples=2)
@@ -364,7 +372,7 @@ def test_clearance_probe_is_bounded_by_the_joint_limits(model, robot, planned, m
     # listed as not probed
     sizes = []
 
-    def counting_stub(robot, configs, scene, clearance):
+    def counting_stub(robot, configs, scene, clearance, upto=None):
         sizes.append(len(configs))
         return np.zeros(len(configs), dtype=bool)
 
@@ -372,7 +380,7 @@ def test_clearance_probe_is_bounded_by_the_joint_limits(model, robot, planned, m
     doc, _ = planned
     report = validate_plan(doc, model, robot, CFG)
     assert check_map(report)["clearance"].passed
-    clean = max(sizes)
+    clean = sum(sizes)  # the rows are stacked, so the probe is their total
     bad = copy.deepcopy(doc)
     sub = next(
         s for t in bad["tasks"] for s in t["subprocesses"]
@@ -381,7 +389,7 @@ def test_clearance_probe_is_bounded_by_the_joint_limits(model, robot, planned, m
     sub["joints"][1][0] = 1e4
     sizes.clear()
     checks = check_map(validate_plan(bad, model, robot, CFG))
-    assert max(sizes) <= clean
+    assert sum(sizes) <= clean
     assert not checks["joint validity"].passed
     assert not checks["clearance"].passed
     assert f"subprocess {sub['id']} (transition): not probed" in checks["clearance"].detail
@@ -764,24 +772,158 @@ def test_batched_checks_equal_the_per_subprocess_oracle(model, robot, planned, t
         assert len(clearance.detail.split("; ")) == 4
 
 
-def test_validator_queries_once_per_scene_and_poses_once_per_task(
+def test_validator_queries_row_stacks_of_one_scene_and_poses_once_per_task(
     model, robot, planned, monkeypatch
 ):
-    calls = {"config_collides_batch": 0, "fk_frames_batch": 0}
-    for name in calls:
-        original = getattr(pipeline, name)
+    queries, poses = [], []
+    real_query, real_fk = pipeline.config_collides_batch, pipeline.fk_frames_batch
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counting_query(robot, qs, scene, *args, upto=None, **kwargs):
+        queries.append((len(qs), len(scene), upto))
+        return real_query(robot, qs, scene, *args, upto=upto, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, counting)
+    def counting_fk(*args):
+        poses.append(args)
+        return real_fk(*args)
+
+    monkeypatch.setattr(pipeline, "config_collides_batch", counting_query)
+    monkeypatch.setattr(pipeline, "fk_frames_batch", counting_fk)
     doc, _ = planned
     assert validate_plan(doc, model, robot, CFG).passed
-    assert calls == {
-        "config_collides_batch": len(doc["tasks"]) + 1,
-        "fk_frames_batch": len(doc["tasks"]),
-    }
+    assert len(poses) == len(doc["tasks"])
+    # every query sees the whole build order, cut into full stacks of rows
+    rows = [n for n, _, _ in queries]
+    assert len(rows) > 1
+    assert rows[:-1] == [pipeline.CLEARANCE_ROWS] * (len(rows) - 1)
+    assert 0 < rows[-1] <= pipeline.CLEARANCE_ROWS
+    assert {m for _, m, _ in queries} == {len(doc["tasks"])}
+    # in document order, each row's prefix is its task's, one more for a depart
+    seen = np.concatenate([upto for _, _, upto in queries])
+    assert seen[0] == 0 and seen[-1] == len(doc["tasks"])
+    assert np.all(np.diff(seen) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked motion stage against the per-task loops it replaced
+
+
+def per_task_motion(model, sequence):
+    """`expand_and_search` and `rebuild_picks` as the motion stage ran them
+    task by task, each against the task's own scene `model.scene(order[:k])`:
+    one `build_rungs_batch` call per chunk of a task's candidates, then one
+    `build_rungs` call per picked block and one per first-choice slide."""
+    order = [t.element for t in sequence.tasks]
+    scenes = [model.scene(order[:k]) for k in range(len(order) + 1)]
+
+    def expand_and_search(robot, tasks, config, rng=None, max_capsules=None):
+        rng = rng or np.random.default_rng(config.seed)
+        directions = sample_directions(config.direction_count)
+        rotations = rotation_sequence(config.rotation_samples)
+        queues = [list(cartesian._candidate_grid(t, rotations)) for t in tasks]
+        for q in queues:
+            rng.shuffle(q)
+        for q, t in zip(queues, tasks):
+            w = (t.preferred_direction, float(t.preferred_rotation))
+            q.remove(w)
+            q.insert(0, w)
+        limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
+        columns, attempted = [], 0
+        for task, queue in zip(tasks, queues):
+            budget = max_capsules if max_capsules is not None else len(queue)
+            column, done = [], 0
+            while done < len(queue) and len(column) < budget:
+                chunk = queue[done : done + min(budget - len(column), cartesian.CANDIDATE_CHUNK)]
+                done += len(chunk)
+                built = kinematics.build_rungs_batch(
+                    robot, [task.waypoints] * len(chunk),
+                    [(directions[a], rot) for a, rot in chunk],
+                    scenes[task.index], config.clearance,
+                )
+                for (a, rot), rungs in zip(chunk, built):
+                    if rungs is None:
+                        continue
+                    cap = cartesian.capsule_from_rungs(
+                        task.index, a, rot, rungs, robot.weights, limits
+                    )
+                    if cap is not None:
+                        column.append(cap)
+            attempted += done
+            columns.append(column)
+        cost, picks = cartesian.chain_search(columns, robot.weights, robot.home)
+        built = sum(len(column) for column in columns)
+        return cartesian.SparseSearchResult(cost, picks, columns, built, attempted)
+
+    def rebuild_picks(robot, tasks, picks, directions, config):
+        out = []
+        for task, (cap, _, _) in zip(tasks, picks):
+            v, k = directions[cap.direction_index], task.index
+            block = kinematics.build_rungs(
+                robot, task.waypoints, v, cap.rotation, scenes[k], config.clearance
+            )
+            slides = [
+                kinematics.build_rungs(
+                    robot, retraction_points(node, v, config), v, cap.rotation, scene,
+                    config.clearance,
+                )
+                for node, scene in (
+                    (task.waypoints[0], scenes[k]),
+                    (task.waypoints[-1], scenes[k + 1]),
+                )
+            ]
+            out.append((block, *slides))
+        return out
+
+    return expand_and_search, rebuild_picks
+
+
+@pytest.mark.parametrize(
+    "config",
+    [PlannerConfig(kinematics_timeout=600.0), CFG],
+    ids=["cube-dense", "cube-sparse"],
+)
+def test_stacked_motion_stage_does_the_per_task_work_in_fewer_calls(
+    model, robot, config, monkeypatch, tmp_path
+):
+    sequence = plan_sequence(model, robot, config)
+    runs = {}
+    for name in ("per task", "stacked"):
+        work = {"calls": 0, "poses": 0, "configs": 0}
+        real_batch, real_sweep = kinematics.build_rungs_batch, kinematics.ik_sweep
+        real_query = kinematics.config_collides_batch
+
+        def batch(*args, _work=work, _real=real_batch, **kwargs):
+            _work["calls"] += 1
+            return _real(*args, **kwargs)
+
+        def sweep(robot, rotation, origins, _work=work, _real=real_sweep):
+            _work["poses"] += len(origins)
+            return _real(robot, rotation, origins)
+
+        def query(robot, qs, *args, _work=work, _real=real_query, **kwargs):
+            _work["configs"] += len(qs)
+            return _real(robot, qs, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            for module in (kinematics, cartesian):
+                patch.setattr(module, "build_rungs_batch", batch)
+            patch.setattr(kinematics, "ik_sweep", sweep)
+            patch.setattr(kinematics, "config_collides_batch", query)
+            if name == "per task":
+                expand, rebuild = per_task_motion(model, sequence)
+                patch.setattr(pipeline, "expand_and_search", expand)
+                patch.setattr(pipeline, "rebuild_picks", rebuild)
+            plan, report = run_pipeline(model, robot, config, sequence=sequence)
+        save_plan(plan, tmp_path / "plan.json")
+        runs[name] = (tmp_path / "plan.json").read_bytes(), report, work
+    (want, old, before), (got, new, after) = runs["per task"], runs["stacked"]
+    assert got == want
+    assert new.capsules_built == old.capsules_built
+    assert new.capsules_attempted == old.capsules_attempted
+    assert new.cartesian_cost == old.cartesian_cost
+    assert (after["poses"], after["configs"]) == (before["poses"], before["configs"])
+    # one call per chunk, picked block and slide before: 121 on cube-dense
+    assert before["calls"] > 2 * len(sequence.tasks)
+    assert 3 * after["calls"] <= before["calls"]
 
 
 PLAN_AND_VALIDATE = """
