@@ -19,12 +19,15 @@ capsule set: a larger budget never makes the answer worse.
 
 Every shortest path here is one kernel: `_minplus` relaxes costs over one
 rung of edges and keeps back-pointers, `_ladder` applies it rung by rung and
-`_walk_back` follows the pointers.  The capsule matrix (from an identity
-start), block path extraction (from a one-hot start), the chain search, the
-full-graph baseline and the retraction slides (from their one-config anchor
-rung) all run on it, so ties always go to the lowest index and an earlier
-capsule.  Each relaxation computes a rung pair's joint differences once and
-takes both the step cost and the jump mask from them.
+`_walk_back` follows the pointers.  Block path extraction (from a one-hot
+start), the chain search, the full-graph baseline and the retraction slides
+(from their one-config anchor rung) all run on it, so ties always go to the
+lowest index and an earlier capsule.  Capsule matrices need no pointers:
+`_inner_cost_matrices` relaxes the identity starts of many blocks at once,
+padded to one stack (`_relax_stack`), and each matrix is bit-equal to its
+own `_ladder` run.  Every step cost comes from `_step_costs`, which computes
+a rung pair's joint differences once and takes both the weighted distance
+and the jump mask from them.
 
 Every rung comes from `kinematics.build_rungs_batch`.  Every scene of the
 stage is a prefix of one build order, so a task carries that one ordered
@@ -32,9 +35,11 @@ scene and its prefix length, and orientations of many tasks share a call,
 each against its own prefix.  The capsule sampler runs in rounds: each round
 takes every open task's next chunk of at most `CANDIDATE_CHUNK` candidates,
 and the round's chunks are stacked into calls of at most `STACK_ORIGINS` IK
-origins.  The picked blocks' rungs and the first choice of every retraction
-slide are rebuilt the same way (`rebuild_picks`); a slide tries its other
-directions one `build_rungs` call each, only when its first choice fails.
+origins; the capsules of each call are summarised together
+(`capsules_from_rungs`).  The picked blocks' rungs and the first choice of
+every retraction slide are rebuilt the same way (`rebuild_picks`); a slide
+tries its other directions one `build_rungs` call each, only when its first
+choice fails.
 """
 
 from __future__ import annotations
@@ -59,6 +64,10 @@ CANDIDATE_CHUNK = 6
 # `build_rungs_batch` call takes.  Bounds the sweep's and the collision
 # query's temporaries however many tasks a round stacks.
 STACK_ORIGINS = 256
+# Most padded step cells (blocks x rung pairs x config pairs) one stack of
+# capsule ladders relaxes at once: about 1 MB per float temporary at seven
+# joints.  A bundled-cube call needs under 5 k; wide rail rungs split.
+LADDER_CELLS = 1 << 14
 
 
 class CartesianPlanningError(Exception):
@@ -181,6 +190,20 @@ def _minplus(cost: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return total.min(axis=-2), total.argmin(axis=-2)
 
 
+def _step_costs(
+    a: np.ndarray, b: np.ndarray, weights: np.ndarray, limits: np.ndarray
+) -> np.ndarray:
+    """Jump-limited move costs from the configs of rung `a` (..., n, dof) to
+    those of rung `b` (..., m, dof), shaped (..., n, m): the weighted L1
+    distance, or infinity where some joint moves more than its limit."""
+    diff = np.abs(a[..., :, None, :] - b[..., None, :, :])
+    jump = (diff > limits).any(axis=-1)
+    diff *= weights
+    step = diff.sum(axis=-1)
+    step[jump] = _INF
+    return step
+
+
 def _ladder(
     cost: np.ndarray, rungs: list[np.ndarray], weights: np.ndarray, limits: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -189,10 +212,7 @@ def _ladder(
     step (`backs[r - 1]` maps rung r to rung r - 1)."""
     backs = []
     for a, b in zip(rungs, rungs[1:]):
-        diff = np.abs(a[:, None, :] - b[None, :, :])
-        step = (diff * weights[None, None, :]).sum(axis=2)
-        step[(diff > limits[None, None, :]).any(axis=2)] = _INF
-        cost, back = _minplus(cost, step)
+        cost, back = _minplus(cost, _step_costs(a, b, weights, limits))
         backs.append(back)
     return cost, backs
 
@@ -218,34 +238,123 @@ def _unflatten(sizes: list[int], flat: int) -> tuple[int, int]:
     return block, flat
 
 
+def _relax_stack(
+    blocks: list[list[np.ndarray]], weights: np.ndarray, limits: np.ndarray
+) -> list[np.ndarray]:
+    """The capsule matrices of `blocks`, relaxed from their identity starts
+    together as one padded stack.
+
+    Every rung is padded to the widest with configs of 0 and every ladder
+    to the longest with identity steps (0 on the diagonal, infinity
+    elsewhere).  A step into a padded config costs infinity, so a padded
+    config is never reached and its own steps out only add infinite
+    candidates to each min; an identity step leaves every cost as it is.
+    Each matrix is thus the same min over the same sums as its own ladder's.
+    """
+    lengths = [len(rungs) for rungs in blocks]
+    flat = [rung for rungs in blocks for rung in rungs]
+    sizes = np.array([len(rung) for rung in flat])
+    count, length, width = len(blocks), max(lengths), int(sizes.max())
+    # (block, rung, slot) of every config, blocks and rungs in order
+    rung = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    at = (
+        np.repeat(np.repeat(np.arange(count), lengths), sizes),
+        np.repeat(rung, sizes),
+        np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+    )
+    configs = np.zeros((count, length, width, weights.shape[0]))
+    configs[at] = np.concatenate(flat)
+    real = np.zeros((count, length, width), dtype=bool)
+    real[at] = True
+
+    step = _step_costs(configs[:, :-1], configs[:, 1:], weights, limits)
+    step[np.broadcast_to(~real[:, 1:, None, :], step.shape)] = _INF
+    identity = np.where(np.eye(width, dtype=bool), 0.0, _INF)
+    step[np.arange(1, length) >= np.array(lengths)[:, None]] = identity
+    cost = np.repeat(identity[None], count, axis=0)
+    for s in range(length - 1):
+        cost = (cost[:, :, :, None] + step[:, s, None, :, :]).min(axis=-2)
+    return [cost[b, : len(rungs[0]), : len(rungs[-1])] for b, rungs in enumerate(blocks)]
+
+
+def _inner_cost_matrices(
+    blocks: list[list[np.ndarray]], weights: np.ndarray, limits: np.ndarray
+) -> list[np.ndarray]:
+    """Per block of rungs: the cheapest jump-limited interior cost from each
+    first-rung config to each last-rung config.
+
+    Consecutive blocks are relaxed together (`_relax_stack`) while their
+    padded stack holds at most `LADDER_CELLS` step cells; a stack takes at
+    least one block.
+    """
+    widths = [max(map(len, rungs)) for rungs in blocks]
+    out, start = [], 0
+    while start < len(blocks):
+        stop, length, width = start + 1, len(blocks[start]), widths[start]
+        while stop < len(blocks):
+            grown = max(length, len(blocks[stop])), max(width, widths[stop])
+            if (stop + 1 - start) * grown[0] * grown[1] ** 2 > LADDER_CELLS:
+                break
+            (length, width), stop = grown, stop + 1
+        out += _relax_stack(blocks[start:stop], weights, limits)
+        start = stop
+    return out
+
+
 def _inner_cost_matrix(
     rungs: list[np.ndarray], weights: np.ndarray, limits: np.ndarray
 ) -> np.ndarray:
-    start = np.full((rungs[0].shape[0],) * 2, _INF)
-    np.fill_diagonal(start, 0.0)
-    return _ladder(start, rungs, weights, limits)[0]
+    """`_inner_cost_matrices` of one block."""
+    return _inner_cost_matrices([rungs], weights, limits)[0]
 
 
-def capsule_from_rungs(
-    task: int,
-    direction_index: int,
-    rotation: float,
-    rungs: list[np.ndarray],
+def capsules_from_rungs(
+    blocks: list[tuple[int, int, float, list[np.ndarray]]],
     weights: np.ndarray,
     limits: np.ndarray,
-) -> Capsule | None:
-    """Summarise one orientation block's rungs, or None if its ladder joins
-    no first-rung config to a last-rung one."""
-    capsule = Capsule(
-        task=task,
-        direction_index=direction_index,
-        rotation=rotation,
-        entry=rungs[0].copy(),
-        exit=rungs[-1].copy(),
-        inner_cost=_inner_cost_matrix(rungs, weights, limits),
-        waypoints=len(rungs),
-    )
-    return capsule if capsule.feasible else None
+) -> list[Capsule | None]:
+    """Summarise each (task, direction index, rotation, rungs) orientation
+    block, or None where its ladder joins no first-rung config to a
+    last-rung one.  The blocks' ladders are relaxed together."""
+    inner = _inner_cost_matrices([rungs for *_, rungs in blocks], weights, limits)
+    out = []
+    for (task, direction_index, rotation, rungs), cost in zip(blocks, inner):
+        capsule = Capsule(
+            task=task,
+            direction_index=direction_index,
+            rotation=rotation,
+            entry=rungs[0].copy(),
+            exit=rungs[-1].copy(),
+            inner_cost=cost,
+            waypoints=len(rungs),
+        )
+        out.append(capsule if capsule.feasible else None)
+    return out
+
+
+def _stacked_calls(
+    robot: RobotModel,
+    scene: CapsuleSet,
+    jobs: list[tuple[np.ndarray, np.ndarray, float, int]],
+    clearance: float,
+):
+    """Per `build_rungs_batch` call, the rungs (or None) of each of its
+    (waypoints, direction, roll, prefix) jobs against its prefix of the
+    ordered `scene`, in job order.  Consecutive jobs share a call up to
+    `STACK_ORIGINS` IK origins (a call takes at least one job); calls are
+    made as the results are read."""
+    start = 0
+    while start < len(jobs):
+        stop, origins = start + 1, len(jobs[start][0])
+        while stop < len(jobs) and origins + len(jobs[stop][0]) <= STACK_ORIGINS:
+            origins += len(jobs[stop][0])
+            stop += 1
+        part = jobs[start:stop]
+        yield build_rungs_batch(
+            robot, [w for w, _, _, _ in part], [(d, r) for _, d, r, _ in part],
+            scene, clearance, upto=[u for _, _, _, u in part],
+        )
+        start = stop
 
 
 def _stacked_rungs(
@@ -254,22 +363,9 @@ def _stacked_rungs(
     jobs: list[tuple[np.ndarray, np.ndarray, float, int]],
     clearance: float,
 ):
-    """Rungs (or None) of each (waypoints, direction, roll, prefix) job, in
-    job order, against its prefix of the ordered `scene`.  Consecutive jobs
-    share a `build_rungs_batch` call up to `STACK_ORIGINS` IK origins (a
-    call takes at least one job); calls are made as the results are read."""
-    start = 0
-    while start < len(jobs):
-        stop, origins = start + 1, len(jobs[start][0])
-        while stop < len(jobs) and origins + len(jobs[stop][0]) <= STACK_ORIGINS:
-            origins += len(jobs[stop][0])
-            stop += 1
-        part = jobs[start:stop]
-        yield from build_rungs_batch(
-            robot, [w for w, _, _, _ in part], [(d, r) for _, d, r, _ in part],
-            scene, clearance, upto=[u for _, _, _, u in part],
-        )
-        start = stop
+    """The rungs (or None) of each job, in job order (`_stacked_calls`)."""
+    for call in _stacked_calls(robot, scene, jobs, clearance):
+        yield from call
 
 
 def retraction_points(
@@ -463,13 +559,18 @@ def expand_and_search(
             owners += [(i, a, rot) for a, rot in chunk]
         if not jobs:
             break
-        built = _stacked_rungs(robot, tasks[0].ordered, jobs, config.clearance)
-        for (i, a, rot), rungs in zip(owners, built):
-            if rungs is None:
-                continue
-            cap = capsule_from_rungs(tasks[i].index, a, rot, rungs, weights, limits)
-            if cap is not None:
-                columns[i].append(cap)
+        start = 0
+        for call in _stacked_calls(robot, tasks[0].ordered, jobs, config.clearance):
+            found = [
+                (i, (tasks[i].index, a, rot, rungs))
+                for (i, a, rot), rungs in zip(owners[start:], call)
+                if rungs is not None
+            ]
+            start += len(call)
+            caps = capsules_from_rungs([block for _, block in found], weights, limits)
+            for (i, _), cap in zip(found, caps):
+                if cap is not None:
+                    columns[i].append(cap)
     attempted = sum(done)
 
     cost, picks = chain_search(columns, robot.weights, robot.home)

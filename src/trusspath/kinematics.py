@@ -438,7 +438,8 @@ def ik_sweep(
     limits; the survivors must reproduce the world tool pose within 1e-6
     through `fk_frames_batch`, the one forward-kinematics chain.
     Returns one (k, dof) array per origin (k may be 0), rows in
-    lexicographic order of their joint values.
+    lexicographic order of their joint values, as `IKFamilies`: the pose
+    check's chain frames of every returned row come with them.
     """
     origins = np.atleast_2d(np.asarray(origins, dtype=float))
     n = origins.shape[0]
@@ -468,14 +469,14 @@ def ik_sweep(
     if robot.track is not None:
         rows = np.column_stack([np.repeat(np.tile(grid, n), branches)[ok], rows])
     owner = np.repeat(np.arange(n), s * branches)[ok]
-    tip = fk_frames_batch(robot, rows)[:, -1]
+    chain = fk_frames_batch(robot, rows)
+    tip = chain[:, -1]
     pos_err = np.linalg.norm(tip[:, :3, 3] - origins[owner], axis=1)
     rot_err = np.linalg.norm(tip[:, :3, :3] - rotation[owner], axis=(1, 2)) / math.sqrt(2.0)
-    hit = (pos_err < _POSE_TOL) & (rot_err < _POSE_TOL)
-    rows, owner = rows[hit], owner[hit]
+    keep = np.flatnonzero((pos_err < _POSE_TOL) & (rot_err < _POSE_TOL))
     # stable, so equal rows keep (rail position, branch) order
-    order = np.lexsort((*rows.T[::-1], owner))
-    return _pieces(rows[order], np.bincount(owner, minlength=n))
+    keep = keep[np.lexsort((*rows[keep].T[::-1], owner[keep]))]
+    return IKFamilies(rows[keep], chain[keep], np.bincount(owner[keep], minlength=n))
 
 
 def _pieces(items, sizes) -> list:
@@ -483,6 +484,17 @@ def _pieces(items, sizes) -> list:
     `np.split` returns for an array, without its per-piece overhead."""
     stops = np.cumsum(sizes).tolist()
     return [items[a:b] for a, b in zip([0, *stops[:-1]], stops)]
+
+
+class IKFamilies(list):
+    """`ik_sweep`'s result: one (k, dof) family per origin, the consecutive
+    slices of `rows`, and `frames`, the (len(rows), F, 4, 4) chain frames
+    (`fk_frames_batch`) of those rows, so a collision query of them needs
+    no second forward-kinematics pass."""
+
+    def __init__(self, rows: np.ndarray, frames: np.ndarray, sizes: np.ndarray):
+        super().__init__(_pieces(rows, sizes))
+        self.rows, self.frames, self.sizes = rows, frames, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +544,7 @@ def config_collides_batch(
     clearance: float,
     *,
     upto: np.ndarray | None = None,
+    frames: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized collision test; True rows collide.
 
@@ -548,6 +561,9 @@ def config_collides_batch(
     `CapsuleSet` of its prefix gives.  Only the first `max(upto)`
     obstacles enter the bound array.
 
+    `frames`, if given, must be `fk_frames_batch(robot, qs)` (`ik_sweep`
+    returns them with its rows); the query then runs no forward kinematics.
+
     Three passes run in turn (scene, static capsules, self pairs), and each
     tests only the configs that no earlier pass has hit.  Within a pass a
     pair goes to the exact kernel (`mark_contacts`, in blocks of
@@ -557,7 +573,8 @@ def config_collides_batch(
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
 
     frames_idx, local_a, local_b, radii, pairs = robot.capsule_table
-    frames = fk_frames_batch(robot, qs)  # (n, F, 4, 4)
+    if frames is None:
+        frames = fk_frames_batch(robot, qs)  # (n, F, 4, 4)
     rot = frames[:, :, :3, :3][:, frames_idx]  # (n, c, 3, 3)
     shift = frames[:, :, :3, 3][:, frames_idx]  # (n, c, 3)
     world_a = np.einsum("ncij,cj->nci", rot, local_a) + shift
@@ -623,31 +640,36 @@ def build_rungs_batch(
     go through one `ik_sweep` as a stack.  None means some waypoint has no
     IK solution (then the orientation is not collision-tested) or no
     collision-free one.  The solutions of every orientation whose rungs all
-    have IK solutions are tested in one `config_collides_batch` call and
-    split back per waypoint; since rows are independent, each orientation's
-    rungs are the same as when it is built alone.
+    have IK solutions are tested in one `config_collides_batch` call, with
+    the chain frames `ik_sweep`'s pose check computed for them, and split
+    back per waypoint; since rows are independent, each orientation's rungs
+    are the same as when it is built alone.
     """
     sizes = [len(w) for w in waypoints]
+    starts = np.cumsum(sizes) - sizes
     rots = tool_rotations([d for d, _ in orientations], [r for _, r in orientations])
     families = ik_sweep(robot, np.repeat(rots, sizes, axis=0), np.concatenate(waypoints))
-    blocks = _pieces(families, sizes)
-    reached = [all(len(fam) for fam in block) for block in blocks]
-    tested = [fam for block, ok in zip(blocks, reached) if ok for fam in block]
-    if not tested:
-        return [None] * len(blocks)
-    seen = None
-    if upto is not None:
-        counts = [sum(map(len, block)) for block, ok in zip(blocks, reached) if ok]
-        seen = np.repeat([u for u, ok in zip(upto, reached) if ok], counts)
+    counts = families.sizes  # IK rows per origin
+    reached = np.minimum.reduceat(counts, starts) > 0
+    if not reached.any():
+        return [None] * len(sizes)
+    # the origin of every IK row, and whether its orientation is tested
+    owner = np.repeat(np.arange(len(counts)), counts)
+    tested = np.repeat(reached, sizes)[owner]
+    qs, frames, owner = families.rows[tested], families.frames[tested], owner[tested]
+    del families  # the untested rows' frames need not outlive the gather
+    seen = None if upto is None else np.repeat(upto, sizes)[owner]
     free = ~config_collides_batch(
-        robot, np.concatenate(tested), scene, clearance=clearance, upto=seen
+        robot, qs, scene, clearance=clearance, upto=seen, frames=frames
     )
-    masks = iter(_pieces(free, [len(fam) for fam in tested]))
-    out: list[list[np.ndarray] | None] = []
-    for block, ok in zip(blocks, reached):
-        rungs = [fam[next(masks)] for fam in block] if ok else None
-        out.append(rungs if rungs is not None and all(len(r) for r in rungs) else None)
-    return out
+    # one rung per origin (empty where untested), as slices of the free rows
+    kept = np.bincount(owner[free], minlength=len(counts))
+    rungs = _pieces(qs[free], kept)
+    whole = np.minimum.reduceat(kept, starts) > 0
+    return [
+        rungs[a : a + n] if ok else None
+        for a, n, ok in zip(starts.tolist(), sizes, whole.tolist())
+    ]
 
 
 def build_rungs(

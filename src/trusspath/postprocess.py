@@ -66,17 +66,15 @@ def fingerprint(payload) -> str:
 
 def tcp_entries(robot: RobotModel, joints: np.ndarray) -> list[dict]:
     """Tool poses for each joint row: origin, tool z axis, full rotation."""
-    frames = fk_frames_batch(robot, np.atleast_2d(joints))[:, -1]
-    out = []
-    for f in frames:
-        out.append(
-            {
-                "origin": [float(v) for v in f[:3, 3]],
-                "zaxis": [float(v) for v in f[:3, 2]],
-                "rotation": [[float(v) for v in row] for row in f[:3, :3]],
-            }
-        )
-    return out
+    frames = fk_frames_batch(robot, np.atleast_2d(joints))[:, -1, :3].tolist()
+    return [
+        {
+            "origin": [row[3] for row in f],
+            "zaxis": [row[2] for row in f],
+            "rotation": [row[:3] for row in f],
+        }
+        for f in frames
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ These moves are planned directly in joint space with a bidirectional
 RRT-Connect, then tightened with random shortcut smoothing (which can only
 ever shorten a weighted-L1 path, by the triangle inequality).
 
-A direct straight-line check runs first since most transitions are short.
+A direct straight-line check runs first since most transitions are short;
+its grid and both endpoints' own checks share one collision query.
 When the bidirectional search fails inside its budget, a second attempt
 routes through the home configuration, which by convention must be free in
 every scene; if even that fails, planning for the whole element ordering is
@@ -199,13 +200,20 @@ def plan_transition(
 
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    for name, q in (("start", start), ("goal", goal)):
-        if not robot.within_limits(q):
+    # one query for both endpoints and, when both are within the limits
+    # (which bound its length), the direct segment's grid
+    inside = robot.within_limits(start), robot.within_limits(goal)
+    qs = [start[None, :], goal[None, :]]
+    if all(inside):
+        qs.append(_interpolate(start, goal, step_vec))
+    hits = config_collides_batch(robot, np.concatenate(qs), scene, clearance=config.clearance)
+    for name, ok, hit in zip(("start", "goal"), inside, hits):
+        if not ok:
             raise TransitionPlanningError(f"transition {name} violates joint limits")
-        if config_collides_batch(robot, q[None, :], scene, clearance=config.clearance)[0]:
+        if hit:
             raise TransitionPlanningError(f"transition {name} config collides")
 
-    if _segment_free(robot, start, goal, scene, step_vec, config.clearance):
+    if not hits[2:].any():
         path = np.array([start, goal])
         return TransitionResult(path, 0, path_cost(path, weights), False)
 

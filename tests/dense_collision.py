@@ -21,9 +21,11 @@ def dense_config_collides_batch(
     clearance: float,
     *,
     upto: np.ndarray | None = None,
+    frames: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row i sees the scene obstacles `[0, upto[i])` (all of them when
-    `upto` is None) and every static capsule."""
+    `upto` is None) and every static capsule.  `frames` is ignored: the
+    oracle always poses `qs` itself, so a caller's frames are checked too."""
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
 
     frames_idx, local_a, local_b, radii, pairs = robot.capsule_table

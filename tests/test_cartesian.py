@@ -17,7 +17,7 @@ from trusspath.cartesian import (
     _minplus,
     _pair_costs,
     build_rungs,
-    capsule_from_rungs,
+    capsules_from_rungs,
     chain_search,
     estimate_full_graph_size,
     expand_and_search,
@@ -100,6 +100,88 @@ def test_inner_cost_matrix_matches_enumeration():
                     assert got[i, j] == pytest.approx(expected, abs=1e-12)
 
 
+def ladder_capsule_matrix(rungs, weights, limits):
+    """A block's capsule matrix from its own `_ladder` run, identity start."""
+    start = np.where(np.eye(len(rungs[0]), dtype=bool), 0.0, math.inf)
+    return cartesian._ladder(start, rungs, weights, limits)[0]
+
+
+def assert_equal_to_own_ladders(got, blocks, weights, limits):
+    assert len(got) == len(blocks)
+    for matrix, rungs in zip(got, blocks):
+        want = ladder_capsule_matrix(rungs, weights, limits)
+        assert matrix.shape == want.shape
+        assert matrix.tobytes() == want.tobytes()
+
+
+def ragged_blocks(rng, count, weights, limits):
+    """Random walks of 2-41 rungs of 1-8 configs, each config within about
+    half a jump limit per joint of its rung's centre, so some moves inside a
+    rung are within the limits too.  Some blocks hold one config per rung,
+    and some are cut mid-way by a rung moved far off."""
+    dof = len(weights)
+    blocks = []
+    for _ in range(count):
+        length = int(rng.integers(2, 42))
+        centres = np.cumsum(rng.normal(0.0, 0.4 * limits, size=(length, dof)), axis=0)
+        most = 1 if rng.random() < 0.2 else 8
+        rungs = [
+            c + rng.normal(0.0, 0.5 * limits, size=(int(rng.integers(1, most + 1)), dof))
+            for c in centres
+        ]
+        if length > 2 and rng.random() < 0.2:
+            rungs[int(rng.integers(1, length - 1))] += 10.0 * limits
+        blocks.append(rungs)
+    return blocks
+
+
+@pytest.mark.parametrize("cells", [None, 1, 3000])
+@pytest.mark.parametrize("dof", [6, 7])
+def test_batched_ladders_equal_each_blocks_own_ladder_on_ragged_blocks(dof, cells, monkeypatch):
+    if cells is not None:  # stacks of one block, and of a few
+        monkeypatch.setattr(cartesian, "LADDER_CELLS", cells)
+    rng = np.random.default_rng(60 + dof)
+    weights = rng.uniform(0.25, 2.0, size=dof)
+    limits = np.full(dof, 0.15)
+    kinds = set()
+    for _ in range(12):
+        blocks = ragged_blocks(rng, int(rng.integers(1, 13)), weights, limits)
+        got = cartesian._inner_cost_matrices(blocks, weights, limits)
+        assert_equal_to_own_ladders(got, blocks, weights, limits)
+        for matrix, rungs in zip(got, blocks):
+            kinds.add("finite" if np.isfinite(matrix).any() else "all inf")
+            if max(map(len, rungs)) == 1:
+                kinds.add("single configs")
+    assert kinds == {"all inf", "finite", "single configs"}
+
+
+@pytest.mark.parametrize("case", ["cube-dense", "cube-sparse"])
+def test_batched_ladders_equal_each_blocks_own_ladder_on_every_cube_block(
+    robot, cube_tasks, default_tasks, case, monkeypatch
+):
+    """Every block the capsule sampler relaxes on both cube configurations."""
+    if case == "cube-dense":
+        (_, _, tasks), config = default_tasks, PlannerConfig()
+    else:
+        (_, _, tasks), config = cube_tasks, CART_CFG
+    relaxed = []
+    batched = cartesian._inner_cost_matrices
+
+    def recording(blocks, weights, limits):
+        got = batched(blocks, weights, limits)
+        relaxed.append((blocks, got))
+        return got
+
+    monkeypatch.setattr(cartesian, "_inner_cost_matrices", recording)
+    result = expand_and_search(robot, tasks, config)
+    weights = robot.weights
+    limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
+    for blocks, got in relaxed:
+        assert_equal_to_own_ladders(got, blocks, weights, limits)
+    assert sum(len(blocks) for blocks, _ in relaxed) >= result.built_capsules > len(tasks)
+    assert max(len(blocks) for blocks, _ in relaxed) > 1
+
+
 def _pair_allowed(a, b, limits):
     """Which config pairs of a (n, dof) and b (m, dof) lie within the jump limits."""
     return (np.abs(a[:, None, :] - b[None, :, :]) <= limits[None, None, :]).all(axis=2)
@@ -119,7 +201,8 @@ def build_capsule(robot, task, scene, direction, direction_index, rotation, conf
     if rungs is None:
         return None
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
-    return capsule_from_rungs(task.index, direction_index, rotation, rungs, robot.weights, limits)
+    block = (task.index, direction_index, rotation, rungs)
+    return capsules_from_rungs([block], robot.weights, limits)[0]
 
 
 def test_pair_helpers():

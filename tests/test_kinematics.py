@@ -9,7 +9,8 @@ import pytest
 
 from dense_collision import dense_config_collides_batch
 from trusspath.fixtures import fixture_path, load_bundled_model, load_bundled_robot
-from trusspath.geometry import CapsuleShape
+from trusspath import kinematics
+from trusspath.geometry import CapsuleShape, direction_rotation_from_frame
 from trusspath.kinematics import (
     CapsuleSet,
     EEPose,
@@ -19,9 +20,11 @@ from trusspath.kinematics import (
     _dh_matrix_batch,
     _flange_targets,
     _ik_arm,
+    build_rungs_batch,
     config_collides_batch,
     fk,
     fk_frames,
+    fk_frames_batch,
     ik,
     ik_sweep,
     invert_transform,
@@ -475,6 +478,70 @@ def test_prefix_rows_equal_calls_on_their_own_prefix_scene():
     # the config touches only the obstacle 1e-7 mm inside contact
     assert np.array_equal(got[: len(prefixes)], prefixes > inside)
     assert got[len(prefixes) :].any() and not got[len(prefixes) :].all()
+
+
+@pytest.mark.parametrize("doc", [bundled_doc, tracked_doc], ids=["bundled", "rail"])
+def test_collision_query_given_its_frames_equals_its_own_forward_kinematics(doc):
+    robot = load_robot(doc())
+    _, scene, _ = independence_set(np.random.default_rng(47))
+    rng = np.random.default_rng(48)
+    qs = np.concatenate(
+        [
+            rng.uniform(robot.lower, robot.upper, size=(150, robot.dof)),
+            robot.home + rng.normal(0.0, 0.4, size=(150, robot.dof)),
+        ]
+    )
+    for upto in (None, rng.integers(0, len(scene) + 1, size=len(qs))):
+        want = config_collides_batch(robot, qs, scene, 2.0, upto=upto)
+        got = config_collides_batch(
+            robot, qs, scene, 2.0, upto=upto, frames=fk_frames_batch(robot, qs)
+        )
+        assert np.array_equal(got, want)
+        assert want.any() and not want.all()
+
+
+def test_build_rungs_batch_runs_forward_kinematics_once(monkeypatch):
+    """The collision query takes the chain frames of `ik_sweep`'s pose check,
+    so a call runs one `fk_frames_batch`, and its rungs are those of a query
+    that runs its own."""
+    robot = load_bundled_robot("arm")
+    model = load_bundled_model("cube")
+    scene = model.scene([e.id for e in model.elements])
+    tip = fk_frames(robot, robot.home)[-1]
+    direction, rotation = direction_rotation_from_frame(tip)
+    line = tip[:3, 3] + np.linspace(0.0, 40.0, 5)[:, None] * np.array([1.0, 0.0, 0.0])
+    far = tip[:3, 3] + np.array([[5000.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    waypoints = [line, line, far, line, line]
+    orientations = [
+        (direction, rotation), (direction, rotation + 0.4), (direction, rotation),
+        (direction, rotation + 1.2), (-direction, rotation),
+    ]
+    upto = [0, len(scene), 3, 7, 0]
+
+    def rungs_with(query):
+        with monkeypatch.context() as patch:
+            patch.setattr(kinematics, "config_collides_batch", query)
+            return build_rungs_batch(robot, waypoints, orientations, scene, 2.0, upto=upto)
+
+    def own_fk(robot, qs, *args, frames=None, **kwargs):
+        return config_collides_batch(robot, qs, *args, **kwargs)
+
+    calls = []
+
+    def counting_fk(*args, **kwargs):
+        calls.append(1)
+        return fk_frames_batch(*args, **kwargs)
+
+    monkeypatch.setattr(kinematics, "fk_frames_batch", counting_fk)
+    got = rungs_with(config_collides_batch)
+    assert len(calls) == 1
+    want = rungs_with(own_fk)
+    assert len(calls) == 3
+    assert [r is None for r in got] == [r is None for r in want]
+    assert any(r is None for r in got) and any(r is not None for r in got)
+    for a, b in zip(got, want):
+        if a is not None:
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_clearance_widens_collisions():

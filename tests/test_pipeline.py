@@ -842,9 +842,9 @@ def per_task_motion(model, sequence):
                 for (a, rot), rungs in zip(chunk, built):
                     if rungs is None:
                         continue
-                    cap = cartesian.capsule_from_rungs(
-                        task.index, a, rot, rungs, robot.weights, limits
-                    )
+                    cap = cartesian.capsules_from_rungs(
+                        [(task.index, a, rot, rungs)], robot.weights, limits
+                    )[0]
                     if cap is not None:
                         column.append(cap)
             attempted += done

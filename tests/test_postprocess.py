@@ -11,7 +11,7 @@ import pytest
 
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import load_bundled_model, load_bundled_robot
-from trusspath.kinematics import fk
+from trusspath.kinematics import fk, fk_frames_batch
 from trusspath.pipeline import run_pipeline
 from trusspath.postprocess import (
     PLAN_VERSION,
@@ -111,6 +111,31 @@ def test_tcp_entries_match_forward_kinematics():
         rot = np.array(entry["rotation"])
         assert np.allclose(rot[:, 2], entry["zaxis"], atol=1e-12)
         assert np.allclose(pose.direction, -rot[:, 2], atol=1e-9)
+
+
+def test_tcp_entries_hold_the_floats_of_per_value_conversion():
+    """The entries, read from one `.tolist()`, equal those built one
+    `float()` at a time, signs of zeros included (compared by `repr`)."""
+    robot = load_bundled_robot("arm")
+    rng = np.random.default_rng(12)
+    qs = np.concatenate(
+        [
+            rng.uniform(robot.lower, robot.upper, size=(50, robot.dof)),
+            np.zeros((1, robot.dof)), robot.home[None], -robot.home[None],
+        ]
+    )
+    want = [
+        {
+            "origin": [float(v) for v in f[:3, 3]],
+            "zaxis": [float(v) for v in f[:3, 2]],
+            "rotation": [[float(v) for v in row] for row in f[:3, :3]],
+        }
+        for f in fk_frames_batch(robot, qs)[:, -1]
+    ]
+    got = tcp_entries(robot, qs)
+    assert repr(got) == repr(want)
+    assert all(type(v) is float for entry in got for v in entry["origin"] + entry["zaxis"])
+    assert "-0.0" in repr(want)
 
 
 def test_valid_document_round_trips(tmp_path):

@@ -218,3 +218,57 @@ def test_colliding_home_disables_fallback(robot, blocked_pair):
     )
     with pytest.raises(TransitionPlanningError, match="no fallback route"):
         plan_transition(robot, qa, qb, scene2, starved, rng=np.random.default_rng(0))
+
+
+def three_query_endpoint_checks(robot, start, goal, scene, config):
+    """The endpoint checks as one query per endpoint, then one for the direct
+    segment; returns whether that segment is free."""
+    for name, q in (("start", start), ("goal", goal)):
+        if not robot.within_limits(q):
+            raise TransitionPlanningError(f"transition {name} violates joint limits")
+        if transition.config_collides_batch(robot, q[None], scene, clearance=config.clearance)[0]:
+            raise TransitionPlanningError(f"transition {name} config collides")
+    step_vec = step_vector(robot, config)
+    return _segment_free(robot, start, goal, scene, step_vec, config.clearance)
+
+
+def test_endpoint_checks_share_one_query_and_raise_like_three(robot, monkeypatch):
+    """Every mix of endpoints out of limits, colliding or fine raises what
+    the three-query sequence raises, in the same precedence; a direct move
+    is decided by one query of as many rows as the three held."""
+    fine = nearest_ik(robot, [450.0, -180.0, 250.0]), nearest_ik(robot, [450.0, -120.0, 250.0])
+    colliding = nearest_ik(robot, [450.0, 180.0, 250.0])
+    tip = fk(robot, colliding).position
+    scene = CapsuleSet((CapsuleShape(tuple(tip - 1.0), tuple(tip + 1.0), 60.0),))
+    outside = colliding.copy()
+    outside[1] = robot.upper[1] + 1.0
+    assert config_collides_batch(robot, outside[None], scene, clearance=CFG.clearance)[0]
+
+    queries = []
+    real_query = transition.config_collides_batch
+
+    def counting(robot, qs, *args, **kwargs):
+        queries.append(len(qs))
+        return real_query(robot, qs, *args, **kwargs)
+
+    monkeypatch.setattr(transition, "config_collides_batch", counting)
+    kinds = {"outside": (outside, outside), "colliding": (colliding, colliding), "fine": fine}
+    for start_kind, (start, _) in kinds.items():
+        for goal_kind, (_, goal) in kinds.items():
+            try:
+                want = three_query_endpoint_checks(robot, start, goal, scene, CFG)
+            except TransitionPlanningError as exc:
+                want = str(exc)
+            asked = list(queries)
+            queries.clear()
+            try:
+                result = plan_transition(robot, start, goal, scene, CFG)
+            except TransitionPlanningError as exc:
+                got = str(exc)
+            else:
+                got = result.iterations == 0 and not result.via_home
+            assert got == want, (start_kind, goal_kind)
+            if (start_kind, goal_kind) == ("fine", "fine"):
+                assert got is True
+                assert queries == [sum(asked)] and len(asked) == 3
+            queries.clear()
