@@ -25,7 +25,9 @@ start), the chain search, the full-graph baseline and the retraction slides
 lowest index and an earlier capsule.  Capsule matrices need no pointers:
 `_inner_cost_matrices` relaxes the identity starts of many blocks at once,
 padded to one stack (`_relax_stack`), and each matrix is bit-equal to its
-own `_ladder` run.  Every step cost comes from `_step_costs`, which computes
+own `_ladder` run.  `LADDER_CELLS` bounds a stack's temporaries, so a block
+too wide for it (a rail arm's rungs) relaxes one step and one start row at
+a time.  Every step cost comes from `_step_costs`, which computes
 a rung pair's joint differences once and takes both the weighted distance
 and the jump mask from them.
 
@@ -64,9 +66,18 @@ CANDIDATE_CHUNK = 6
 # `build_rungs_batch` call takes.  Bounds the sweep's and the collision
 # query's temporaries however many tasks a round stacks.
 STACK_ORIGINS = 256
-# Most padded step cells (blocks x rung pairs x config pairs) one stack of
-# capsule ladders relaxes at once: about 1 MB per float temporary at seven
-# joints.  A bundled-cube call needs under 5 k; wide rail rungs split.
+# Most padded cells one temporary of a capsule-ladder relaxation holds.  A
+# stack takes blocks while one relaxation step of it (blocks x start rows x
+# configs x configs) fits; it then takes its step costs and its start rows
+# as many steps and rows at a time as blocks x configs x configs cells fit
+# into this, at least one, so a block wider than the cap alone relaxes one
+# step and one start row at a time.  A bundled-cube call needs at most 448
+# cells a step, so the cap never splits one there.  Sized by planning a
+# one-story `bracing_tower` with the bundled arm on a -500..500 mm rail: at
+# its default 10 mm step (rungs of up to 307 configs) caps of 2^12 to 2^16
+# relax every block in 19-21 s with a 12 MB peak in the kernel and 2^18 in
+# 23-25 s; at a 100 mm step (up to 34 configs) 2^14 takes 0.14-0.16 s, as the
+# per-block ladders did, and 2^12, 2^16 and 2^18 0.17-0.23 s.
 LADDER_CELLS = 1 << 14
 
 
@@ -196,7 +207,8 @@ def _step_costs(
     """Jump-limited move costs from the configs of rung `a` (..., n, dof) to
     those of rung `b` (..., m, dof), shaped (..., n, m): the weighted L1
     distance, or infinity where some joint moves more than its limit."""
-    diff = np.abs(a[..., :, None, :] - b[..., None, :, :])
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    np.abs(diff, out=diff)
     jump = (diff > limits).any(axis=-1)
     diff *= weights
     step = diff.sum(axis=-1)
@@ -250,11 +262,13 @@ def _relax_stack(
     config is never reached and its own steps out only add infinite
     candidates to each min; an identity step leaves every cost as it is.
     Each matrix is thus the same min over the same sums as its own ladder's.
+    Start rows relax independently, so they are taken in bands; step costs
+    are taken in spans of steps (`LADDER_CELLS`).
     """
-    lengths = [len(rungs) for rungs in blocks]
+    lengths = np.array([len(rungs) for rungs in blocks])
     flat = [rung for rungs in blocks for rung in rungs]
     sizes = np.array([len(rung) for rung in flat])
-    count, length, width = len(blocks), max(lengths), int(sizes.max())
+    count, length, width = len(blocks), int(lengths.max()), int(sizes.max())
     # (block, rung, slot) of every config, blocks and rungs in order
     rung = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     at = (
@@ -267,13 +281,20 @@ def _relax_stack(
     real = np.zeros((count, length, width), dtype=bool)
     real[at] = True
 
-    step = _step_costs(configs[:, :-1], configs[:, 1:], weights, limits)
-    step[np.broadcast_to(~real[:, 1:, None, :], step.shape)] = _INF
     identity = np.where(np.eye(width, dtype=bool), 0.0, _INF)
-    step[np.arange(1, length) >= np.array(lengths)[:, None]] = identity
-    cost = np.repeat(identity[None], count, axis=0)
-    for s in range(length - 1):
-        cost = (cost[:, :, :, None] + step[:, s, None, :, :]).min(axis=-2)
+    rows = max(len(rungs[0]) for rungs in blocks)
+    cost = np.repeat(identity[None, :rows], count, axis=0)
+    reach = max(1, LADDER_CELLS // (count * width * width))
+    for first in range(0, length - 1, reach):
+        last = min(first + reach, length - 1)  # steps into rungs first + 1 .. last
+        to = slice(first + 1, last + 1)
+        step = _step_costs(configs[:, first:last], configs[:, to], weights, limits)
+        step[np.broadcast_to(~real[:, to, None, :], step.shape)] = _INF
+        step[np.arange(first + 1, last + 1) >= lengths[:, None]] = identity
+        for s in range(step.shape[1]):
+            for band in range(0, rows, reach):
+                part = cost[:, band : band + reach]
+                np.min(part[:, :, :, None] + step[:, s, None, :, :], axis=-2, out=part)
     return [cost[b, : len(rungs[0]), : len(rungs[-1])] for b, rungs in enumerate(blocks)]
 
 
@@ -283,19 +304,20 @@ def _inner_cost_matrices(
     """Per block of rungs: the cheapest jump-limited interior cost from each
     first-rung config to each last-rung config.
 
-    Consecutive blocks are relaxed together (`_relax_stack`) while their
-    padded stack holds at most `LADDER_CELLS` step cells; a stack takes at
-    least one block.
+    Consecutive blocks are relaxed together (`_relax_stack`) while one
+    relaxation step of their padded stack (blocks x start rows x configs x
+    configs) holds at most `LADDER_CELLS` cells; a stack takes at least one
+    block.
     """
-    widths = [max(map(len, rungs)) for rungs in blocks]
+    shapes = [(len(rungs[0]), max(map(len, rungs))) for rungs in blocks]
     out, start = [], 0
     while start < len(blocks):
-        stop, length, width = start + 1, len(blocks[start]), widths[start]
+        stop, (rows, width) = start + 1, shapes[start]
         while stop < len(blocks):
-            grown = max(length, len(blocks[stop])), max(width, widths[stop])
+            grown = max(rows, shapes[stop][0]), max(width, shapes[stop][1])
             if (stop + 1 - start) * grown[0] * grown[1] ** 2 > LADDER_CELLS:
                 break
-            (length, width), stop = grown, stop + 1
+            (rows, width), stop = grown, stop + 1
         out += _relax_stack(blocks[start:stop], weights, limits)
         start = stop
     return out

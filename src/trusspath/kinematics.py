@@ -438,8 +438,8 @@ def ik_sweep(
     limits; the survivors must reproduce the world tool pose within 1e-6
     through `fk_frames_batch`, the one forward-kinematics chain.
     Returns one (k, dof) array per origin (k may be 0), rows in
-    lexicographic order of their joint values, as `IKFamilies`: the pose
-    check's chain frames of every returned row come with them.
+    lexicographic order of their joint values, as `IKFamilies`, which also
+    hold the pose check's chain frames.
     """
     origins = np.atleast_2d(np.asarray(origins, dtype=float))
     n = origins.shape[0]
@@ -476,7 +476,7 @@ def ik_sweep(
     keep = np.flatnonzero((pos_err < _POSE_TOL) & (rot_err < _POSE_TOL))
     # stable, so equal rows keep (rail position, branch) order
     keep = keep[np.lexsort((*rows[keep].T[::-1], owner[keep]))]
-    return IKFamilies(rows[keep], chain[keep], np.bincount(owner[keep], minlength=n))
+    return IKFamilies(rows[keep], np.bincount(owner[keep], minlength=n), chain, keep)
 
 
 def _pieces(items, sizes) -> list:
@@ -488,13 +488,19 @@ def _pieces(items, sizes) -> list:
 
 class IKFamilies(list):
     """`ik_sweep`'s result: one (k, dof) family per origin, the consecutive
-    slices of `rows`, and `frames`, the (len(rows), F, 4, 4) chain frames
-    (`fk_frames_batch`) of those rows, so a collision query of them needs
-    no second forward-kinematics pass."""
+    slices of `rows`.  The list view is what `ik`, the tests and the
+    benchmark's tracer read; `build_rungs_batch` reads the flat `rows`,
+    their per-origin `sizes`, and the pose check's chain frames: `chain`
+    holds them for every candidate the pose check ran on, and row i's are
+    `chain[chain_index[i]]`, so a collision query of some rows gathers
+    their frames once and runs no second forward-kinematics pass."""
 
-    def __init__(self, rows: np.ndarray, frames: np.ndarray, sizes: np.ndarray):
+    def __init__(
+        self, rows: np.ndarray, sizes: np.ndarray, chain: np.ndarray, chain_index: np.ndarray
+    ):
         super().__init__(_pieces(rows, sizes))
-        self.rows, self.frames, self.sizes = rows, frames, sizes
+        self.rows, self.sizes = rows, sizes
+        self.chain, self.chain_index = chain, chain_index
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +662,9 @@ def build_rungs_batch(
     # the origin of every IK row, and whether its orientation is tested
     owner = np.repeat(np.arange(len(counts)), counts)
     tested = np.repeat(reached, sizes)[owner]
-    qs, frames, owner = families.rows[tested], families.frames[tested], owner[tested]
-    del families  # the untested rows' frames need not outlive the gather
+    qs, owner = families.rows[tested], owner[tested]
+    frames = families.chain[families.chain_index[tested]]
+    del families  # the other candidates' frames need not outlive the gather
     seen = None if upto is None else np.repeat(upto, sizes)[owner]
     free = ~config_collides_batch(
         robot, qs, scene, clearance=clearance, upto=seen, frames=frames

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,16 +29,23 @@ from trusspath.cartesian import (
     prepare_tasks,
 )
 from trusspath.config import PlannerConfig
-from trusspath.fixtures import load_bundled_model, load_bundled_robot
+from trusspath.fixtures import fixture_path, load_bundled_model, load_bundled_robot
 from trusspath import kinematics
 from trusspath.kinematics import (
     CapsuleSet,
     build_rungs_batch,
     config_collides_batch,
     fk,
+    fk_frames,
     ik_sweep,
+    load_robot,
 )
-from trusspath.geometry import CapsuleShape, pose_from_direction, sample_directions
+from trusspath.geometry import (
+    CapsuleShape,
+    direction_rotation_from_frame,
+    pose_from_direction,
+    sample_directions,
+)
 from trusspath.sequence import (
     SequencePlanner,
     plan_sequence,
@@ -135,10 +144,13 @@ def ragged_blocks(rng, count, weights, limits):
     return blocks
 
 
-@pytest.mark.parametrize("cells", [None, 1, 3000])
+@pytest.mark.parametrize("cells", [None, 1, 200, 3000])
 @pytest.mark.parametrize("dof", [6, 7])
 def test_batched_ladders_equal_each_blocks_own_ladder_on_ragged_blocks(dof, cells, monkeypatch):
-    if cells is not None:  # stacks of one block, and of a few
+    # at 1 every block runs alone, one step and one start row at a time; at
+    # 200 a lone block also runs bands of rows, and stacks of a few run
+    # spans of steps, the last band and span short; at 3000 stacks grow
+    if cells is not None:
         monkeypatch.setattr(cartesian, "LADDER_CELLS", cells)
     rng = np.random.default_rng(60 + dof)
     weights = rng.uniform(0.25, 2.0, size=dof)
@@ -180,6 +192,41 @@ def test_batched_ladders_equal_each_blocks_own_ladder_on_every_cube_block(
         assert_equal_to_own_ladders(got, blocks, weights, limits)
     assert sum(len(blocks) for blocks, _ in relaxed) >= result.built_capsules > len(tasks)
     assert max(len(blocks) for blocks, _ in relaxed) > 1
+
+
+def test_wide_rail_rungs_relax_with_the_temporaries_of_one_step():
+    """The bundled arm on a -500..500 mm rail, solved on its default 10 mm
+    grid, has rungs of over 200 configs near home.  Such a block is wider
+    than `LADDER_CELLS`, so it relaxes one step and one start row at a time:
+    its peak holds under two steps' joint differences, where relaxing every
+    step, or every start row, at once would hold one per step, or per row.
+    Its rows are those of its own ladder run, taken 16 start rows a time."""
+    doc = json.loads(fixture_path("kr6_like.json").read_text())
+    doc["track"] = {"direction": [0.0, 1.0, 0.0], "lower": -500.0, "upper": 500.0}
+    doc["home"]["track"] = 0.0
+    railed = load_robot(doc)
+    tip = fk_frames(railed, railed.home)[-1]
+    direction, rotation = direction_rotation_from_frame(tip)
+    waypoints = tip[:3, 3] + np.linspace(0.0, 30.0, 7)[:, None] * np.array([1.0, 0.0, 0.0])
+    rungs = build_rungs(railed, waypoints, direction, rotation, CapsuleSet([]), 2.0)
+    width = max(map(len, rungs))
+    assert min(map(len, rungs)) > 200 and width**2 > cartesian.LADDER_CELLS
+    weights = railed.weights
+    limits = railed.jump_limits(0.1, 15.0)
+    tracemalloc.start()
+    try:
+        got = _inner_cost_matrix(rungs, weights, limits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_step = width**2 * railed.dof * np.dtype(float).itemsize
+    assert peak < 2 * one_step
+    assert got.shape == (len(rungs[0]), len(rungs[-1]))
+    starts = np.where(np.eye(len(rungs[0]), dtype=bool), 0.0, math.inf)
+    for a in range(0, len(starts), 16):
+        want = cartesian._ladder(starts[a : a + 16], rungs, weights, limits)[0]
+        assert got[a : a + 16].tobytes() == want.tobytes()
+    assert np.isfinite(got).any()
 
 
 def _pair_allowed(a, b, limits):

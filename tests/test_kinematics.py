@@ -532,11 +532,19 @@ def test_build_rungs_batch_runs_forward_kinematics_once(monkeypatch):
         calls.append(1)
         return fk_frames_batch(*args, **kwargs)
 
+    handed = []
+
+    def checking_query(robot, qs, *args, frames=None, **kwargs):
+        # the gathered frames are the tested rows' own, bit for bit
+        handed.append(np.array_equal(frames, fk_frames_batch(robot, qs)))
+        return config_collides_batch(robot, qs, *args, frames=frames, **kwargs)
+
     monkeypatch.setattr(kinematics, "fk_frames_batch", counting_fk)
     got = rungs_with(config_collides_batch)
     assert len(calls) == 1
     want = rungs_with(own_fk)
     assert len(calls) == 3
+    assert rungs_with(checking_query) is not None and handed == [True]
     assert [r is None for r in got] == [r is None for r in want]
     assert any(r is None for r in got) and any(r is not None for r in got)
     for a, b in zip(got, want):
