@@ -29,19 +29,21 @@ own `_ladder` run.  `LADDER_CELLS` bounds a stack's temporaries, so a block
 too wide for it (a rail arm's rungs) relaxes one step and one start row at
 a time.  Every step cost comes from `_step_costs`, which computes
 a rung pair's joint differences once and takes both the weighted distance
-and the jump mask from them.
+and the jump mask from them; a boundary move between two tasks is the same
+step under no jump limit.
 
 Every rung comes from `kinematics.build_rungs_batch`.  Every scene of the
 stage is a prefix of one build order, so a task carries that one ordered
 scene and its prefix length, and orientations of many tasks share a call,
 each against its own prefix.  The capsule sampler runs in rounds: each round
-takes every open task's next chunk of at most `CANDIDATE_CHUNK` candidates,
-and the round's chunks are stacked into calls of at most `STACK_ORIGINS` IK
-origins; the capsules of each call are summarised together
-(`capsules_from_rungs`).  The picked blocks' rungs and the first choice of
-every retraction slide are rebuilt the same way (`rebuild_picks`); a slide
-tries its other directions one `build_rungs` call each, only when its first
-choice fails.
+takes as many of every open task's next candidates as it still has budget
+for, and the round's chunks are stacked into calls of at most
+`STACK_ORIGINS` IK origins; the capsules of each call are summarised
+together (`capsules_from_rungs`).  The picked blocks' rungs and the first
+choice of every retraction slide are rebuilt the same way
+(`rebuild_picks`); a slide tries its other directions one `build_rungs`
+call each, against its prefix of the ordered scene (`CapsuleSet.prefix`),
+only when its first choice fails.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ from .sequence import SequenceResult, SweepTable, rotation_sequence
 from .truss import TrussModel
 
 _INF = float("inf")
-# Most orientation candidates a task hands the capsule sampler per round.  A
-# chunk never exceeds the task's remaining capsule budget, so the capsules
-# built are those of one candidate per call.
-CANDIDATE_CHUNK = 6
 # Most IK origins (waypoints over all orientations) one stacked
 # `build_rungs_batch` call takes.  Bounds the sweep's and the collision
 # query's temporaries however many tasks a round stacks.
@@ -182,12 +180,6 @@ class Capsule:
     @property
     def feasible(self) -> bool:
         return bool(np.isfinite(self.inner_cost).any())
-
-
-def _pair_costs(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted L1 distances between config rows of a (n,dof) and b (m,dof)."""
-    diff = np.abs(a[:, None, :] - b[None, :, :]) * weights[None, None, :]
-    return diff.sum(axis=2)
 
 
 def _minplus(cost: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,7 +481,7 @@ def chain_search(
     for col in columns:
         costs, links = [], []
         for cap in col:
-            entry_cost, entry_from = _minplus(cost, _pair_costs(exits, cap.entry, weights))
+            entry_cost, entry_from = _minplus(cost, _step_costs(exits, cap.entry, weights, _INF))
             exit_cost, entry_pick = _minplus(entry_cost, cap.inner_cost)
             costs.append(exit_cost)
             links.append((entry_from, entry_pick))
@@ -546,9 +538,10 @@ def expand_and_search(
     budget of capsules (default: everything, which makes the result exact
     over all feasible orientation blocks).  Growing the budget can only add
     capsules, so reported cost is monotone non-increasing in the budget.
-    The walks advance in rounds, one chunk per open task, and a round's
-    chunks are built in stacked calls; each task's chunks, and so its
-    column, are those of walking it alone.
+    The walks advance in rounds, one chunk per open task of as many
+    candidates as its remaining budget, and a round's chunks are built in
+    stacked calls; each task's chunks, and so its column, are those of
+    walking it alone.
     """
     rng = rng or np.random.default_rng(config.seed)
     directions = sample_directions(config.direction_count)
@@ -575,7 +568,7 @@ def expand_and_search(
                 continue
             # a chunk the budget could fill can't overshoot it: every
             # candidate in it would have been attempted one at a time
-            chunk = queue[done[i] : done[i] + min(budgets[i] - len(column), CANDIDATE_CHUNK)]
+            chunk = queue[done[i] : done[i] + budgets[i] - len(column)]
             done[i] += len(chunk)
             jobs += [(task.waypoints, directions[a], rot, task.prefix) for a, rot in chunk]
             owners += [(i, a, rot) for a, rot in chunk]
@@ -685,7 +678,7 @@ def full_ladder_graph(
     for blocks in ladders:
         costs, links = [], []
         for rungs in blocks:
-            entry_cost, entry_from = _minplus(cost, _pair_costs(exits, rungs[0], weights))
+            entry_cost, entry_from = _minplus(cost, _step_costs(exits, rungs[0], weights, _INF))
             exit_cost, backs = _ladder(entry_cost, rungs, weights, limits)
             costs.append(exit_cost)
             links.append((entry_from, backs))
@@ -723,9 +716,7 @@ def plan_retraction(
     config: PlannerConfig,
     directions: np.ndarray,
     preferred: int,
-    *,
-    upto: int | None = None,
-    built: dict[int, list[np.ndarray] | None] | None = None,
+    preferred_rungs: list[np.ndarray] | None,
 ) -> np.ndarray | None:
     """Straight tip slide away from a node with the tool orientation frozen.
 
@@ -739,24 +730,23 @@ def plan_retraction(
     chain and the caller should fall back to a degenerate single-config
     segment.
 
-    `upto` limits `scene` to its first `upto` obstacles, as in
-    `config_collides_batch`.  `built` holds rungs already built against that
-    scene, by direction index (None: the direction has none); any other
-    direction is built with `build_rungs` when its turn comes.
+    `scene` is the structure the slide moves through; the motion stage
+    hands it the pass's prefix of the ordered scene (`CapsuleSet.prefix`),
+    one element longer for a depart.  `preferred_rungs` holds the rungs of
+    the `preferred` direction, built against `scene` (None: it has none);
+    any other direction is built with `build_rungs` when its turn comes.
     """
-    built = built or {}
     weights = robot.weights
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
 
     order = [preferred] + [i for i in range(len(directions)) if i != preferred]
     for a in order:
-        if a in built:
-            rungs = built[a]
+        if a == preferred:
+            rungs = preferred_rungs
         else:
             rungs = build_rungs(
                 robot, retraction_points(node, directions[a], config),
-                orientation_direction, rotation, scene,
-                clearance=config.clearance, upto=upto,
+                orientation_direction, rotation, scene, clearance=config.clearance,
             )
         if rungs is None:
             continue

@@ -150,9 +150,10 @@ class RobotModel:
         arm = [revolute] * len(self.joints)
         return np.array(([prismatic] if self.track else []) + arm)
 
-    def within_limits(self, q: np.ndarray, tol: float = 1e-9) -> bool:
+    def within_limits(self, q: np.ndarray) -> bool:
+        """Whether every joint of `q` lies within its limits, to 1e-9."""
         q = np.asarray(q, dtype=float)
-        return bool(np.all(q >= self.lower - tol) and np.all(q <= self.upper + tol))
+        return bool(np.all(q >= self.lower - 1e-9) and np.all(q <= self.upper + 1e-9))
 
     @cached_property
     def capsule_table(self):
@@ -525,6 +526,16 @@ class CapsuleSet:
     def __len__(self) -> int:
         return len(self.capsules)
 
+    def prefix(self, k: int) -> "CapsuleSet":
+        """The first `k` capsules, as a set whose arrays are views of this
+        set's.  Its arrays equal those of a set built from the same
+        capsules, since `bounding_spheres` works row by row."""
+        out = CapsuleSet.__new__(CapsuleSet)
+        out.capsules = self.capsules[:k]
+        out.a, out.b, out.radii = self.a[:k], self.b[:k], self.radii[:k]
+        out.mid, out.half = self.mid[:k], self.half[:k]
+        return out
+
 
 def _robot_capsule_table(robot: RobotModel):
     """(frame index, local end a, local end b, radius) per robot capsule,
@@ -560,12 +571,13 @@ def config_collides_batch(
     Rows are independent: testing configs in one call or in several gives
     the same booleans.  `clearance` is added to every capsule pair.
 
-    `upto` gives each row a prefix of one ordered scene: row i sees only
-    the obstacles `[0, upto[i])` (and the statics), so rows of many
-    partial structures of one build order share a call.  Each pair is
-    decided on its own, so a row's boolean is the one a call with the
-    `CapsuleSet` of its prefix gives.  Only the first `max(upto)`
-    obstacles enter the bound array.
+    `upto`, one prefix length per row, gives each row a prefix of one
+    ordered scene: row i sees only the obstacles `[0, upto[i])` (and the
+    statics), so rows of many partial structures of one build order share
+    a call.  Each pair is decided on its own, so a row's boolean is the one
+    a call with its prefix (`scene.prefix(upto[i])`) gives.  Only the first
+    `max(upto)` obstacles enter the bound array.  A call whose rows all see
+    one prefix passes that prefix as `scene` instead.
 
     `frames`, if given, must be `fk_frames_batch(robot, qs)` (`ik_sweep`
     returns them with its rows); the query then runs no forward kinematics.
@@ -592,7 +604,6 @@ def config_collides_batch(
         live = np.flatnonzero(~hit)
         m = len(obstacles)
         if seen is not None:
-            seen = np.broadcast_to(seen, hit.shape)
             live = live[seen[live] > 0]
             m = min(m, int(seen.max(initial=0)))
         if not m or not len(live):
@@ -686,14 +697,10 @@ def build_rungs(
     rotation: float,
     scene: CapsuleSet,
     clearance: float,
-    *,
-    upto: int | None = None,
 ) -> list[np.ndarray] | None:
-    """`build_rungs_batch` for one (direction, rotation) orientation."""
-    return build_rungs_batch(
-        robot, [waypoints], [(direction, rotation)], scene, clearance,
-        upto=None if upto is None else [upto],
-    )[0]
+    """`build_rungs_batch` for one (direction, rotation) orientation against
+    the whole of `scene`."""
+    return build_rungs_batch(robot, [waypoints], [(direction, rotation)], scene, clearance)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ blocks and joint paths for every extrusion pass, wrap each pass in approach
 and depart slides, and stitch free-space transitions between them, starting
 from the robot's home configuration.  The output is the fingerprinted plan
 document, a plain dict that `save_plan` writes as it is, plus a stage
-report.
+report.  Every pass, slide and transition is planned inside a prefix of one
+scene, the sequence's whole build order (`CapsuleSet.prefix`).
 
 `validate_plan` is the independent half: it takes a plan document plus the
 model, robot, and configuration, and re-derives every claim the plan makes
@@ -197,15 +198,15 @@ def run_pipeline(
         v = directions[cap.direction_index]
         out = plan_retraction(
             robot, task.waypoints[0], v, cap.rotation, traj[0],
-            task.ordered, config, directions, cap.direction_index,
-            upto=task.prefix, built={cap.direction_index: first_in},
+            task.ordered.prefix(task.prefix), config, directions, cap.direction_index,
+            first_in,
         )
         approach = out[::-1] if out is not None else traj[:1]
         fallbacks += int(out is None)
         out = plan_retraction(
             robot, task.waypoints[-1], v, cap.rotation, traj[-1],
-            task.ordered, config, directions, cap.direction_index,
-            upto=task.prefix + 1, built={cap.direction_index: first_out},
+            task.ordered.prefix(task.prefix + 1), config, directions, cap.direction_index,
+            first_out,
         )
         depart = out if out is not None else traj[-1:]
         fallbacks += int(out is None)
@@ -219,10 +220,9 @@ def run_pipeline(
     prev = robot.home
     trans_cost = 0.0
     via_home = 0
-    order = [task.element for task in tasks]
     for k, (task, (start, end, subs)) in enumerate(zip(tasks, passes)):
         move = plan_transition(
-            robot, prev, start, model.scene(order[:k]), config,
+            robot, prev, start, task.ordered.prefix(task.prefix), config,
             np.random.default_rng((config.seed, k)),
         )
         trans_cost += move.cost

@@ -17,7 +17,7 @@ from trusspath.cartesian import (
     MemoryBudgetError,
     _inner_cost_matrix,
     _minplus,
-    _pair_costs,
+    _step_costs,
     build_rungs,
     capsules_from_rungs,
     chain_search,
@@ -229,6 +229,11 @@ def test_wide_rail_rungs_relax_with_the_temporaries_of_one_step():
     assert np.isfinite(got).any()
 
 
+def pair_costs(a, b, weights):
+    """Weighted L1 distances between config rows of a (n, dof) and b (m, dof)."""
+    return (np.abs(a[:, None, :] - b[None, :, :]) * weights[None, None, :]).sum(axis=2)
+
+
 def _pair_allowed(a, b, limits):
     """Which config pairs of a (n, dof) and b (m, dof) lie within the jump limits."""
     return (np.abs(a[:, None, :] - b[None, :, :]) <= limits[None, None, :]).all(axis=2)
@@ -252,15 +257,32 @@ def build_capsule(robot, task, scene, direction, direction_index, rotation, conf
     return capsules_from_rungs([block], robot.weights, limits)[0]
 
 
+def retraction_from_scratch(
+    robot, node, orientation_direction, rotation, anchor, scene, config, directions, preferred
+):
+    """`plan_retraction` with the preferred direction's rungs built by their
+    own `build_rungs` call against `scene`, as every other direction's are."""
+    first = build_rungs(
+        robot, cartesian.retraction_points(node, directions[preferred], config),
+        orientation_direction, rotation, scene, clearance=config.clearance,
+    )
+    return plan_retraction(
+        robot, node, orientation_direction, rotation, anchor, scene, config, directions,
+        preferred, first,
+    )
+
+
 def test_pair_helpers():
     weights = np.array([1.0, 3.0])
     a = np.array([[0.0, 0.0], [1.0, 1.0]])
     b = np.array([[0.5, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    costs = _pair_costs(a, b, weights)
+    costs = pair_costs(a, b, weights)
     assert costs.shape == (2, 3)
     assert costs[0, 0] == pytest.approx(0.5)
     assert costs[0, 1] == pytest.approx(6.0)
     assert costs[1, 2] == pytest.approx(0.0)
+    # a boundary move is a step under no jump limit
+    assert _step_costs(a, b, weights, math.inf).tobytes() == costs.tobytes()
     allowed = _pair_allowed(a, b, np.array([0.6, 0.6]))
     assert allowed.shape == (2, 3)
     assert allowed.tolist() == [[True, False, False], [False, False, True]]
@@ -346,7 +368,7 @@ def oracle_chain_search(columns, weights, home):
             best_entry_cost = np.full(cap.entry.shape[0], math.inf)
             best_entry_from = np.full((cap.entry.shape[0], 2), -1, dtype=int)
             for pi, configs in enumerate(prev_exits):
-                total = prev_cost[pi][:, None] + _pair_costs(configs, cap.entry, weights)
+                total = prev_cost[pi][:, None] + pair_costs(configs, cap.entry, weights)
                 src = np.argmin(total, axis=0)
                 val = total[src, np.arange(total.shape[1])]
                 better = val < best_entry_cost
@@ -386,7 +408,7 @@ def oracle_block_path(rungs, weights, limits, entry_index, exit_index):
     back = [np.full(r.shape[0], -1, dtype=int) for r in rungs]
     best[0][entry_index] = 0.0
     for r in range(1, len(rungs)):
-        step = _pair_costs(rungs[r - 1], rungs[r], weights)
+        step = pair_costs(rungs[r - 1], rungs[r], weights)
         step[~_pair_allowed(rungs[r - 1], rungs[r], limits)] = math.inf
         total = best[r - 1][:, None] + step
         back[r] = np.argmin(total, axis=0)
@@ -660,7 +682,7 @@ def test_plan_retraction_slides_straight_out(robot, cube_tasks):
     anchor = block[-1]
     node = task.waypoints[-1]
 
-    path = plan_retraction(
+    path = retraction_from_scratch(
         robot,
         node,
         directions[task.preferred_direction],
@@ -752,7 +774,7 @@ def test_plan_retraction_boxed_in_returns_none(robot, cube_tasks):
     blob = CapsuleSet(
         (CapsuleShape(tuple(node - 1.0), tuple(node + 1.0), 400.0),)
     )
-    path = plan_retraction(
+    path = retraction_from_scratch(
         robot,
         node,
         directions[task.preferred_direction],
@@ -778,7 +800,7 @@ def test_plan_retraction_takes_the_farther_config_past_a_dead_end(monkeypatch):
     anchor = np.zeros(2)
     path = plan_retraction(
         robot, np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.0, anchor, None,
-        CART_CFG, np.eye(3), 0,
+        CART_CFG, np.eye(3), 0, rungs,
     )
     assert np.array_equal(path, [[0.0, 0.0], [0.0, 0.9], [0.0, 1.8]])
 
@@ -912,7 +934,7 @@ def test_plan_retraction_matches_per_waypoint_loop(robot, cube_tasks):
                 )
                 want = oracle_plan_retraction(*args)
                 assert (want is None) == (scene is not scene_after)
-                assert same_rungs(plan_retraction(*args), want), (task.index, preferred)
+                assert same_rungs(retraction_from_scratch(*args), want), (task.index, preferred)
 
 
 def test_stacked_first_choice_falls_back_like_the_per_waypoint_loop(robot, cube_tasks):
@@ -942,18 +964,13 @@ def test_stacked_first_choice_falls_back_like_the_per_waypoint_loop(robot, cube_
         args = (
             robot, node, directions[task.preferred_direction], task.preferred_rotation, anchor,
         )
-        got = plan_retraction(
-            *args, task.ordered, CART_CFG, directions, preferred,
-            upto=upto, built={preferred: first},
-        )
+        scene = task.ordered.prefix(upto)
+        got = plan_retraction(*args, scene, CART_CFG, directions, preferred, first)
         want = oracle_plan_retraction(
             *args, scene_before(model, sequence, upto), CART_CFG, directions, preferred
         )
         assert same_rungs(got, want), (task.index, preferred, upto)
-        alone = plan_retraction(
-            *args, task.ordered, CART_CFG, directions[[preferred]], 0,
-            upto=upto, built={0: first},
-        )
+        alone = plan_retraction(*args, scene, CART_CFG, directions[[preferred]], 0, first)
         outcomes.add((first is not None, alone is not None, want is not None))
     # first choices that chain, that have rungs but no chain from the
     # anchor, and that have no rungs, each falling back to another direction
@@ -1133,5 +1150,6 @@ def test_expand_and_search_columns_equal_per_candidate_loop(
     for col, want_col in zip(got.columns, want):
         assert all(same_capsule(a, b) for a, b in zip(col, want_col))
     assert got.built_capsules == sum(len(col) for col in want)
-    if budget is None:  # whole queues: many chunks per task
-        assert got.attempted > 2 * len(tasks) * cartesian.CANDIDATE_CHUNK
+    if budget is None:  # whole queues: every candidate attempted
+        rotations = rotation_sequence(config.rotation_samples)
+        assert got.attempted == sum(len(cartesian._candidate_grid(t, rotations)) for t in tasks)

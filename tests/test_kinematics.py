@@ -480,6 +480,35 @@ def test_prefix_rows_equal_calls_on_their_own_prefix_scene():
     assert got[len(prefixes) :].any() and not got[len(prefixes) :].all()
 
 
+def test_scene_prefixes_equal_scenes_built_from_their_elements():
+    """`prefix(k)` of an ordered cube scene against `model.scene(order[:k])`
+    for every k: views of the ordered scene's arrays, bit-equal to the built
+    ones, so a collision query gives the same booleans on either."""
+    robot = load_bundled_robot("arm")
+    model = load_bundled_model("cube")
+    rng = np.random.default_rng(49)
+    order = rng.permutation([e.id for e in model.elements]).tolist()
+    ordered = model.scene(order)
+    qs = np.concatenate(
+        [
+            rng.uniform(robot.lower, robot.upper, size=(150, robot.dof)),
+            robot.home + rng.normal(0.0, 0.4, size=(150, robot.dof)),
+        ]
+    )
+    hits = []
+    for k in range(len(order) + 1):
+        view, built = ordered.prefix(k), model.scene(order[:k])
+        assert len(view) == k and view.capsules == built.capsules
+        for name in ("a", "b", "radii", "mid", "half"):
+            got, want = getattr(view, name), getattr(built, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, name)
+            assert k == 0 or np.shares_memory(got, getattr(ordered, name)), (k, name)
+        hits.append(config_collides_batch(robot, qs, view, 2.0))
+        assert np.array_equal(hits[-1], config_collides_batch(robot, qs, built, 2.0)), k
+    # some configs collide with the whole cube only
+    assert hits[-1].sum() > hits[0].sum() and not hits[-1].all()
+
+
 @pytest.mark.parametrize("doc", [bundled_doc, tracked_doc], ids=["bundled", "rail"])
 def test_collision_query_given_its_frames_equals_its_own_forward_kinematics(doc):
     robot = load_robot(doc())

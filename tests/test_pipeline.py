@@ -46,7 +46,7 @@ from trusspath.pipeline import (
 )
 from trusspath.postprocess import load_plan, save_plan
 from trusspath.sequence import SequencePlanner, plan_sequence, rotation_sequence
-from trusspath.truss import load_model, serialize_model
+from trusspath.truss import TrussModel, load_model, serialize_model
 
 CFG = PlannerConfig(direction_count=24, rotation_samples=2)
 CHECK_NAMES = [
@@ -832,7 +832,7 @@ def per_task_motion(model, sequence):
             budget = max_capsules if max_capsules is not None else len(queue)
             column, done = [], 0
             while done < len(queue) and len(column) < budget:
-                chunk = queue[done : done + min(budget - len(column), cartesian.CANDIDATE_CHUNK)]
+                chunk = queue[done : done + budget - len(column)]
                 done += len(chunk)
                 built = kinematics.build_rungs_batch(
                     robot, [task.waypoints] * len(chunk),
@@ -924,6 +924,56 @@ def test_stacked_motion_stage_does_the_per_task_work_in_fewer_calls(
     # one call per chunk, picked block and slide before: 121 on cube-dense
     assert before["calls"] > 2 * len(sequence.tasks)
     assert 3 * after["calls"] <= before["calls"]
+
+
+@pytest.fixture(
+    scope="module",
+    params=[PlannerConfig(kinematics_timeout=600.0), CFG],
+    ids=["cube-dense", "cube-sparse"],
+)
+def scene_builds(request, model, robot):
+    """(config, build order, plan, element lists of every scene built while
+    `run_pipeline` plans the cube from a given sequence)."""
+    config = request.param
+    sequence = plan_sequence(model, robot, config)
+    built, real_scene = [], TrussModel.scene
+
+    def counting_scene(self, element_ids):
+        built.append(list(element_ids))
+        return real_scene(self, element_ids)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TrussModel, "scene", counting_scene)
+        plan, _ = run_pipeline(model, robot, config, sequence=sequence)
+    return config, [t.element for t in sequence.tasks], plan, built
+
+
+def test_motion_stage_builds_one_scene_per_plan(scene_builds):
+    _, order, _, built = scene_builds
+    assert built == [order]
+
+
+def test_transitions_plan_alike_in_a_prefix_view_and_a_built_scene(model, robot, scene_builds):
+    """Each task's transition, planned again against its prefix of the
+    ordered scene and against a scene built from the same elements: the
+    same path, iterations and route, and the path is the plan's."""
+    config, order, plan, _ = scene_builds
+    ordered = model.scene(order)
+    searched = 0
+    for k, task in enumerate(plan["tasks"]):
+        rows = task["subprocesses"][0]["joints"]
+        start, goal = np.array(rows[0]), np.array(rows[-1])
+        view, built = (
+            transition.plan_transition(
+                robot, start, goal, scene, config, np.random.default_rng((config.seed, k))
+            )
+            for scene in (ordered.prefix(k), model.scene(order[:k]))
+        )
+        assert view.path.tobytes() == built.path.tobytes(), k
+        assert (view.iterations, view.via_home) == (built.iterations, built.via_home), k
+        assert view.path.tolist() == rows, k
+        searched += view.iterations > 0
+    assert searched  # some transitions leave the straight line
 
 
 PLAN_AND_VALIDATE = """
