@@ -536,6 +536,15 @@ class CapsuleSet:
         out.mid, out.half = self.mid[:k], self.half[:k]
         return out
 
+    def take(self, index: np.ndarray) -> "CapsuleSet":
+        """The capsules at the integer array `index`, in that order, as a
+        set whose arrays are gathered from this set's."""
+        out = CapsuleSet.__new__(CapsuleSet)
+        out.capsules = tuple(self.capsules[i] for i in index.tolist())
+        out.a, out.b, out.radii = self.a[index], self.b[index], self.radii[index]
+        out.mid, out.half = self.mid[index], self.half[index]
+        return out
+
 
 def _robot_capsule_table(robot: RobotModel):
     """(frame index, local end a, local end b, radius) per robot capsule,
@@ -552,6 +561,58 @@ def _robot_capsule_table(robot: RobotModel):
     far = np.abs(frames_idx[i] - frames_idx[j]) >= 2
     pairs = np.column_stack([i[far], j[far]])  # (P, 2)
     return frames_idx, local_a, local_b, radii, pairs
+
+
+def _posed_capsules(robot: RobotModel, frames: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every robot capsule posed by each config's chain `frames`: world ends
+    a and b, (n, c, 3) each, and their bounding spheres' centres (n, c, 3)
+    and radii (n, c).  Each config is posed on its own, so its capsules do
+    not depend on which other configs share the call."""
+    frames_idx, local_a, local_b, _, _ = robot.capsule_table
+    rot = frames[:, :, :3, :3][:, frames_idx]  # (n, c, 3, 3)
+    shift = frames[:, :, :3, 3][:, frames_idx]  # (n, c, 3)
+    world_a = np.einsum("ncij,cj->nci", rot, local_a) + shift
+    world_b = np.einsum("ncij,cj->nci", rot, local_b) + shift
+    return (world_a, world_b, *bounding_spheres(world_a, world_b))
+
+
+def _mark_obstacles(
+    out: np.ndarray,
+    live: np.ndarray,
+    posed: tuple[np.ndarray, ...],
+    radii: np.ndarray,
+    obstacles: CapsuleSet,
+    clearance: float,
+    seen: np.ndarray | None = None,
+) -> None:
+    """The obstacle pass: mark where a posed config of `live` meets an
+    obstacle, as `out[row]`, or as `out[row, obstacle]` for a 2-D `out`.
+    With `seen`, row i meets only the first `seen[i]` obstacles.  A (row,
+    robot capsule, obstacle) pair goes to the exact kernel (`mark_contacts`,
+    in blocks of `EXACT_BLOCK` pairs) only when its bounding-sphere bound is
+    below the contact limit plus `CULL_MARGIN`, so every pair is decided on
+    its own and near contact exactly."""
+    world_a, world_b, mid, half = posed
+    m = len(obstacles)
+    if seen is not None:
+        live = live[seen[live] > 0]
+        m = min(m, int(seen.max(initial=0)))
+    if not m or not len(live):
+        return
+    o_a, o_b, o_mid = obstacles.a[:m], obstacles.b[:m], obstacles.mid[:m]
+    limit = radii[:, None] + obstacles.radii[None, :m] + clearance  # (c, m)
+    bound = distance3(mid[live, :, None, :], o_mid)  # (l, c, m)
+    bound -= half[live, :, None]
+    bound -= obstacles.half[:m]
+    close = bound < limit + CULL_MARGIN
+    if seen is not None:
+        close &= np.arange(m) < seen[live, None, None]
+    k, c, o = np.nonzero(close)
+    rows = live[k]
+    index = rows if out.ndim == 1 else rows * out.shape[1] + o
+    mark_contacts(
+        out.reshape(-1), index, (world_a[rows, c], world_b[rows, c], o_a[o], o_b[o]), limit[c, o]
+    )
 
 
 def config_collides_batch(
@@ -583,44 +644,19 @@ def config_collides_batch(
     returns them with its rows); the query then runs no forward kinematics.
 
     Three passes run in turn (scene, static capsules, self pairs), and each
-    tests only the configs that no earlier pass has hit.  Within a pass a
-    pair goes to the exact kernel (`mark_contacts`, in blocks of
-    `EXACT_BLOCK` pairs) only when its bounding-sphere bound is below the
-    contact limit plus `CULL_MARGIN`; pairs near contact are decided exactly.
+    tests only the configs that no earlier pass has hit.  The two obstacle
+    passes are `_mark_obstacles`, which `obstacle_contacts` runs pair by
+    pair; the self pass culls its pairs the same way.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
-
-    frames_idx, local_a, local_b, radii, pairs = robot.capsule_table
+    _, _, _, radii, pairs = robot.capsule_table
     if frames is None:
         frames = fk_frames_batch(robot, qs)  # (n, F, 4, 4)
-    rot = frames[:, :, :3, :3][:, frames_idx]  # (n, c, 3, 3)
-    shift = frames[:, :, :3, 3][:, frames_idx]  # (n, c, 3)
-    world_a = np.einsum("ncij,cj->nci", rot, local_a) + shift
-    world_b = np.einsum("ncij,cj->nci", rot, local_b) + shift
-    mid, half = bounding_spheres(world_a, world_b)  # (n, c, 3), (n, c)
-
+    posed = _posed_capsules(robot, frames)
     hit = np.zeros(qs.shape[0], dtype=bool)
     for obstacles, seen in ((scene, upto), (robot.static_scene, None)):
-        live = np.flatnonzero(~hit)
-        m = len(obstacles)
-        if seen is not None:
-            live = live[seen[live] > 0]
-            m = min(m, int(seen.max(initial=0)))
-        if not m or not len(live):
-            continue
-        o_a, o_b, o_mid = obstacles.a[:m], obstacles.b[:m], obstacles.mid[:m]
-        limit = radii[:, None] + obstacles.radii[None, :m] + clearance  # (c, m)
-        bound = distance3(mid[live, :, None, :], o_mid)  # (l, c, m)
-        bound -= half[live, :, None]
-        bound -= obstacles.half[:m]
-        close = bound < limit + CULL_MARGIN
-        if seen is not None:
-            close &= np.arange(m) < seen[live, None, None]
-        k, c, o = np.nonzero(close)
-        rows = live[k]
-        mark_contacts(
-            hit, rows, (world_a[rows, c], world_b[rows, c], o_a[o], o_b[o]), limit[c, o]
-        )
+        _mark_obstacles(hit, np.flatnonzero(~hit), posed, radii, obstacles, clearance, seen)
+    world_a, world_b, mid, half = posed
     live = np.flatnonzero(~hit)
     i, j = pairs[:, 0], pairs[:, 1]
     limit = radii[i] + radii[j] + clearance  # (P,)
@@ -636,6 +672,46 @@ def config_collides_batch(
         limit[p],
     )
     return hit
+
+
+def clear_rows(
+    robot: RobotModel, waypoints: np.ndarray, rotation: np.ndarray, clearance: float
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | None:
+    """One orientation's IK rows that clear the workcell statics and the
+    robot itself, ready for obstacles that arrive later.
+
+    Solves the (k, 3) `waypoints` at the (3, 3) tool `rotation` with one
+    `ik_sweep` and tests its rows with `config_collides_batch` against an
+    empty scene.  Returns each clear row's waypoint index, in `ik_sweep`'s
+    row order, with the row's posed capsules (the `posed` that
+    `obstacle_contacts` reads), or None if some waypoint has no IK row or
+    none clear.  A row is free of a scene exactly when it is clear here and
+    `obstacle_contacts` finds no contact with any of the scene's obstacles,
+    so this and `build_rungs` against any scene decide alike.
+    """
+    families = ik_sweep(robot, rotation, waypoints)
+    if not families.sizes.all():
+        return None
+    frames = families.chain[families.chain_index]
+    clear = ~config_collides_batch(
+        robot, families.rows, CapsuleSet(()), clearance, frames=frames
+    )
+    owner = np.repeat(np.arange(len(waypoints)), families.sizes)[clear]
+    if not np.bincount(owner, minlength=len(waypoints)).all():
+        return None
+    return owner, _posed_capsules(robot, frames[clear])
+
+
+def obstacle_contacts(
+    robot: RobotModel, posed: tuple[np.ndarray, ...], obstacles: CapsuleSet, clearance: float
+) -> np.ndarray:
+    """(n, len(obstacles)): whether posed config i (from `clear_rows`) meets
+    obstacle j.  This is `config_collides_batch`'s scene pass, kept per
+    pair, so a config meets a scene exactly when it meets one of its
+    obstacles here, whichever obstacles share the call."""
+    out = np.zeros((len(posed[0]), len(obstacles)), dtype=bool)
+    _mark_obstacles(out, np.arange(len(out)), posed, robot.capsule_table[3], obstacles, clearance)
+    return out
 
 
 def build_rungs_batch(

@@ -27,6 +27,21 @@ up to summation order for a stiffness verdict within rounding of the
 tolerance, because `analyze` scatter-adds the frame table's element rows in
 placement order.  The probe's wall-clock guard only aborts the search, so no
 timer decides an answer.
+
+The kinematic probe asks, per (direction, roll) orientation, what
+`build_rungs` against the placed elements would: does every waypoint keep
+an IK row free of collisions.  Its parts change at different rates, so the
+planner keeps a memo per orientation (element, route start, direction,
+roll).  The IK rows, and their verdict against the workcell statics and the
+robot itself, depend only on the robot, the waypoints and the tool
+rotation, so they are solved once; an orientation with a waypoint left
+without a clear row is remembered as unreachable.  Whether a row meets a
+placed element depends only on that element, and the collision query's
+verdict is an OR over such pair decisions, so the memo keeps a (rows,
+elements) contact matrix whose column is filled the first time its element
+is seen placed.  Every later probe of the orientation gathers the placed
+columns: it runs no IK, no forward kinematics and no statics or self pass,
+and answers as `build_rungs` would, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +61,7 @@ from .geometry import (
     sample_directions,
     tool_rotations,
 )
-from .kinematics import RobotModel, build_rungs
+from .kinematics import RobotModel, clear_rows, obstacle_contacts
 from .structural import PartialStructure, analyze, check_stability, check_stiffness
 from .truss import TrussModel, discretize_element
 
@@ -337,6 +352,11 @@ class SequencePlanner:
         self._grounded = {n.id for n in model.nodes if n.grounded}
         self._touching = {n.id: 0 for n in model.nodes}  # placed elements per node
         self._tasks: list[SequenceTask] = []
+        # every element's capsule in model order, the probe's obstacles
+        self._elements = model.scene(self._ids)
+        # per probed orientation (element index, start node, direction
+        # index, roll index): None, or [owner, posed, contacts, known]
+        self._reach: dict[tuple[int, int, int, int], list | None] = {}
 
     @property
     def _scene(self):
@@ -377,34 +397,69 @@ class SequencePlanner:
 
         Directions come from the element's maintained bitset, which already
         encodes sweep collisions against everything placed.  Rolls follow the
-        low-discrepancy sequence.  A probe running past the kinematics
-        timeout aborts the search rather than answer "infeasible", so the
-        answer never depends on the machine's speed.
+        low-discrepancy sequence.  Each orientation is decided by `_clear`
+        from its memo entry, as `build_rungs` against the placed elements
+        would decide it.  A probe running past the kinematics timeout aborts
+        the search rather than answer "infeasible", so the answer never
+        depends on the machine's speed; the guard is read before each
+        orientation, so an abort leaves every memo entry whole.
         """
         self.stats.kinematics_checks += 1
         t0 = time.monotonic()
+        k = self._index[element_id]
         start = self._start_node(element_id)
-        row = self._domain[self._index[element_id]] & self.sweeps.self_mask(element_id, start)
+        row = self._domain[k] & self.sweeps.self_mask(element_id, start)
         pts = self.sweeps.waypoints(element_id, start)
-        scene = self._scene
+        placed = np.array([self._index[p] for p in self._placed], dtype=int)
         try:
-            for a in np.flatnonzero(row):
-                for rot in self._rotations:
+            for a in np.flatnonzero(row).tolist():
+                for j, rot in enumerate(self._rotations.tolist()):
                     if time.monotonic() - t0 > self.config.kinematics_timeout:
                         raise SequencePlanningError(
                             f"feasibility probe for element {element_id} exceeded "
                             f"kinematics_timeout ({self.config.kinematics_timeout:g}s)",
                             stats=self.stats,
                         )
-                    rungs = build_rungs(
-                        self.robot, pts, self.directions[a], float(rot), scene,
-                        clearance=self.config.clearance,
-                    )
-                    if rungs is not None:
-                        return int(a), float(rot)
+                    if self._clear((k, start, a, j), pts, placed):
+                        return a, rot
             return None
         finally:
             self.stats.kinematics_time += time.monotonic() - t0
+
+    def _clear(self, key: tuple[int, int, int, int], pts: np.ndarray, placed: np.ndarray) -> bool:
+        """Whether orientation `key` has a collision-free IK row at every
+        waypoint of its route `pts` with the elements at model indices
+        `placed` built.
+
+        The orientation's first probe stores `clear_rows`'s answer: None if
+        it can never succeed, else its rows' waypoints and posed capsules,
+        with an empty (rows, elements) contact matrix.  A probe then fills
+        the columns of the placed elements no earlier probe asked for, from
+        the model-ordered scene, and gathers: a row is free when no placed
+        element's column marks it.  That is `build_rungs`'s verdict, since
+        its collision query decides each (row, obstacle) pair on its own.
+        """
+        if key not in self._reach:
+            _, _, a, j = key
+            rotation = tool_rotations(self.directions[a], self._rotations[j])[0]
+            rows = clear_rows(self.robot, pts, rotation, self.config.clearance)
+            if rows is not None:
+                owner, posed = rows
+                e = len(self._ids)
+                rows = [owner, posed, np.zeros((len(owner), e), bool), np.zeros(e, bool)]
+            self._reach[key] = rows
+        entry = self._reach[key]
+        if entry is None:
+            return False
+        owner, posed, contacts, known = entry
+        missing = placed[~known[placed]]
+        if missing.size:
+            contacts[:, missing] = obstacle_contacts(
+                self.robot, posed, self._elements.take(missing), self.config.clearance
+            )
+            known[missing] = True
+        free = ~contacts[:, placed].any(axis=1)
+        return bool(np.bincount(owner[free], minlength=len(pts)).all())
 
     # -- domain maintenance ---------------------------------------------------
 

@@ -1,7 +1,8 @@
 """The dense collision kernels, kept as the oracles for the culled ones.
 
-`dense_config_collides_batch` and `dense_ee_sweep_collision_batch` are
-`kinematics.config_collides_batch` and `geometry.ee_sweep_collision_batch`
+`dense_config_collides_batch`, `dense_obstacle_contacts` and
+`dense_ee_sweep_collision_batch` are `kinematics.config_collides_batch`,
+`kinematics.obstacle_contacts` and `geometry.ee_sweep_collision_batch`
 without their culls: every segment pair goes to the exact kernel, a row's
 scene prefix is a mask over all pairs, and the sweep's stacked jobs are
 decided one at a time.  Tests compare their
@@ -12,6 +13,31 @@ import numpy as np
 
 from trusspath.geometry import EEGeometry, segment_distance_batch
 from trusspath.kinematics import CapsuleSet, RobotModel, fk_frames_batch
+
+
+def _dense_posed(robot: RobotModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World ends a and b, (n, c, 3) each, of every robot capsule."""
+    frames_idx, local_a, local_b, _, _ = robot.capsule_table
+    sel = fk_frames_batch(robot, np.atleast_2d(qs))[:, frames_idx]  # (n, c, 4, 4)
+    world_a = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_a) + sel[:, :, :3, 3]
+    world_b = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_b) + sel[:, :, :3, 3]
+    return world_a, world_b
+
+
+def dense_obstacle_contacts(
+    robot: RobotModel, qs: np.ndarray, obstacles: CapsuleSet, clearance: float
+) -> np.ndarray:
+    """(n, m): whether config i comes within contact of obstacle j."""
+    world_a, world_b = _dense_posed(robot, qs)
+    radii = robot.capsule_table[3]
+    dist = segment_distance_batch(
+        world_a[:, :, None, :],
+        world_b[:, :, None, :],
+        obstacles.a[None, None, :, :],
+        obstacles.b[None, None, :, :],
+    )  # (n, c, m)
+    limit = radii[None, :, None] + obstacles.radii[None, None, :] + clearance
+    return np.any(dist < limit, axis=1)
 
 
 def dense_config_collides_batch(
@@ -27,29 +53,17 @@ def dense_config_collides_batch(
     `upto` is None) and every static capsule.  `frames` is ignored: the
     oracle always poses `qs` itself, so a caller's frames are checked too."""
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
-
-    frames_idx, local_a, local_b, radii, pairs = robot.capsule_table
-    frames = fk_frames_batch(robot, qs)  # (n, F, 4, 4)
     n = qs.shape[0]
-    sel = frames[:, frames_idx]  # (n, c, 4, 4)
-    world_a = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_a) + sel[:, :, :3, 3]
-    world_b = np.einsum("ncij,cj->nci", sel[:, :, :3, :3], local_b) + sel[:, :, :3, 3]
-
     hit = np.zeros(n, dtype=bool)
     for obstacles, seen in ((scene, upto), (robot.static_scene, None)):
         if not len(obstacles):
             continue
-        dist = segment_distance_batch(
-            world_a[:, :, None, :],
-            world_b[:, :, None, :],
-            obstacles.a[None, None, :, :],
-            obstacles.b[None, None, :, :],
-        )  # (n, c, m)
-        limit = radii[None, :, None] + obstacles.radii[None, None, :] + clearance
-        close = dist < limit
+        close = dense_obstacle_contacts(robot, qs, obstacles, clearance)  # (n, m)
         if seen is not None:
-            close &= np.arange(len(obstacles)) < np.broadcast_to(seen, n)[:, None, None]
-        hit |= np.any(close, axis=(1, 2))
+            close &= np.arange(len(obstacles)) < np.broadcast_to(seen, n)[:, None]
+        hit |= close.any(axis=1)
+    world_a, world_b = _dense_posed(robot, qs)
+    _, _, _, radii, pairs = robot.capsule_table
     i, j = pairs[:, 0], pairs[:, 1]
     dist = segment_distance_batch(
         world_a[:, i], world_b[:, i], world_a[:, j], world_b[:, j]

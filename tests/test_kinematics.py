@@ -7,10 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from dense_collision import dense_config_collides_batch
+from dense_collision import dense_config_collides_batch, dense_obstacle_contacts
 from trusspath.fixtures import fixture_path, load_bundled_model, load_bundled_robot
 from trusspath import kinematics
-from trusspath.geometry import CapsuleShape, direction_rotation_from_frame
+from trusspath.geometry import (
+    CapsuleShape,
+    direction_rotation_from_frame,
+    sample_directions,
+    tool_rotations,
+)
 from trusspath.kinematics import (
     CapsuleSet,
     EEPose,
@@ -20,7 +25,9 @@ from trusspath.kinematics import (
     _dh_matrix_batch,
     _flange_targets,
     _ik_arm,
+    build_rungs,
     build_rungs_batch,
+    clear_rows,
     config_collides_batch,
     fk,
     fk_frames,
@@ -31,7 +38,9 @@ from trusspath.kinematics import (
     jacobian,
     load_robot,
     make_transform,
+    obstacle_contacts,
 )
+from trusspath.truss import discretize_element
 
 IK_MATCH_TOL = 1e-9
 IK_POSE_TOL = 1e-6
@@ -395,45 +404,152 @@ def _unit_normal(u):
     return w / np.linalg.norm(w)
 
 
+def near_contact_configs():
+    """The bundled arm and 12 collision-free configs around home."""
+    robot = load_bundled_robot("arm")
+    rng = np.random.default_rng(7)
+    qs = robot.home + rng.normal(0.0, 0.3, size=(40, robot.dof))
+    qs = qs[~dense_config_collides_batch(robot, qs, CapsuleSet(()), 2.0)][:12]
+    assert len(qs) == 12
+    return robot, qs
+
+
+def near_contact_obstacles(robot, q, clearance, radius=5.0):
+    """(obstacle, delta) pairs: per robot capsule at `q`, radius-`radius`
+    obstacles `delta` = 1e-7 mm outside (or, negative, inside) contact, end
+    on along its axis, where the bounding-sphere bound is tight, and
+    alongside it, where the bound is loose."""
+    frames_idx, local_a, local_b, radii, _ = robot.capsule_table
+    frames = fk_frames(robot, q)[frames_idx]
+    world_a = np.einsum("cij,cj->ci", frames[:, :3, :3], local_a) + frames[:, :3, 3]
+    world_b = np.einsum("cij,cj->ci", frames[:, :3, :3], local_b) + frames[:, :3, 3]
+    for a, b, r in zip(world_a, world_b, radii):
+        u = (b - a) / np.linalg.norm(b - a)
+        w = _unit_normal(u)
+        for delta in (-1e-7, 1e-7):
+            gap = r + radius + clearance + delta
+            for p0, p1 in (
+                (b + gap * u, b + (gap + 50.0) * u),  # end on
+                (a + gap * w, b + gap * w),  # alongside
+            ):
+                yield CapsuleShape(tuple(p0), tuple(p1), radius), delta
+
+
 @pytest.mark.parametrize("where", ["scene", "static"])
 def test_culled_collision_test_decides_near_contact_exactly(where):
     """One obstacle per query, placed within 1e-7 mm of contact with one
     robot capsule: end on along its axis, where the bounding-sphere bound
     is tight, and alongside it, where the bound is loose."""
-    robot = load_bundled_robot("arm")
-    frames_idx, local_a, local_b, radii, _ = robot.capsule_table
-    rng = np.random.default_rng(7)
-    qs = robot.home + rng.normal(0.0, 0.3, size=(40, robot.dof))
-    qs = qs[~dense_config_collides_batch(robot, qs, CapsuleSet(()), 2.0)][:12]
-    assert len(qs) == 12
-    clearance, radius = 2.0, 5.0
+    robot, qs = near_contact_configs()
+    clearance = 2.0
     outcomes = set()
     for q in qs:
-        frames = fk_frames(robot, q)[frames_idx]
-        world_a = np.einsum("cij,cj->ci", frames[:, :3, :3], local_a) + frames[:, :3, 3]
-        world_b = np.einsum("cij,cj->ci", frames[:, :3, :3], local_b) + frames[:, :3, 3]
-        for a, b, r in zip(world_a, world_b, radii):
-            u = (b - a) / np.linalg.norm(b - a)
-            w = _unit_normal(u)
-            for delta in (-1e-7, 1e-7):
-                gap = r + radius + clearance + delta
-                for p0, p1 in (
-                    (b + gap * u, b + (gap + 50.0) * u),  # end on
-                    (a + gap * w, b + gap * w),  # alongside
-                ):
-                    obstacle = CapsuleShape(tuple(p0), tuple(p1), radius)
-                    if where == "scene":
-                        probe, scene = robot, CapsuleSet((obstacle,))
-                    else:
-                        probe = dataclasses.replace(robot, static_capsules=(obstacle,))
-                        scene = CapsuleSet(())
-                    culled = config_collides_batch(probe, q[None], scene, clearance)[0]
-                    dense = dense_config_collides_batch(probe, q[None], scene, clearance)[0]
-                    assert culled == dense
-                    if delta < 0.0:
-                        assert culled  # 1e-7 mm inside the contact limit
-                    outcomes.add(bool(culled))
+        for obstacle, delta in near_contact_obstacles(robot, q, clearance):
+            if where == "scene":
+                probe, scene = robot, CapsuleSet((obstacle,))
+            else:
+                probe = dataclasses.replace(robot, static_capsules=(obstacle,))
+                scene = CapsuleSet(())
+            culled = config_collides_batch(probe, q[None], scene, clearance)[0]
+            dense = dense_config_collides_batch(probe, q[None], scene, clearance)[0]
+            assert culled == dense
+            if delta < 0.0:
+                assert culled  # 1e-7 mm inside the contact limit
+            outcomes.add(bool(culled))
     assert outcomes == {True, False}
+
+
+def posed(robot, qs):
+    return kinematics._posed_capsules(robot, fk_frames_batch(robot, qs))
+
+
+def cube_contact_set():
+    """The bundled arm, the whole cube's scene, and the IK rows of tool
+    poses along every fourth cube element, so many rows touch the cube."""
+    robot = load_bundled_robot("arm")
+    model = load_bundled_model("cube")
+    directions = sample_directions(24)
+    qs = [
+        ik_sweep(
+            robot, tool_rotations(directions[a], 0.0)[0],
+            discretize_element(model, e.id, 10.0, start_node=e.start),
+        ).rows
+        for e in model.elements[::4]
+        for a in range(0, len(directions), 4)
+    ]
+    return robot, model.scene([e.id for e in model.elements]), np.concatenate(qs)
+
+
+@pytest.mark.parametrize("clearance", [0.0, 2.0, 10.0])
+def test_obstacle_contacts_match_the_dense_oracle_pair_by_pair(clearance):
+    """Each (config, obstacle) contact against the dense oracle; the contacts
+    of a gathered subset are the whole scene's columns; and a config's
+    collision query is its obstacle-free query or'd with its contacts."""
+    robot, scene, qs = cube_contact_set()
+    got = obstacle_contacts(robot, posed(robot, qs), scene, clearance)
+    assert np.array_equal(got, dense_obstacle_contacts(robot, qs, scene, clearance))
+    assert (got.sum(axis=1) == 0).any() and (got.sum(axis=1) > 2).any()
+    columns = np.array([19, 2, 5, 11, 0])
+    subset = obstacle_contacts(robot, posed(robot, qs), scene.take(columns), clearance)
+    assert np.array_equal(subset, got[:, columns])
+    alone = config_collides_batch(robot, qs, CapsuleSet(()), clearance)
+    assert np.array_equal(
+        config_collides_batch(robot, qs, scene, clearance), alone | got.any(axis=1)
+    )
+
+
+def test_obstacle_contacts_decide_near_contact_exactly():
+    """One call per config against all of its near-contact obstacles at
+    once: each pair is decided as the dense oracle decides it."""
+    robot, qs = near_contact_configs()
+    clearance = 2.0
+    inside = outside = 0
+    for q in qs:
+        obstacles, deltas = zip(*near_contact_obstacles(robot, q, clearance))
+        scene = CapsuleSet(obstacles)
+        got = obstacle_contacts(robot, posed(robot, q[None]), scene, clearance)[0]
+        assert np.array_equal(got, dense_obstacle_contacts(robot, q[None], scene, clearance)[0])
+        assert got[np.array(deltas) < 0.0].all()
+        inside += int(got.sum())
+        outside += int((~got).sum())
+    assert inside and outside
+
+
+def test_clear_rows_and_their_contacts_decide_as_build_rungs():
+    """Per orientation over the cube: `clear_rows` is None exactly when
+    `build_rungs` fails with nothing placed, and a waypoint keeps a row
+    free of the contacts with a scene exactly when `build_rungs` against
+    that scene has a rung there."""
+    robot = load_bundled_robot("arm")
+    model = load_bundled_model("cube")
+    order = [e.id for e in model.elements]
+    elements = model.scene(order)
+    directions = sample_directions(24)
+    rng = np.random.default_rng(50)
+    outcomes = set()
+    for eid in order[::3]:
+        e = model.element(eid)
+        pts = discretize_element(model, eid, 4.0, start_node=e.start)
+        for a in range(0, len(directions), 5):
+            for roll in (0.0, 2.4):
+                rows = clear_rows(
+                    robot, pts, tool_rotations(directions[a], roll)[0], clearance=2.0
+                )
+                empty = build_rungs(robot, pts, directions[a], roll, CapsuleSet(()), 2.0)
+                assert (rows is None) == (empty is None), (eid, a, roll)
+                if rows is None:
+                    outcomes.add("unreachable")
+                    continue
+                owner, capsules = rows
+                contacts = obstacle_contacts(robot, capsules, elements, 2.0)
+                placed = rng.choice(len(order), size=int(rng.integers(1, 12)), replace=False)
+                free = ~contacts[:, placed].any(axis=1)
+                want = build_rungs(
+                    robot, pts, directions[a], roll, elements.take(placed), 2.0
+                )
+                assert np.bincount(owner[free], minlength=len(pts)).all() == (want is not None)
+                outcomes.add("free" if want is not None else "blocked")
+    assert outcomes == {"unreachable", "free", "blocked"}
 
 
 def test_prefix_rows_equal_calls_on_their_own_prefix_scene():

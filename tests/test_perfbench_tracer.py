@@ -41,7 +41,7 @@ BOUND = {
     "analyze": {"pipeline", "sequence", "structural"},
     "prepare_tasks": {"cartesian", "pipeline"},
     "expand_and_search": {"cartesian", "pipeline"},
-    "build_rungs": {"cartesian", "kinematics", "sequence"},
+    "build_rungs": {"cartesian", "kinematics"},
     "chain_search": {"cartesian"},
     "extract_block_path": {"cartesian", "pipeline"},
     "plan_retraction": {"cartesian", "pipeline"},

@@ -2,11 +2,13 @@
 
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from dense_collision import dense_ee_sweep_collision_batch
+from trusspath import kinematics
 from trusspath import sequence as sequence_module
 from trusspath.config import PlannerConfig
 from trusspath.fixtures import (
@@ -23,6 +25,7 @@ from trusspath.geometry import (
     ee_sweep_collision_batch,
     sample_directions,
 )
+from trusspath.kinematics import build_rungs
 from trusspath.sequence import (
     SWEEP_GROUP_POINTS,
     SequenceFormatError,
@@ -36,7 +39,7 @@ from trusspath.sequence import (
     sequence_to_dict,
 )
 from trusspath.structural import PartialStructure, analyze, check_stability, check_stiffness
-from trusspath.truss import discretize_element, load_model
+from trusspath.truss import TrussModel, discretize_element, load_model
 
 FAST = PlannerConfig(direction_count=16, rotation_samples=2)
 # the starved lattice on which the cube search backtracks 78 times
@@ -522,6 +525,197 @@ def test_probe_inputs_are_a_function_of_the_placed_set(robot):
     assert refused > 0 and unplaced > 0
 
 
+# ---------------------------------------------------------------------------
+# the memo probe against one `build_rungs` call per orientation
+
+
+def build_rungs_probe(planner, element_id):
+    """The feasibility probe without its memo: one `build_rungs` call per
+    (direction, roll) against the placed elements' scene, in the probe's
+    order, with no time limit."""
+    start = planner._start_node(element_id)
+    row = planner._domain[planner._index[element_id]] & planner.sweeps.self_mask(
+        element_id, start
+    )
+    pts = planner.sweeps.waypoints(element_id, start)
+    scene = planner._scene
+    for a in np.flatnonzero(row):
+        for rot in planner._rotations:
+            rungs = build_rungs(
+                planner.robot, pts, planner.directions[a], float(rot), scene,
+                clearance=planner.config.clearance,
+            )
+            if rungs is not None:
+                return int(a), float(rot)
+    return None
+
+
+class BuildRungsPlanner(SequencePlanner):
+    """The search with `build_rungs_probe` in place of the memo probe."""
+
+    def _ee_pose_exists(self, element_id):
+        self.stats.kinematics_checks += 1
+        return build_rungs_probe(self, element_id)
+
+
+def counters(stats):
+    """Every `SearchStats` count, without the times."""
+    return {k: v for k, v in stats.as_dict().items() if not k.endswith("_time")}
+
+
+def start_domains(planner):
+    """Narrow every bitset to its routes' self-clear union, as the search does."""
+    for eid in planner._ids:
+        e = planner.model.element(eid)
+        union = planner.sweeps.self_mask(eid, e.start) | planner.sweeps.self_mask(eid, e.end)
+        planner._domain[planner._index[eid]] &= union
+
+
+def test_memo_probe_equals_build_rungs_probe_under_place_and_unplace(robot):
+    # random place / refused placement / unplace interleavings on the cube;
+    # after every step, both probes on a sample of the connected elements
+    model = load_bundled_model("cube")
+    planner = SequencePlanner(model, robot, SPARSE.replace(kinematics_timeout=600.0))
+    start_domains(planner)
+    rng = np.random.default_rng(12)
+    remaining = set(planner._ids)
+    stack = []
+    refused = unplaced = 0
+    witnesses = set()
+    for _ in range(300):
+        options = [e for e in sorted(remaining) if planner._connect_ok(e)]
+        if stack and (not options or rng.random() < 0.35):
+            eid, undo = stack.pop()
+            planner._unplace(eid, undo, remaining)
+            unplaced += 1
+        else:
+            eid = int(rng.choice(options))
+            undo = planner._place(eid, (0, 0.0), remaining)
+            if undo is None:
+                refused += 1
+            else:
+                stack.append((eid, undo))
+        options = [e for e in sorted(remaining) if planner._connect_ok(e)]
+        for oid in rng.choice(options, size=min(3, len(options)), replace=False).tolist():
+            got = planner._ee_pose_exists(oid)
+            assert got == build_rungs_probe(planner, oid), (oid, planner._placed)
+            witnesses.add(got is None)
+    assert refused > 0 and unplaced > 0
+    assert witnesses == {True, False}
+    # the memo answered some probes from columns an earlier probe filled
+    assert any(entry is not None and entry[3].any() for entry in planner._reach.values())
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cube-dense", "cube-sparse", "tower-5", "tower-6"],
+)
+def test_memo_search_equals_build_rungs_search(robot, case):
+    if case.startswith("cube"):
+        model = load_bundled_model("cube")
+        config = PlannerConfig() if case == "cube-dense" else SPARSE
+    else:
+        model = bracing_tower(stories=int(case[len("tower-"):]))
+        config = PlannerConfig(search_timeout=600.0)
+    config = config.replace(kinematics_timeout=600.0)
+    got = SequencePlanner(model, robot, config).plan()
+    want = BuildRungsPlanner(model, robot, config).plan()
+    got_doc, want_doc = sequence_to_dict(got), sequence_to_dict(want)
+    assert got_doc["tasks"] == want_doc["tasks"]
+    assert counters(got.stats) == counters(want.stats)
+    if case in ("cube-sparse", "tower-6"):
+        assert got.stats.backtracks > 0
+
+
+def counting_kinematics(monkeypatch):
+    """Count calls of the IK, forward-kinematics, collision-query and
+    exact-kernel entry points the probe reaches."""
+    calls = {name: 0 for name in ("ik_sweep", "fk_frames_batch", "config_collides_batch", "mark_contacts")}
+    for name in calls:
+        real = getattr(kinematics, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(kinematics, name, counting)
+    return calls
+
+
+def failing_probe_state(robot, guard):
+    """A planner holding a placed set of the cube's SPARSE search on which
+    its probe of element 19 fails, and the elements still to place."""
+    model = load_bundled_model("cube")
+    planner = SequencePlanner(model, robot, SPARSE.replace(kinematics_timeout=guard))
+    start_domains(planner)
+    remaining = set(planner._ids)
+    for eid in (0, 1, 2, 3, 12, 4, 5, 6, 7, 13, 18, 16):
+        assert planner._place(eid, (0, 0.0), remaining)
+    return planner, remaining
+
+
+def test_a_repeated_probe_runs_no_kinematics(robot, monkeypatch):
+    # a second probe of every connected element makes no IK,
+    # forward-kinematics, collision-query or exact-kernel call
+    planner, remaining = failing_probe_state(robot, 600.0)
+    calls = counting_kinematics(monkeypatch)
+    probes = sorted(e for e in remaining if planner._connect_ok(e))
+    first = [planner._ee_pose_exists(eid) for eid in probes]
+    assert first[probes.index(19)] is None
+    assert calls["ik_sweep"] > 0 and calls["mark_contacts"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    again = [planner._ee_pose_exists(eid) for eid in probes]
+    assert again == first
+    assert calls == dict.fromkeys(calls, 0)
+    assert first == [build_rungs_probe(planner, eid) for eid in probes]
+
+
+def test_a_probe_aborted_by_its_guard_leaves_whole_memo_entries(robot, monkeypatch):
+    # a clock that ticks once per reading aborts each probe at its second
+    # orientation; every entry it leaves is whole, and the probe rerun with
+    # a real clock and a generous guard answers as `build_rungs` does
+    planner, remaining = failing_probe_state(robot, 1.5)
+    placed = [planner._index[p] for p in planner._placed]
+    clock = [0.0]
+
+    def tick():
+        clock[0] += 1.0
+        return clock[0]
+
+    aborted = []
+    for eid in sorted(e for e in remaining if planner._connect_ok(e)):
+        before = set(planner._reach)
+        with monkeypatch.context() as patch:
+            patch.setattr(sequence_module, "time", types.SimpleNamespace(monotonic=tick))
+            try:
+                planner._ee_pose_exists(eid)
+            except SequencePlanningError:
+                aborted.append(eid)
+                assert len(set(planner._reach) - before) == 1
+        for entry in planner._reach.values():
+            if entry is not None:
+                owner, _, contacts, known = entry
+                assert contacts.shape == (len(owner), len(planner._ids))
+                assert known[placed].all()
+    assert aborted == [19]
+    planner.config = SPARSE.replace(kinematics_timeout=600.0)
+    assert planner._ee_pose_exists(19) is None is build_rungs_probe(planner, 19)
+
+
+@pytest.mark.parametrize("config", [PlannerConfig(), SPARSE], ids=["cube-dense", "cube-sparse"])
+def test_sequence_search_builds_at_most_one_scene(robot, monkeypatch, config):
+    model = load_bundled_model("cube")
+    built, real_scene = [], TrussModel.scene
+
+    def counting_scene(self, element_ids):
+        built.append(list(element_ids))
+        return real_scene(self, element_ids)
+
+    monkeypatch.setattr(TrussModel, "scene", counting_scene)
+    plan_sequence(model, robot, config.replace(kinematics_timeout=600.0))
+    assert len(built) <= 1
+
+
 def cube_jobs(table):
     """The sweep jobs of the cube: (pair, (path, q0, q1)) for every ordered
     (element, placed element) pair and (route, (path, q0, q1)) for every
@@ -610,10 +804,6 @@ def test_search_does_not_depend_on_sweep_fill_batching(robot, monkeypatch, confi
     monkeypatch.setattr(SweepTable, "_hits", one_job_per_call)
     single = plan_sequence(model, robot, config)
     assert single.tasks == batched.tasks
-
-    def counters(stats):
-        return {k: v for k, v in stats.as_dict().items() if not k.endswith("_time")}
-
     assert counters(single.stats) == counters(batched.stats)
 
 
