@@ -95,7 +95,6 @@ class MemoryBudgetError(CartesianPlanningError):
 class TaskSpec:
     """Everything the Cartesian stage needs to know about one extrusion pass."""
 
-    index: int
     element: int
     waypoints: np.ndarray  # (k, 3), routed start first
     direction_indices: list[int]  # sweep-feasible against the placed prefix
@@ -103,7 +102,8 @@ class TaskSpec:
     preferred_rotation: float
     # the whole build order's scene, one object shared by every task
     # (collision tests add the workcell statics); this pass sees its first
-    # `prefix` elements, the ones placed before it
+    # `prefix` elements, the ones placed before it, so `prefix` is also the
+    # task's build position and names it
     ordered: CapsuleSet
     prefix: int
 
@@ -122,36 +122,34 @@ def prepare_tasks(
     sweeps = sequence.sweeps
     if sweeps is None or not sweeps.serves(model, robot.ee, sequence.directions, config):
         sweeps = SweepTable(model, robot.ee, sequence.directions, config)
-    ordered = model.scene([t.element for t in sequence.tasks])
-    placed: list[int] = []
+    order = [t.element for t in sequence.tasks]
+    ordered = model.scene(order)
     tasks: list[TaskSpec] = []
     masks = sweeps.self_masks([(t.element, t.start_node) for t in sequence.tasks])
-    for t, own in zip(sequence.tasks, masks):
+    for k, (t, own) in enumerate(zip(sequence.tasks, masks)):
         pts = sweeps.waypoints(t.element, t.start_node)
         row = own.copy()
-        for block in sweeps.pair_blocks([(t.element, pid) for pid in placed]):
+        for block in sweeps.pair_blocks([(t.element, pid) for pid in order[:k]]):
             row &= ~block
         feasible = np.flatnonzero(row).tolist()
         if t.direction_index not in feasible:
             # the sequence stage applies identical gates, so its witness
             # direction must survive; anything else is an internal bug
             raise CartesianPlanningError(
-                f"task {t.position}: sequence witness direction "
+                f"task {k}: sequence witness direction "
                 f"{t.direction_index} is not sweep-feasible here"
             )
         tasks.append(
             TaskSpec(
-                index=t.position,
                 element=t.element,
                 waypoints=pts,
                 direction_indices=feasible,
                 preferred_direction=t.direction_index,
                 preferred_rotation=t.rotation,
                 ordered=ordered,
-                prefix=len(placed),
+                prefix=k,
             )
         )
-        placed.append(t.element)
     return tasks
 
 
@@ -393,6 +391,12 @@ def retraction_points(
     return node[None, :] + direction[None, :] * offsets[:, None]
 
 
+# A pass's two retraction slides, approach then depart: per slide, the
+# waypoint it leaves (first or last) and how many elements past the pass's
+# prefix it sees (the depart also sees the pass's own element).
+SLIDES = ((0, 0), (-1, 1))
+
+
 def rebuild_picks(
     robot: RobotModel,
     tasks: list[TaskSpec],
@@ -401,27 +405,25 @@ def rebuild_picks(
     config: PlannerConfig,
 ) -> list[tuple[list[np.ndarray], list[np.ndarray] | None, list[np.ndarray] | None]]:
     """Per task: its picked block's rungs, then the first-choice rungs (or
-    None) of its approach and depart slides, all from stacked calls.
+    None) of its `SLIDES`, all from stacked calls.
 
-    A slide's first choice runs along the pass's own tool direction.  The
-    approach leaves the first waypoint among the elements placed before the
-    pass; the depart leaves the last one with the pass's element placed.
+    A slide's first choice runs along the pass's own tool direction, out of
+    its waypoint and against its prefix of the ordered scene.
     """
     jobs = []
     for task, (cap, _, _) in zip(tasks, picks):
         v = directions[cap.direction_index]
-        jobs += [
-            (task.waypoints, v, cap.rotation, task.prefix),
-            (retraction_points(task.waypoints[0], v, config), v, cap.rotation, task.prefix),
-            (retraction_points(task.waypoints[-1], v, config), v, cap.rotation, task.prefix + 1),
-        ]
+        jobs.append((task.waypoints, v, cap.rotation, task.prefix))
+        for end, shift in SLIDES:
+            points = retraction_points(task.waypoints[end], v, config)
+            jobs.append((points, v, cap.rotation, task.prefix + shift))
     built = list(_stacked_rungs(robot, tasks[0].ordered, jobs, config.clearance)) if tasks else []
     out = []
     for k, task in enumerate(tasks):
         block, approach, depart = built[3 * k : 3 * k + 3]
         if block is None:
             raise CartesianPlanningError(
-                f"task {task.index}: chosen orientation block vanished on rebuild"
+                f"task {task.prefix}: chosen orientation block vanished on rebuild"
             )
         out.append((block, approach, depart))
     return out
@@ -450,7 +452,7 @@ def extract_block_path(
     cost, backs = _ladder(start, rungs, weights, limits)
     if not np.isfinite(cost[exit_index]):
         raise CartesianPlanningError(
-            f"task {task.index}: interior path unreachable on rebuild"
+            f"task {task.prefix}: interior path unreachable on rebuild"
         )
     return _walk_back(rungs, backs, exit_index)[0]
 
@@ -510,7 +512,6 @@ class SparseSearchResult:
     cost: float
     picks: list[tuple[Capsule, int, int]]
     columns: list[list[Capsule]]
-    built_capsules: int
     attempted: int
 
 
@@ -577,7 +578,7 @@ def expand_and_search(
         start = 0
         for call in _stacked_calls(robot, tasks[0].ordered, jobs, config.clearance):
             found = [
-                (i, (tasks[i].index, a, rot, rungs))
+                (i, (tasks[i].prefix, a, rot, rungs))
                 for (i, a, rot), rungs in zip(owners[start:], call)
                 if rungs is not None
             ]
@@ -586,11 +587,9 @@ def expand_and_search(
             for (i, _), cap in zip(found, caps):
                 if cap is not None:
                     columns[i].append(cap)
-    attempted = sum(done)
 
     cost, picks = chain_search(columns, robot.weights, robot.home)
-    built = sum(len(column) for column in columns)
-    return SparseSearchResult(cost, picks, columns, built, attempted)
+    return SparseSearchResult(cost, picks, columns, sum(done))
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +666,7 @@ def full_ladder_graph(
             blocks.append(rungs)
         if not blocks:
             raise CartesianPlanningError(
-                f"task {t.index}: no feasible orientation block for the full graph"
+                f"task {t.prefix}: no feasible orientation block for the full graph"
             )
         ladders.append(blocks)
 
@@ -731,8 +730,8 @@ def plan_retraction(
     segment.
 
     `scene` is the structure the slide moves through; the motion stage
-    hands it the pass's prefix of the ordered scene (`CapsuleSet.prefix`),
-    one element longer for a depart.  `preferred_rungs` holds the rungs of
+    hands it the slide's prefix of the ordered scene (`SLIDES`,
+    `CapsuleSet.prefix`).  `preferred_rungs` holds the rungs of
     the `preferred` direction, built against `scene` (None: it has none);
     any other direction is built with `build_rungs` when its turn comes.
     """

@@ -6,10 +6,11 @@ dexterous workspace.  `resolve_model` / `resolve_robot` accept either a
 filesystem path or a bundled fixture name, which is what the command line
 uses.
 
-The generators build layered box towers of configurable size.  They exist
-mostly for tests: `bracing_tower` is deterministic, `random_truss` draws the
-diagonal pattern from a seeded generator so property tests can sweep many
-distinct but reproducible structures.
+The generators build layered box towers of `TOWER_BAY` square bays and
+`TOWER_STORY_HEIGHT` stories.  They exist mostly for tests: `bracing_tower`
+is deterministic, `random_truss` draws the diagonal pattern from a seeded
+generator so property tests can sweep many distinct but reproducible
+structures.
 """
 
 from __future__ import annotations
@@ -83,14 +84,13 @@ def resolve_robot(source: str) -> RobotModel:
 # ---------------------------------------------------------------------------
 # generators
 
+TOWER_BAY = 90.0  # mm, the square column's side
+TOWER_STORY_HEIGHT = 80.0  # mm
+TOWER_STORIES = 2
+TOWER_ORIGIN = (520.0, 0.0)  # mm, the column's axis, in reach of the bundled arm
 
-def _tower_doc(
-    stories: int,
-    bay: float,
-    story_height: float,
-    origin: tuple[float, float],
-    diagonal_picker,
-) -> dict:
+
+def _tower_doc(stories: int, origin: tuple[float, float], diagonal_picker) -> dict:
     """Shared scaffolding for the tower builders.
 
     Nodes are the corners of a square column; every story adds four
@@ -99,7 +99,7 @@ def _tower_doc(
     planners get a meaningful decomposition.
     """
     ox, oy = origin
-    half = bay / 2.0
+    half = TOWER_BAY / 2.0
     corners = [(-half, -half), (half, -half), (half, half), (-half, half)]
     nodes = []
     for level in range(stories + 1):
@@ -107,7 +107,7 @@ def _tower_doc(
             nodes.append(
                 {
                     "id": len(nodes),
-                    "xyz": [ox + cx, oy + cy, level * story_height],
+                    "xyz": [ox + cx, oy + cy, level * TOWER_STORY_HEIGHT],
                     "grounded": level == 0,
                 }
             )
@@ -144,27 +144,16 @@ def _tower_doc(
 
 
 def bracing_tower(
-    stories: int = 2,
-    bay: float = 90.0,
-    story_height: float = 80.0,
-    origin: tuple[float, float] = (520.0, 0.0),
+    stories: int = TOWER_STORIES, origin: tuple[float, float] = TOWER_ORIGIN
 ) -> TrussModel:
     """Fully braced square tower; deterministic."""
-    doc = _tower_doc(
-        stories, bay, story_height, origin,
-        lambda level, face: (level + face) % 2 == 0,
-    )
+    doc = _tower_doc(stories, origin, lambda level, face: (level + face) % 2 == 0)
     return load_model(doc)
 
 
-def random_truss(
-    stories: int = 2,
-    bay: float = 90.0,
-    story_height: float = 80.0,
-    origin: tuple[float, float] = (520.0, 0.0),
-    seed: int = 0,
-) -> TrussModel:
-    """Tower with a seeded random bracing pattern (always ground-connected)."""
+def random_truss(seed: int = 0) -> TrussModel:
+    """`TOWER_STORIES`-story tower at `TOWER_ORIGIN` with a seeded random
+    bracing pattern (always ground-connected)."""
     rng = np.random.default_rng(seed)
 
     def picker(level: int, face: int):
@@ -173,5 +162,5 @@ def random_truss(
             return None  # unbraced face
         return bool(roll)
 
-    doc = _tower_doc(stories, bay, story_height, origin, picker)
+    doc = _tower_doc(TOWER_STORIES, TOWER_ORIGIN, picker)
     return load_model(doc)

@@ -31,6 +31,7 @@ from itertools import groupby
 import numpy as np
 
 from .cartesian import (
+    SLIDES,
     expand_and_search,
     extract_block_path,
     plan_retraction,
@@ -86,27 +87,28 @@ def input_fingerprints(
 
 @dataclass
 class PipelineReport:
+    """The motion stages' times and totals; the sequence row reads the
+    search's own stats, and the total row sums the three stage rows."""
+
     sequence_stats: SearchStats
-    sequence_time: float = 0.0  # the search's own `stats.total_time`
     cartesian_time: float = 0.0
     transition_time: float = 0.0
-    total_time: float = 0.0  # the three stage rows summed
     capsules_built: int = 0
     capsules_attempted: int = 0
     cartesian_cost: float = 0.0
     transition_count: int = 0
     transition_via_home: int = 0
     transition_cost: float = 0.0
-    subprocess_count: int = 0
     # retraction slides replaced by a one-row segment at the pass end
     retraction_fallbacks: int = 0
 
     def table(self) -> str:
         s = self.sequence_stats
+        total = s.total_time + self.cartesian_time + self.transition_time
         rows = [
             (
                 "sequence",
-                self.sequence_time,
+                s.total_time,
                 f"{s.partial_states} states, {s.backtracks} backtracks",
             ),
             (
@@ -123,7 +125,7 @@ class PipelineReport:
                 f"{self.transition_via_home} via home, "
                 f"joint cost {self.transition_cost:.3f}",
             ),
-            ("total", self.total_time, f"{self.subprocess_count} subprocesses"),
+            ("total", total, f"{4 * self.transition_count} subprocesses"),
         ]
         width = max(len(r[0]) for r in rows)
         lines = [f"{'stage':<{width}} | {'time [s]':>9} | detail"]
@@ -183,33 +185,26 @@ def run_pipeline(
 
     t0 = time.monotonic()
     tasks = prepare_tasks(model, robot, sequence, config)
-    rng = np.random.default_rng(config.seed)
-    sparse = expand_and_search(
-        robot, tasks, config, rng, max_capsules=config.capsule_budget
-    )
+    sparse = expand_and_search(robot, tasks, config, max_capsules=config.capsule_budget)
     directions = sequence.directions
     rebuilt = rebuild_picks(robot, tasks, sparse.picks, directions, config)
     passes = []  # per task: first and last joint row, Cartesian subprocesses
     fallbacks = 0
-    for k, (task, (cap, ei, xi), (rungs, first_in, first_out)) in enumerate(
+    for k, (task, (cap, ei, xi), (rungs, *firsts)) in enumerate(
         zip(tasks, sparse.picks, rebuilt)
     ):
         traj = extract_block_path(robot, task, rungs, ei, xi, config)
         v = directions[cap.direction_index]
-        out = plan_retraction(
-            robot, task.waypoints[0], v, cap.rotation, traj[0],
-            task.ordered.prefix(task.prefix), config, directions, cap.direction_index,
-            first_in,
-        )
-        approach = out[::-1] if out is not None else traj[:1]
-        fallbacks += int(out is None)
-        out = plan_retraction(
-            robot, task.waypoints[-1], v, cap.rotation, traj[-1],
-            task.ordered.prefix(task.prefix + 1), config, directions, cap.direction_index,
-            first_out,
-        )
-        depart = out if out is not None else traj[-1:]
-        fallbacks += int(out is None)
+        slides = []  # per slide: its path out of the pass, else its anchor row
+        for (end, shift), first in zip(SLIDES, firsts):
+            out = plan_retraction(
+                robot, task.waypoints[end], v, cap.rotation, traj[end],
+                task.ordered.prefix(task.prefix + shift), config, directions,
+                cap.direction_index, first,
+            )
+            slides.append(out if out is not None else traj[[end]])
+            fallbacks += int(out is None)
+        approach, depart = slides[0][::-1], slides[1]
         legs = zip(SUBPROCESS_TYPES[1:], (approach, traj, depart))
         subs = [_subprocess(robot, 4 * k + i, kind, rows) for i, (kind, rows) in enumerate(legs, 1)]
         passes.append((approach[0], depart[-1], subs))
@@ -240,17 +235,14 @@ def run_pipeline(
     }
     report = PipelineReport(
         sequence_stats=sequence.stats,
-        sequence_time=sequence.stats.total_time,
         cartesian_time=cart_time,
         transition_time=trans_time,
-        total_time=sequence.stats.total_time + cart_time + trans_time,
-        capsules_built=sparse.built_capsules,
+        capsules_built=sum(len(column) for column in sparse.columns),
         capsules_attempted=sparse.attempted,
         cartesian_cost=sparse.cost,
         transition_count=len(plan_tasks),
         transition_via_home=via_home,
         transition_cost=trans_cost,
-        subprocess_count=4 * len(plan_tasks),
         retraction_fallbacks=fallbacks,
     )
     return plan, report

@@ -86,10 +86,11 @@ class SequenceFormatError(Exception):
 
 @dataclass(frozen=True)
 class SequenceTask:
-    position: int
+    """One build slot: its position is its index in `SequenceResult.tasks`
+    and its direction is `directions[direction_index]`."""
+
     element: int
     direction_index: int
-    direction: tuple[float, float, float]
     rotation: float
     start_node: int
 
@@ -162,14 +163,14 @@ def sequence_to_dict(result: SequenceResult) -> dict:
         "direction_count": len(result.directions),
         "tasks": [
             {
-                "position": t.position,
+                "position": position,
                 "element": t.element,
                 "direction_index": t.direction_index,
-                "direction": [float(v) for v in t.direction],
+                "direction": result.directions[t.direction_index].tolist(),
                 "rotation": t.rotation,
                 "start_node": t.start_node,
             }
-            for t in result.tasks
+            for position, t in enumerate(result.tasks)
         ],
         "stats": result.stats.as_dict(),
     }
@@ -180,27 +181,31 @@ def sequence_from_dict(doc: dict) -> SequenceResult:
     the deterministic direction lattice.  A document not shaped like
     `sequence_to_dict`'s output, or holding a fraction where an integer
     belongs, a non-finite direction or rotation, a direction that disagrees
-    with its index, or a stats count or time that is not a non-negative
-    number, raises `SequenceFormatError`."""
+    with its index, a position that is not the task's index in the list, or
+    a stats count or time that is not a non-negative number, raises
+    `SequenceFormatError`."""
     try:
         directions = sample_directions(integer(doc["direction_count"]))
         tasks = []
-        for t in doc["tasks"]:
+        for position, t in enumerate(doc["tasks"]):
+            if integer(t["position"]) != position:
+                raise SequenceFormatError(
+                    f"task {position}: stored position {t['position']} is not "
+                    "its place in the task list"
+                )
             index = integer(t["direction_index"])
             if not 0 <= index < len(directions):
                 raise IndexError(f"direction index {index} is off the lattice")
             direction = tuple(finite(v) for v in t["direction"])
             if np.abs(directions[index] - direction).max() > 1e-9:
                 raise SequenceFormatError(
-                    f"task {t['position']}: stored direction does not match "
+                    f"task {position}: stored direction does not match "
                     f"index {index} of a {len(directions)}-direction lattice"
                 )
             tasks.append(
                 SequenceTask(
-                    position=integer(t["position"]),
                     element=integer(t["element"]),
                     direction_index=index,
-                    direction=direction,
                     rotation=finite(t["rotation"]),
                     start_node=integer(t["start_node"]),
                 )
@@ -355,8 +360,8 @@ class SequencePlanner:
         # every element's capsule in model order, the probe's obstacles
         self._elements = model.scene(self._ids)
         # per probed orientation (element index, start node, direction
-        # index, roll index): None, or [owner, posed, contacts, known]
-        self._reach: dict[tuple[int, int, int, int], list | None] = {}
+        # index, roll index): None, or (owner, posed, contacts, known)
+        self._reach: dict[tuple[int, int, int, int], tuple | None] = {}
 
     @property
     def _scene(self):
@@ -446,7 +451,7 @@ class SequencePlanner:
             if rows is not None:
                 owner, posed = rows
                 e = len(self._ids)
-                rows = [owner, posed, np.zeros((len(owner), e), bool), np.zeros(e, bool)]
+                rows = (owner, posed, np.zeros((len(owner), e), bool), np.zeros(e, bool))
             self._reach[key] = rows
         entry = self._reach[key]
         if entry is None:
@@ -576,22 +581,13 @@ class SequencePlanner:
         return SequenceResult(list(self._tasks), self.stats, self.directions, self.sweeps)
 
     def _place(self, eid, witness, remaining):
-        direction_index, rotation = witness
         start = self._start_node(eid)
         self._placed.append(eid)
         self._placed_mask |= 1 << self._index[eid]
         remaining.discard(eid)
         self._touch(eid, 1)
         undo = self._prune_against(sorted(remaining), eid)
-        task = SequenceTask(
-            position=len(self._tasks),
-            element=eid,
-            direction_index=direction_index,
-            direction=tuple(float(v) for v in self.directions[direction_index]),
-            rotation=rotation,
-            start_node=start,
-        )
-        self._tasks.append(task)
+        self._tasks.append(SequenceTask(eid, *witness, start))
         record = (undo,)  # [0]: the direction bits this placement cleared
         for oid in remaining:
             if not self._domain[self._index[oid]].any():

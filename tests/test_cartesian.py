@@ -190,7 +190,8 @@ def test_batched_ladders_equal_each_blocks_own_ladder_on_every_cube_block(
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
     for blocks, got in relaxed:
         assert_equal_to_own_ladders(got, blocks, weights, limits)
-    assert sum(len(blocks) for blocks, _ in relaxed) >= result.built_capsules > len(tasks)
+    built = sum(len(column) for column in result.columns)
+    assert sum(len(blocks) for blocks, _ in relaxed) >= built > len(tasks)
     assert max(len(blocks) for blocks, _ in relaxed) > 1
 
 
@@ -253,7 +254,7 @@ def build_capsule(robot, task, scene, direction, direction_index, rotation, conf
     if rungs is None:
         return None
     limits = robot.jump_limits(config.jump_limit, config.prismatic_jump_limit)
-    block = (task.index, direction_index, rotation, rungs)
+    block = (task.prefix, direction_index, rotation, rungs)
     return capsules_from_rungs([block], robot.weights, limits)[0]
 
 
@@ -486,7 +487,7 @@ def test_extract_block_path_breaks_ties_like_the_rung_loop():
     weights = np.array([1.0, 2.0])
     limits = np.array([2.0, 2.0])
     robot = SimpleNamespace(weights=weights, jump_limits=lambda *_: limits)
-    task = SimpleNamespace(index=0)
+    task = SimpleNamespace(prefix=0)
     tied = checked = 0
     for _ in range(150):
         rungs = [
@@ -642,7 +643,7 @@ def test_expand_budget_monotone_and_witness_first(robot, cube_tasks):
         )
         costs.append(result.cost)
         assert all(len(col) >= 1 for col in result.columns)
-        assert result.built_capsules <= result.attempted
+        assert sum(len(col) for col in result.columns) <= result.attempted
         # the sequence witness block is always attempted first
         first = result.columns[0][0]
         assert first.direction_index == prefix[0].preferred_direction
@@ -725,11 +726,7 @@ def test_prepare_tasks_rejects_tampered_witness(robot, cube_tasks):
 
     # point the last task's witness straight down into the built structure
     down = len(sequence.directions) - 1
-    tampered = dataclasses.replace(
-        sequence.tasks[-1],
-        direction_index=down,
-        direction=tuple(float(v) for v in sequence.directions[down]),
-    )
+    tampered = dataclasses.replace(sequence.tasks[-1], direction_index=down)
     bad = dataclasses.replace(
         sequence, tasks=sequence.tasks[:-1] + [tampered]
     )
@@ -893,7 +890,7 @@ def test_build_rungs_matches_per_waypoint_loop(robot, cube_tasks):
              for r in rotation_sequence(CART_CFG.rotation_samples)]
     reasons = set()
     for task in tasks:
-        scene = scene_before(model, sequence, task.index)
+        scene = scene_before(model, sequence, task.prefix)
         for a, rot in pairs:
             got = build_rungs(
                 robot, task.waypoints, directions[a], rot, scene,
@@ -902,7 +899,7 @@ def test_build_rungs_matches_per_waypoint_loop(robot, cube_tasks):
             want, why = oracle_build_rungs(
                 robot, task.waypoints, directions[a], rot, scene, CART_CFG.clearance
             )
-            assert same_rungs(got, want), (task.index, a, rot)
+            assert same_rungs(got, want), (task.prefix, a, rot)
             if why is not None:
                 last = len(task.waypoints) - 1
                 reasons.add((why[0], "interior" if 0 < why[1] < last else "end"))
@@ -914,15 +911,15 @@ def test_plan_retraction_matches_per_waypoint_loop(robot, cube_tasks):
     model, sequence, tasks = cube_tasks
     directions = sequence.directions
     for task in tasks:
-        scene_after = scene_before(model, sequence, task.index + 1)
+        scene_after = scene_before(model, sequence, task.prefix + 1)
         rungs = build_rungs(
             robot, task.waypoints, directions[task.preferred_direction],
-            task.preferred_rotation, scene_before(model, sequence, task.index),
+            task.preferred_rotation, scene_before(model, sequence, task.prefix),
             clearance=CART_CFG.clearance,
         )
         anchor, node = rungs[-1][0], task.waypoints[-1]
         scenes = [scene_after]
-        if task.index == 0:  # boxed in: every candidate direction fails
+        if task.prefix == 0:  # boxed in: every candidate direction fails
             scenes.append(
                 CapsuleSet((CapsuleShape(tuple(node - 1.0), tuple(node + 1.0), 400.0),))
             )
@@ -934,7 +931,7 @@ def test_plan_retraction_matches_per_waypoint_loop(robot, cube_tasks):
                 )
                 want = oracle_plan_retraction(*args)
                 assert (want is None) == (scene is not scene_after)
-                assert same_rungs(retraction_from_scratch(*args), want), (task.index, preferred)
+                assert same_rungs(retraction_from_scratch(*args), want), (task.prefix, preferred)
 
 
 def test_stacked_first_choice_falls_back_like_the_per_waypoint_loop(robot, cube_tasks):
@@ -947,7 +944,7 @@ def test_stacked_first_choice_falls_back_like_the_per_waypoint_loop(robot, cube_
     for task in tasks:
         v, rot = directions[task.preferred_direction], task.preferred_rotation
         rungs = build_rungs(
-            robot, task.waypoints, v, rot, scene_before(model, sequence, task.index),
+            robot, task.waypoints, v, rot, scene_before(model, sequence, task.prefix),
             clearance=CART_CFG.clearance,
         )
         for preferred in range(0, len(directions), 4):
@@ -969,7 +966,7 @@ def test_stacked_first_choice_falls_back_like_the_per_waypoint_loop(robot, cube_
         want = oracle_plan_retraction(
             *args, scene_before(model, sequence, upto), CART_CFG, directions, preferred
         )
-        assert same_rungs(got, want), (task.index, preferred, upto)
+        assert same_rungs(got, want), (task.prefix, preferred, upto)
         alone = plan_retraction(*args, scene, CART_CFG, directions[[preferred]], 0, first)
         outcomes.add((first is not None, alone is not None, want is not None))
     # first choices that chain, that have rungs but no chain from the
@@ -983,7 +980,7 @@ def test_rebuild_picks_builds_each_rung_set_against_its_own_prefix(robot, cube_t
     picks = expand_and_search(robot, tasks, CART_CFG, max_capsules=1).picks
     rebuilt = cartesian.rebuild_picks(robot, tasks, picks, directions, CART_CFG)
     for task, (cap, _, _), got in zip(tasks, picks, rebuilt):
-        v, k = directions[cap.direction_index], task.index
+        v, k = directions[cap.direction_index], task.prefix
         want = [
             build_rungs(robot, points, v, cap.rotation, scene, clearance=CART_CFG.clearance)
             for points, scene in (
@@ -1008,7 +1005,7 @@ def test_rebuild_picks_builds_each_rung_set_against_its_own_prefix(robot, cube_t
     element = CapsuleShape(tuple(node + 80.0 * v), tuple(node + 90.0 * v), 5.0)
     lone = dataclasses.replace(task, ordered=CapsuleSet((element,)), prefix=0)
     cap = Capsule(
-        task.index, task.preferred_direction, task.preferred_rotation,
+        task.prefix, task.preferred_direction, task.preferred_rotation,
         np.zeros((1, robot.dof)), np.zeros((1, robot.dof)), np.zeros((1, 1)), 2,
     )
     block, approach, depart = cartesian.rebuild_picks(
@@ -1049,7 +1046,7 @@ def test_build_rungs_batch_equals_one_orientation_calls(robot, cube_tasks, monke
 
     mixed = set()  # failure reasons seen beside a built block in one batch
     for task in tasks[::2]:
-        scene = scene_before(model, sequence, task.index)
+        scene = scene_before(model, sequence, task.prefix)
         for i in range(0, len(pairs), 7):
             chunk = pairs[i : i + 7]
             orientations = [(directions[a], rot) for a, rot in chunk]
@@ -1071,7 +1068,7 @@ def test_build_rungs_batch_equals_one_orientation_calls(robot, cube_tasks, monke
                 want, why = oracle_build_rungs(
                     robot, task.waypoints, directions[a], rot, scene, CART_CFG.clearance
                 )
-                assert same_rungs(rungs, one) and same_rungs(rungs, want), (task.index, a, rot)
+                assert same_rungs(rungs, one) and same_rungs(rungs, want), (task.prefix, a, rot)
                 if why is not None:
                     reasons.append(why[0])
             assert len(got) == len(chunk)
@@ -1138,7 +1135,7 @@ def test_expand_and_search_columns_equal_per_candidate_loop(
     else:
         (model, sequence, tasks), config = default_tasks, PlannerConfig()
         tasks = tasks[8:10]
-    scenes = [scene_before(model, sequence, task.index) for task in tasks]
+    scenes = [scene_before(model, sequence, task.prefix) for task in tasks]
     got = expand_and_search(
         robot, tasks, config, rng=np.random.default_rng(5), max_capsules=budget
     )
@@ -1149,7 +1146,6 @@ def test_expand_and_search_columns_equal_per_candidate_loop(
     assert [len(col) for col in got.columns] == [len(col) for col in want]
     for col, want_col in zip(got.columns, want):
         assert all(same_capsule(a, b) for a, b in zip(col, want_col))
-    assert got.built_capsules == sum(len(col) for col in want)
     if budget is None:  # whole queues: every candidate attempted
         rotations = rotation_sequence(config.rotation_samples)
         assert got.attempted == sum(len(cartesian._candidate_grid(t, rotations)) for t in tasks)

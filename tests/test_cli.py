@@ -278,8 +278,9 @@ def test_motion_rejects_a_sequence_that_does_not_cover_the_model(
 ):
     doc = copy.deepcopy(sequence_doc)
     tasks = doc["tasks"]
-    if kind == "drop":
-        tasks[:] = [t for t in tasks if t["element"] != 22]
+    if kind == "drop":  # the later tasks move up one place
+        kept = [t for t in tasks if t["element"] != 22]
+        tasks[:] = [dict(t, position=k) for k, t in enumerate(kept)]
     else:
         extra = dict(next(t for t in tasks if t["element"] == 0), position=len(tasks))
         tasks.append(extra if kind == "repeat" else dict(extra, element=999))
@@ -306,6 +307,22 @@ def test_motion_rejects_a_direction_off_its_lattice_index(sequence_doc, cfg_file
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("error: task 0: stored direction does not match index ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_motion_rejects_a_position_off_its_list_index(sequence_doc, cfg_file, tmp_path, capsys):
+    doc = copy.deepcopy(sequence_doc)
+    first, second = doc["tasks"][:2]
+    first["position"], second["position"] = second["position"], first["position"]
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    out = tmp_path / "plan.json"
+    capsys.readouterr()
+    rc = main(["motion", *common(cfg_file), "--from-sequence", str(seq), "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: task 0: stored position 1 is not its place in the task list")
     assert len(err.splitlines()) == 1
     assert not out.exists()
 

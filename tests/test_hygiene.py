@@ -1,8 +1,10 @@
 """Source hygiene, checked from the syntax tree: no library module imports a
-name it never uses, no UPPER_CASE module constant goes unread, and no
-function, class or method is defined that nothing references."""
+name it never uses, no UPPER_CASE module constant goes unread, no function,
+class or method is defined that nothing references, and no defaulted
+parameter of a module-level function goes unpassed by every call."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -90,3 +92,56 @@ def test_every_definition_is_referenced():
         and node.name not in read
     ]
     assert not unused, f"definitions nothing references: {unused}"
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position or None for keyword-only) of every
+    parameter with a default of the module's top-level functions."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(node.name, a.arg, i) for i, a in enumerate(positional) if i >= first]
+        out += [
+            (node.name, a.arg, None)
+            for a, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    return out
+
+
+def passed_arguments() -> dict[str, list[tuple[float, set[str]]]]:
+    """Per called name, one (positional count, keyword names) per call in
+    src/, tests/ or perfbench/; a call spreading `*args` or `**kwargs`
+    counts as passing everything (an infinite positional count)."""
+    calls: dict[str, list[tuple[float, set[str]]]] = {}
+    for path in (p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            passed = (math.inf if spread else len(node.args), {k.arg for k in node.keywords})
+            calls.setdefault(name, []).append(passed)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default no call overrides is a knob nobody sets: make it a constant
+    calls = passed_arguments()
+    unset = [
+        f"{path.name}: {function}({name})"
+        for path in MODULES
+        for function, name, position in defaulted_parameters(parse(path))
+        if not any(
+            (position is not None and position < count) or name in keywords or count == math.inf
+            for count, keywords in calls.get(function, [])
+        )
+    ]
+    assert not unset, f"defaulted parameters no call passes: {unset}"

@@ -128,7 +128,6 @@ def test_document_layout(model, robot, planned):
 def test_report_accounting(planned):
     doc, report = planned
     n = len(doc["tasks"])
-    assert report.subprocess_count == 4 * n
     assert report.transition_count == n
     assert 0 < report.capsules_built <= report.capsules_attempted
     assert report.cartesian_cost > 0.0
@@ -137,16 +136,32 @@ def test_report_accounting(planned):
     table = report.table()
     for word in ("sequence", "cartesian", "transitions", "total"):
         assert word in table
+    total = next(line for line in table.splitlines() if line.startswith("total"))
+    assert total.endswith(f"| {sum(len(t['subprocesses']) for t in doc['tasks'])} subprocesses")
 
 
 def test_report_times_a_passed_in_sequence_by_its_own_stats(sequence, planned):
     _, report = planned
-    assert report.sequence_time == sequence.stats.total_time > 0.0
-    assert report.total_time == (
-        report.sequence_time + report.cartesian_time + report.transition_time
-    )
-    row = next(line for line in report.table().splitlines() if line.startswith("sequence"))
-    assert f"| {report.sequence_time:9.2f} |" in row
+    assert report.sequence_stats is sequence.stats and sequence.stats.total_time > 0.0
+    rows = {line.split(" |")[0].strip(): line for line in report.table().splitlines()}
+    assert f"| {sequence.stats.total_time:9.2f} |" in rows["sequence"]
+    total = sequence.stats.total_time + report.cartesian_time + report.transition_time
+    assert f"| {total:9.2f} |" in rows["total"]
+
+
+def test_report_counts_the_sampled_capsules(model, robot, sequence, monkeypatch):
+    sampled = []
+
+    def recording(*args, **kwargs):
+        sampled.append(cartesian.expand_and_search(*args, **kwargs))
+        return sampled[-1]
+
+    monkeypatch.setattr(pipeline, "expand_and_search", recording)
+    _, report = run_pipeline(model, robot, CFG, sequence=sequence)
+    [sparse] = sampled
+    assert report.capsules_built == sum(len(column) for column in sparse.columns)
+    assert report.capsules_attempted == sparse.attempted
+    assert f"{report.capsules_built}/{report.capsules_attempted} capsules" in report.table()
 
 
 def test_culled_collision_tests_match_dense_oracles_on_a_cube_run(model, robot, monkeypatch):
@@ -837,26 +852,25 @@ def per_task_motion(model, sequence):
                 built = kinematics.build_rungs_batch(
                     robot, [task.waypoints] * len(chunk),
                     [(directions[a], rot) for a, rot in chunk],
-                    scenes[task.index], config.clearance,
+                    scenes[task.prefix], config.clearance,
                 )
                 for (a, rot), rungs in zip(chunk, built):
                     if rungs is None:
                         continue
                     cap = cartesian.capsules_from_rungs(
-                        [(task.index, a, rot, rungs)], robot.weights, limits
+                        [(task.prefix, a, rot, rungs)], robot.weights, limits
                     )[0]
                     if cap is not None:
                         column.append(cap)
             attempted += done
             columns.append(column)
         cost, picks = cartesian.chain_search(columns, robot.weights, robot.home)
-        built = sum(len(column) for column in columns)
-        return cartesian.SparseSearchResult(cost, picks, columns, built, attempted)
+        return cartesian.SparseSearchResult(cost, picks, columns, attempted)
 
     def rebuild_picks(robot, tasks, picks, directions, config):
         out = []
         for task, (cap, _, _) in zip(tasks, picks):
-            v, k = directions[cap.direction_index], task.index
+            v, k = directions[cap.direction_index], task.prefix
             block = kinematics.build_rungs(
                 robot, task.waypoints, v, cap.rotation, scenes[k], config.clearance
             )

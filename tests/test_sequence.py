@@ -234,7 +234,8 @@ def test_tower_sequence_is_printable(tower_result, robot):
     tasks = result.tasks
     assert len(tasks) == model.n_elements
     assert sorted(t.element for t in tasks) == sorted(e.id for e in model.elements)
-    assert [t.position for t in tasks] == list(range(len(tasks)))
+    positions = [t["position"] for t in sequence_to_dict(result)["tasks"]]
+    assert positions == list(range(len(tasks)))
 
     built_nodes = {n.id for n in model.nodes if n.grounded}
     placed = []
@@ -256,7 +257,7 @@ def test_tower_sequence_is_printable(tower_result, robot):
         pts = discretize_element(
             model, task.element, TOWER_CFG.path_spacing, start_node=task.start_node
         )
-        direction = np.array(task.direction)
+        direction = result.directions[task.direction_index]
         assert not ee_self_collision(
             pts, direction, task.rotation, model.section.radius, robot.ee,
             clearance=TOWER_CFG.clearance,
@@ -340,6 +341,21 @@ def test_sequence_dict_round_trip(tower_result):
     doc["tasks"][0]["direction"] = [1.0, 0.0, 0.0]
     with pytest.raises(SequenceFormatError, match="does not match"):
         sequence_from_dict(doc)
+
+
+def test_sequence_document_positions_are_list_indices(tower_result):
+    # the position labels the task in every later error and the scene
+    # prefixes follow list order, so a label that differs would mislead
+    _, result = tower_result
+    doc = sequence_to_dict(result)
+    for tasks in (
+        doc["tasks"][::-1],
+        [dict(t, position=t["position"] + 1) for t in doc["tasks"]],
+        doc["tasks"][1:],
+    ):
+        with pytest.raises(SequenceFormatError, match="is not its place in the task list"):
+            sequence_from_dict(dict(doc, tasks=tasks))
+    assert sequence_from_dict(doc).tasks == result.tasks
 
 
 def _edit_first_task(doc, key, value):
